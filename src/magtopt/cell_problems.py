@@ -17,7 +17,10 @@ its precomputation to two 1D tables in the state-gradient magnitude.
 """
 from __future__ import annotations
 
+import concurrent.futures as cf
+import contextlib
 import enum
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -84,9 +87,9 @@ def _sides(mesh: TriMesh, case: PerturbationCase):
 def solve_direct_variation(curve, grad_u, case: PerturbationCase,
                            disc: TriMesh, tol: float = 1e-10,
                            max_iter: int = 50) -> CellSolution:
-    """Newton solve of the nonlinear transmission problem for the variation
-    of the direct state. A zero state gradient gives the trivial solution
-    without solving.
+    """Damped-Newton solve (fem.damped_newton) of the nonlinear transmission
+    problem for the variation of the direct state. A zero state gradient
+    gives the trivial solution without solving.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
@@ -109,34 +112,15 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase,
         flux[nonlin] = material.flux_map(curve, grad_u + gh[nonlin]) - t_u0
         return fem.assemble_flux_divergence(disc, flux) - rhs
 
-    h = np.zeros(n)
-    r = residual(h)
-    rnorm = np.linalg.norm(r[free])
-    tol_eff = tol * np.linalg.norm(rhs[free]) + 1e-14
-    for _ in range(max_iter):
-        if rnorm <= tol_eff:
-            return CellSolution(disc, h, case, grad_u)
+    def jacobian(h):
         gh = disc.element_gradients(h)
-        coeff = np.zeros((disc.n_tris, 2, 2))
-        coeff[:, 0, 0] = coeff[:, 1, 1] = nu0
-        coeff[nonlin] = material.flux_jacobian(curve, grad_u + gh[nonlin])
-        jac = fem.assemble_stiffness(disc, coeff)
-        dh = np.zeros(n)
-        dh[free] = fem._spsolve(jac[np.ix_(free, free)], -r[free])
-        step = 1.0
-        for _ in range(20):
-            r_try = residual(h + step * dh)
-            rn_try = np.linalg.norm(r_try[free])
-            if rn_try < rnorm:
-                break
-            step *= 0.5
-        else:
-            raise fem.SolverError("cell Newton stalled", residual_norm=rnorm)
-        h = h + step * dh
-        r, rnorm = r_try, rn_try
-    if rnorm <= tol_eff:
-        return CellSolution(disc, h, case, grad_u)
-    raise fem.SolverError("cell Newton did not converge", residual_norm=rnorm)
+        return fem.assemble_stiffness(
+            disc, fem._material_jacobian(curve, nonlin, grad_u + gh))
+
+    tol_eff = tol * np.linalg.norm(rhs[free]) + 1e-14
+    h, _, _ = fem.damped_newton(residual, jacobian, np.zeros(n), free,
+                                tol_eff, max_iter, max_halvings=20)
+    return CellSolution(disc, h, case, grad_u)
 
 
 def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
@@ -157,9 +141,7 @@ def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
     f_el[inclusion] = sign * (nu0 * np.eye(2) - dt_u0) @ grad_p
     rhs = fem.assemble_flux_divergence(disc, f_el)
 
-    free = fem._free_nodes(disc)
-    k = np.zeros(disc.n_nodes)
-    k[free] = fem._spsolve(jac[np.ix_(free, free)], rhs[free])
+    k = fem.solve_free(jac, rhs, fem._free_nodes(disc))
     return CellSolution(disc, k, case, grad_u, grad_p)
 
 
@@ -258,7 +240,7 @@ def default_t_grid(t_max: float = 3.0, n: int = 61) -> np.ndarray:
     return np.linspace(0.0, t_max, n)
 
 
-def _table_sample(curve, case, t, spec: DiscSpec):
+def _table_sample(curve, case, spec: DiscSpec, t: float):
     disc = disc_mesh(spec)
     if t == 0.0:
         return 0.0, 0.0
@@ -285,23 +267,15 @@ def build_correction_table(curve, case: PerturbationCase, t_grid=None,
     spec = disc_spec or DiscSpec()
     if t_grid.size == 0 or t_grid[0] != 0.0:
         raise ValueError("t grid must be non-empty and start at 0")
-    vals = np.zeros((t_grid.size, 2))
-    if workers > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_table_sample, curve, case, float(t), spec)
-                       for t in t_grid]
-            for i, fut in enumerate(futures):
-                try:
-                    vals[i] = fut.result()
-                except fem.SolverError as exc:
-                    raise fem.SolverError(
-                        f"table sample {i} (t = {t_grid[i]:g}) failed: {exc}",
-                        residual_norm=exc.residual_norm) from exc
-    else:
-        for i, t in enumerate(t_grid):
+    sample = functools.partial(_table_sample, curve, case, spec)
+    ts = t_grid.tolist()
+    vals = np.zeros((len(ts), 2))
+    with (cf.ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        samples = map(sample, ts) if pool is None else pool.map(sample, ts)
+        for i, t in enumerate(ts):
             try:
-                vals[i] = _table_sample(curve, case, float(t), spec)
+                vals[i] = next(samples)
             except fem.SolverError as exc:
                 raise fem.SolverError(
                     f"table sample {i} (t = {t:g}) failed: {exc}",
@@ -367,9 +341,10 @@ def load_table(path) -> CorrectionTable:
             if line.lower().startswith("t,"):
                 continue
             rows.append([float(c) for c in line.split(",")])
+    missing = [k for k in ("case", "radius", "h0", "curve") if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: table header lacks {', '.join(missing)}")
     data = np.asarray(rows)
-    case = PerturbationCase(meta.get("case", "I"))
-    return CorrectionTable(case, data[:, 0], data[:, 1], data[:, 2],
-                   float(meta.get("radius", "nan")),
-                   float(meta.get("h0", "nan")),
-                   meta.get("curve", "unknown"))
+    return CorrectionTable(PerturbationCase(meta["case"]), data[:, 0],
+                           data[:, 1], data[:, 2], float(meta["radius"]),
+                           float(meta["h0"]), meta["curve"])

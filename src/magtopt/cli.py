@@ -127,42 +127,48 @@ def _table_paths(cfg, out: Path):
     return Path(p1), Path(p2)
 
 
-def cmd_build_tables(cfg, args) -> int:
-    curve = build_curve(cfg, args.linear)
-    out = _prepare_out(args.out, args.force)
+def _build_tables(cfg, curve, out: Path):
+    """Build both correction tables on the configured grid and disc, save
+    them to their configured paths, and return them (case I, case II)."""
     spec = disc_spec(cfg)
     t_max, n = float(cfg["t_max"]), int(cfg["n_samples"])
     grid = np.linspace(0.0, t_max, n) if t_max > 0 else np.array([0.0])
     h = config_hash(cfg)
-    p1, p2 = _table_paths(cfg, out)
-    for case, path in ((PerturbationCase.AIR_IN_FERRO, p1),
-                       (PerturbationCase.FERRO_IN_AIR, p2)):
+    tables = []
+    for case, path in zip(PerturbationCase, _table_paths(cfg, out)):
         log.info("building correction table %s -> %s", case.value, path)
         table = cell_problems.build_correction_table(curve, case, grid, spec,
-                                             workers=int(cfg["workers"]))
+                                                     workers=int(cfg["workers"]))
         cell_problems.save_table(path, table, config_hash=h)
-        if isinstance(curve, material.LinearCurve):
-            log.info("linear stub: table %s is identically zero", case.value)
+        tables.append(table)
+    return tuple(tables)
+
+
+def cmd_build_tables(cfg, args) -> int:
+    curve = build_curve(cfg, args.linear)
+    _build_tables(cfg, curve, _prepare_out(args.out, args.force))
+    if isinstance(curve, material.LinearCurve):
+        log.info("linear stub: both tables are identically zero")
     return EXIT_OK
 
 
-def _load_or_build_tables(cfg, args, curve, out: Path):
-    p1, p2 = _table_paths(cfg, out)
-    if p1.exists() and p2.exists():
-        log.info("loading correction tables from %s, %s", p1, p2)
-        return cell_problems.load_table(p1), cell_problems.load_table(p2)
-    log.info("correction tables missing; building them first")
-    spec = disc_spec(cfg)
-    t_max, n = float(cfg["t_max"]), int(cfg["n_samples"])
-    grid = np.linspace(0.0, t_max, n) if t_max > 0 else np.array([0.0])
-    h = config_hash(cfg)
-    t1 = cell_problems.build_correction_table(curve, PerturbationCase.AIR_IN_FERRO,
-                                      grid, spec, workers=int(cfg["workers"]))
-    cell_problems.save_table(p1, t1, config_hash=h)
-    t2 = cell_problems.build_correction_table(curve, PerturbationCase.FERRO_IN_AIR,
-                                      grid, spec, workers=int(cfg["workers"]))
-    cell_problems.save_table(p2, t2, config_hash=h)
-    return t1, t2
+def _load_or_build_tables(cfg, curve, out: Path):
+    """Tables from the configured paths if both exist, else freshly built.
+    A loaded table must match the curve and its slot's case."""
+    paths = _table_paths(cfg, out)
+    if not all(p.exists() for p in paths):
+        log.info("correction tables missing; building them first")
+        return _build_tables(cfg, curve, out)
+    log.info("loading correction tables from %s, %s", *paths)
+    tables = tuple(cell_problems.load_table(p) for p in paths)
+    for case, path, table in zip(PerturbationCase, paths, tables):
+        if table.case is not case:
+            raise ValueError(f"{path}: table is case {table.case.value}, "
+                             f"expected case {case.value}")
+        if table.curve_hash != curve.cache_key():
+            raise ValueError(f"{path}: table built for curve {table.curve_hash}, "
+                             f"not the configured curve {curve.cache_key()}")
+    return tables
 
 
 def _build_problem(cfg):
@@ -195,7 +201,7 @@ def cmd_solve(cfg, args) -> int:
 def cmd_optimize(cfg, args) -> int:
     curve = build_curve(cfg, args.linear)
     out = _prepare_out(args.out, args.force)
-    t1, t2 = _load_or_build_tables(cfg, args, curve, out)
+    t1, t2 = _load_or_build_tables(cfg, curve, out)
     prob = _build_problem(cfg)
     opts = optimizer.OptimizerOptions(
         kappa_start=float(cfg["kappa_start"]),

@@ -126,12 +126,48 @@ def _free_nodes(mesh: TriMesh) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def _spsolve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+def solve_free(A: sp.spmatrix, b: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Solve A x = b restricted to the `free` DOFs; full-length x, zero on
+    the others."""
     try:
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(A[np.ix_(free, free)].tocsc())
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    return lu.solve(b)
+    x = np.zeros(A.shape[0])
+    x[free] = lu.solve(np.asarray(b, dtype=float)[free])
+    return x
+
+
+def damped_newton(residual, jacobian, x0: np.ndarray, free: np.ndarray,
+                  tol: float, max_iter: int, max_halvings: int):
+    """Damped Newton for residual(x) = 0 on the free DOFs.
+
+    Converged when ||residual(x)[free]||_2 <= tol; each Newton step is
+    halved (up to max_halvings) until the residual norm strictly decreases.
+    Returns (x, iterations, residual_norm).
+    """
+    x = x0
+    r = residual(x)
+    rnorm = np.linalg.norm(r[free])
+    for it in range(max_iter + 1):
+        if rnorm <= tol:
+            return x, it, rnorm
+        if it == max_iter:
+            break
+        dx = solve_free(jacobian(x), -r, free)
+        step = 1.0
+        for _ in range(max_halvings):
+            r_try = residual(x + step * dx)
+            rn_try = np.linalg.norm(r_try[free])
+            if rn_try < rnorm:
+                break
+            step *= 0.5
+        else:
+            raise SolverError("Newton line search stalled", residual_norm=rnorm)
+        x = x + step * dx
+        r, rnorm = r_try, rn_try
+    raise SolverError(f"Newton did not converge in {max_iter} iterations",
+                      residual_norm=rnorm)
 
 
 @dataclass
@@ -166,11 +202,10 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
                 rhs: np.ndarray = None, tol_abs: float = 1e-10,
                 tol_rel: float = 1e-10, max_iter: int = 50,
                 max_halvings: int = 20, ferro_mask: np.ndarray = None) -> StateResult:
-    """Damped-Newton solve of the quasilinear state equation.
+    """Damped-Newton solve of the quasilinear state equation, converged when
+    ||r||_2 <= tol_abs + tol_rel ||F||_2.
 
     Either `sources` or a pre-assembled load vector `rhs` must be given.
-    Converged when ||r||_2 <= tol_abs + tol_rel ||F||_2; each Newton step is
-    halved (up to max_halvings) until the residual norm strictly decreases.
     `ferro_mask` overrides the level-set material indicator with an explicit
     per-element boolean array (single-element perturbation studies).
     """
@@ -181,60 +216,32 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
     ferro = ferro_element_mask(mesh, levelset) if ferro_mask is None \
         else np.asarray(ferro_mask, dtype=bool)
     free = _free_nodes(mesh)
-    u = np.zeros(mesh.n_nodes)
     tol = tol_abs + tol_rel * np.linalg.norm(rhs[free])
 
-    def residual(vec):
-        gu = mesh.element_gradients(vec)
+    def residual(u):
+        gu = mesh.element_gradients(u)
         return assemble_flux_divergence(mesh, _material_flux(curve, ferro, gu)) - rhs
 
-    r = residual(u)
-    rnorm = np.linalg.norm(r[free])
-    jac = None
-    for it in range(max_iter + 1):
+    def jacobian(u):
         gu = mesh.element_gradients(u)
-        jac = assemble_stiffness(mesh, _material_jacobian(curve, ferro, gu))
-        if rnorm <= tol:
-            return StateResult(ScalarField(mesh, u), it, rnorm, ferro, jac, free)
-        if it == max_iter:
-            break
-        du = np.zeros(mesh.n_nodes)
-        du[free] = _spsolve(jac[np.ix_(free, free)], -r[free])
-        step = 1.0
-        for _ in range(max_halvings):
-            r_try = residual(u + step * du)
-            rn_try = np.linalg.norm(r_try[free])
-            if rn_try < rnorm:
-                break
-            step *= 0.5
-        else:
-            raise SolverError("Newton line search stalled", residual_norm=rnorm)
-        u = u + step * du
-        r, rnorm = r_try, rn_try
-    raise SolverError(f"Newton did not converge in {max_iter} iterations",
-                      residual_norm=rnorm)
+        return assemble_stiffness(mesh, _material_jacobian(curve, ferro, gu))
+
+    u, iterations, rnorm = damped_newton(residual, jacobian, np.zeros(mesh.n_nodes),
+                                         free, tol, max_iter, max_halvings)
+    return StateResult(ScalarField(mesh, u), iterations, rnorm, ferro,
+                       jacobian(u), free)
 
 
-def solve_adjoint(mesh: TriMesh, curve, levelset, u0, adjoint_rhs: np.ndarray,
-                  state: StateResult = None) -> ScalarField:
-    """Linear adjoint solve: system matrix is the state Jacobian at u0.
+def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> ScalarField:
+    """Linear adjoint solve: the system matrix is the state Jacobian at the
+    converged state.
 
     `adjoint_rhs` is the literal right-hand-side vector of the linear system
     (for the tracking objective the caller passes the negated objective
-    derivative). When `state` is given its factor-ready Jacobian is reused;
-    the matrix is symmetric because the flux Jacobian is.
+    derivative). The matrix is symmetric because the flux Jacobian is.
     """
-    if state is not None:
-        jac, free = state.jacobian, state.free
-    else:
-        u = u0.values if isinstance(u0, ScalarField) else np.asarray(u0, float)
-        ferro = ferro_element_mask(mesh, levelset)
-        gu = mesh.element_gradients(u)
-        jac = assemble_stiffness(mesh, _material_jacobian(curve, ferro, gu))
-        free = _free_nodes(mesh)
+    jac = state.jacobian
     asym = abs(jac - jac.T).max()
     if asym > 1e-9 * abs(jac).max():
         raise SolverError(f"adjoint system matrix not symmetric (dev {asym:.3g})")
-    p = np.zeros(mesh.n_nodes)
-    p[free] = _spsolve(jac[np.ix_(free, free)], np.asarray(adjoint_rhs, float)[free])
-    return ScalarField(mesh, p)
+    return ScalarField(state.field.mesh, solve_free(jac, adjoint_rhs, state.free))

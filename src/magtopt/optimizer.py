@@ -51,7 +51,6 @@ class DesignSpace:
         cols = np.tile(tr, (1, 3)).ravel()
         m = self.nodes.size
         self.mass = sp.csr_matrix((data.ravel(), (rows, cols)), shape=(m, m))
-        self._glob2loc = glob2loc
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
         return np.asarray(full, dtype=float)[self.nodes]
@@ -104,10 +103,9 @@ def slerp(psi: LevelSetField, g: LevelSetField, theta: float,
 
 
 def ferro_fraction(space: DesignSpace, psi: LevelSetField) -> float:
-    mesh = space.mesh
-    psi_c = psi.expand()[mesh.tris[space.elements]].mean(axis=1)
-    a = mesh.areas[space.elements]
-    return float(a[psi_c > 0.0].sum() / space.area)
+    ferro = fem.ferro_element_mask(space.mesh, psi.expand())[space.elements]
+    a = space.mesh.areas[space.elements]
+    return float(a[ferro].sum() / space.area)
 
 
 @dataclass
@@ -136,6 +134,7 @@ class OptState:
     k: int = 0
     status: str = "running"
     records: list = field(default_factory=list)
+    solution: fem.StateResult | None = None   # state solve at the current psi
 
     @property
     def objective_history(self):
@@ -167,8 +166,7 @@ class Driver:
         mesh = self.problem.mesh
         gvec = problem_setup.assemble_adjoint_rhs(mesh, state.field,
                                                   self.problem.objective)
-        p = fem.solve_adjoint(mesh, self.curve, None, state.field,
-                              adjoint_rhs=-gvec, state=state)
+        p = fem.solve_adjoint(state, -gvec)
         td = topo_derivative.assemble_generalized_td(
             mesh, self.curve, psi.expand(), state.field, p, *self.tables)
         return LevelSetField(self.space, self.space.restrict(td.nodal))
@@ -210,7 +208,7 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
             state.records.append(IterationRecord(
                 state.k, j_try, np.degrees(theta), kappa,
                 ferro_fraction(driver.space, trial)))
-            state._last_state = res
+            state.solution = res
             return state
         kappa *= 0.5
     state.status = "stalled"
@@ -234,12 +232,11 @@ def run(problem: Problem, curve, table_air_in_ferro: CorrectionTable,
     psi = LevelSetField(driver.space, driver.space.restrict(seed)).normalized()
 
     res, j0 = driver.solve(psi)
-    state = OptState(psi, j0)
-    state._last_state = res
+    state = OptState(psi, j0, solution=res)
     log.info("initial objective %.6e", j0)
 
     while state.k < options.max_iter:
-        g = driver.descent_field(state.psi, state._last_state)
+        g = driver.descent_field(state.psi, state.solution)
         step(state, g, driver, options)
         if state.status != "running":
             break

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import polarization
 from .cell_problems import CorrectionTable, eval_correction
-from .fem import ScalarField
+from .fem import ScalarField, ferro_element_mask
 from .mesh import Region, TriMesh
 
 
@@ -70,12 +70,12 @@ def assemble_generalized_td(mesh: TriMesh, curve, levelset, u0, p0,
     design = np.flatnonzero(mesh.region == Region.DESIGN)
     gu = mesh.element_gradients(u)[design]
     gp = mesh.element_gradients(p)[design]
-    psi_c = np.asarray(levelset, dtype=float)[mesh.tris[design]].mean(axis=1)
+    ferro = ferro_element_mask(mesh, levelset)[design]
 
     vals = np.empty(design.size)
     n1 = n2 = 0
     for i in range(design.size):
-        if psi_c[i] > 0.0:
+        if ferro[i]:
             vals[i] = g_ferro_to_air(curve, gu[i], gp[i],
                                      table_air_in_ferro)
             n1 += 1

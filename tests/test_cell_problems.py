@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from magtopt import material
+from magtopt.fem import SolverError
 from magtopt.cell_problems import (DiscSpec, CorrectionTable, PerturbationCase,
                                    analytic_adjoint_variation, build_correction_table,
                                    compute_correction, disc_mesh, eval_correction, load_table,
@@ -52,6 +53,13 @@ class TestSolveH:
             v1 = lam1 @ H1.values[disc_coarse.tris[e1]]
             v2 = lam2 @ H2.values[disc_coarse.tris[e2]]
             assert v2 == pytest.approx(v1, rel=1e-6, abs=1e-12)
+
+    def test_nonconvergence_raises_with_residual(self, marrocco, disc_coarse):
+        with pytest.raises(SolverError) as exc:
+            solve_direct_variation(marrocco, [2.0, 0.0], CASE_I, disc_coarse,
+                                   max_iter=1)
+        assert exc.value.residual_norm is not None
+        assert exc.value.residual_norm > 0
 
     def test_decay_slope(self, marrocco, disc_default):
         H = solve_direct_variation(marrocco, np.array([1.5, 0.0]), CASE_I, disc_default)
@@ -189,6 +197,16 @@ class TestTables:
         np.testing.assert_array_equal(back.j2_e1, t1.j2_e1)
         assert back.case is t1.case
         assert back.curve_hash == t1.curve_hash
+
+    @pytest.mark.parametrize("header, missing", [
+        ("", "case, radius, h0, curve"),
+        ("# case=II radius=100\n", "h0, curve"),
+    ])
+    def test_header_metadata_required(self, tmp_path, header, missing):
+        p = tmp_path / "bare.csv"
+        p.write_text(header + "t,j2_e1,j2_e2\n0,0,0\n1,0.5,0\n")
+        with pytest.raises(ValueError, match=missing):
+            load_table(p)
 
     def test_table_invariants_enforced(self):
         with pytest.raises(ValueError):

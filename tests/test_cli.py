@@ -146,6 +146,34 @@ class TestOptimize:
         assert np.abs(table.j2_e1).max() < 1e-9
 
 
+class TestTableGuards:
+    def test_tables_for_another_curve_rejected(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path)
+        assert cli.main(["build-tables", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        cfg2 = write_config(tmp_path, name="marrocco.cfg", curve="marrocco")
+        rc = cli.main(["optimize", "--config", str(cfg2), "--out", str(out),
+                       "--force"])
+        assert rc == cli.EXIT_CONFIG
+        assert "not the configured curve" in caplog.text
+        assert not (out / "iterations.csv").exists()
+
+    def test_case2_table_in_case1_slot_rejected(self, tmp_path, caplog):
+        tables = tmp_path / "tables"
+        cfg = write_config(tmp_path)
+        assert cli.main(["build-tables", "--config", str(cfg),
+                         "--out", str(tables)]) == 0
+        swapped = write_config(tmp_path, name="swapped.cfg",
+                               table_case1=str(tables / "j2_case2.csv"),
+                               table_case2=str(tables / "j2_case2.csv"))
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(swapped), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "is case II, expected case I" in caplog.text
+        assert not (out / "iterations.csv").exists()
+
+
 class TestOtherCommands:
     def test_solve_writes_vtk(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -118,14 +118,13 @@ class TestAdjoint:
     def test_zero_rhs(self, bench, marrocco):
         state = solve_state(bench, marrocco,
                             sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
-        p = solve_adjoint(bench, marrocco, None, state.field,
-                          np.zeros(bench.n_nodes), state=state)
+        p = solve_adjoint(state, np.zeros(bench.n_nodes))
         assert np.all(p.values == 0.0)
 
     def test_linear_self_adjointness(self, bench, linear_stub):
         rhs = assemble_rhs(bench, SourceSpec(magnetization=np.array([0.0, 1e5])))
         state = solve_state(bench, linear_stub, rhs=rhs)
-        p = solve_adjoint(bench, linear_stub, None, state.field, -rhs, state=state)
+        p = solve_adjoint(state, -rhs)
         np.testing.assert_allclose(p.values, -state.field.values,
                                    rtol=1e-10, atol=1e-12)
 
@@ -142,9 +141,13 @@ class TestAdjoint:
         state = solve_state(bench, marrocco,
                             sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
         rhs = RNG.normal(size=bench.n_nodes)
-        p1 = solve_adjoint(bench, marrocco, None, state.field, rhs, state=state)
-        p2 = solve_adjoint(bench, marrocco, None, state.field, rhs)
-        np.testing.assert_allclose(p1.values, p2.values, rtol=1e-9, atol=1e-12)
+        p1 = solve_adjoint(state, rhs)
+        # the same system assembled afresh from the converged field
+        gu = state.field.element_gradients()
+        jac = fem.assemble_stiffness(
+            bench, fem._material_jacobian(marrocco, state.ferro_mask, gu))
+        p2 = fem.solve_free(jac, rhs, state.free)
+        np.testing.assert_allclose(p1.values, p2, rtol=1e-9, atol=1e-12)
 
 
 class TestEnergyConsistency:

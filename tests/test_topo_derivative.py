@@ -168,8 +168,7 @@ class TestElementFlipOracle:
         state = solve_state(mesh, marrocco, levelset=psi, rhs=rhs)
         j0 = eval_objective(mesh, state.field, prob.objective)
         gvec = assemble_adjoint_rhs(mesh, state.field, prob.objective)
-        p = fem.solve_adjoint(mesh, marrocco, psi, state.field, -gvec,
-                              state=state)
+        p = fem.solve_adjoint(state, -gvec)
         field = assemble_generalized_td(mesh, marrocco, psi, state.field, p,
                                         *tables_coarse)
 
