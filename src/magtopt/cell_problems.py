@@ -22,11 +22,11 @@ import contextlib
 import enum
 import functools
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem, material
+from . import fem, material, polarization
 from .mesh import Region, TriMesh, generate_disc_mesh
 
 
@@ -154,16 +154,10 @@ def analytic_adjoint_variation(curve, grad_u, grad_p, x):
     flux-jump condition: a_1 = (nu0-lam2)/(nu0+lam2),
     a_2 = (nu0-lam1)/(nu0+lam1). Accepts one point or an (n, 2) array.
     """
-    grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    t = float(np.hypot(grad_u[0], grad_u[1]))
-    lam1, lam2 = (float(v) for v in material.jacobian_eigenvalues(curve, t))
+    lam1, lam2, e1 = polarization._aligned_frame(curve, grad_u)
     nu0 = curve.nu_air
-    if t > 0:
-        e1 = grad_u / t
-    else:
-        e1 = np.array([1.0, 0.0])
     e2 = np.array([-e1[1], e1[0]])
     a1 = (nu0 - lam2) / (nu0 + lam2)
     a2 = (nu0 - lam1) / (nu0 + lam1)
@@ -216,7 +210,6 @@ class CorrectionTable:
     radius: float
     h0: float
     curve_hash: str
-    clamp_count: int = field(default=0, compare=False)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -231,9 +224,29 @@ class CorrectionTable:
 
     @classmethod
     def zeros(cls, case: PerturbationCase) -> "CorrectionTable":
-        """Table that evaluates to exactly zero (correction term disabled)."""
-        return cls(case, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2),
+        """Table that evaluates to exactly zero (correction term disabled);
+        its grid reaches infinity, so no lookup counts as clamped."""
+        return cls(case, np.array([0.0, np.inf]), np.zeros(2), np.zeros(2),
                    0.0, 0.0, "disabled")
+
+    def lookup(self, grad_u, grad_p):
+        """Correction term at gradient pairs of one shape (..., 2):
+
+            ((grad_u . grad_p) j2_e1(t) + (grad_u x grad_p) j2_e2(t)) / t,
+
+        t = |grad_u|, piecewise-linear in t and held at the last grid value
+        beyond it, zero at t = 0. Returns the values (...) and the number of
+        points with t beyond the grid (clamped).
+        """
+        grad_u = np.asarray(grad_u, dtype=float)
+        grad_p = np.asarray(grad_p, dtype=float)
+        t = np.hypot(grad_u[..., 0], grad_u[..., 1])
+        dot = np.einsum("...i,...i->...", grad_u, grad_p)
+        cross = grad_u[..., 0] * grad_p[..., 1] - grad_u[..., 1] * grad_p[..., 0]
+        num = (dot * np.interp(t, self.t, self.j2_e1)
+               + cross * np.interp(t, self.t, self.j2_e2))
+        values = np.divide(num, t, out=np.zeros(np.shape(num)), where=t > 0.0)
+        return values, int(np.count_nonzero(t > self.t[-1]))
 
 
 def default_t_grid(t_max: float = 3.0, n: int = 61) -> np.ndarray:
@@ -285,27 +298,8 @@ def build_correction_table(curve, case: PerturbationCase, t_grid=None,
 
 
 def eval_correction(table: CorrectionTable, grad_u, grad_p) -> float:
-    """Table evaluation of the correction term:
-
-        s cos(phi-theta) j2_e1(t) + s sin(phi-theta) j2_e2(t)
-
-    with t = |grad_u| (piecewise-linear in t, clamped at the grid ends with a
-    counter bump), s = |grad_p|, theta/phi the angles of grad_u/grad_p. Zero grad_u or grad_p
-    gives zero.
-    """
-    grad_u = np.asarray(grad_u, dtype=float)
-    grad_p = np.asarray(grad_p, dtype=float)
-    t = float(np.hypot(grad_u[0], grad_u[1]))
-    s = float(np.hypot(grad_p[0], grad_p[1]))
-    if t == 0.0 or s == 0.0:
-        return 0.0
-    if t > table.t[-1] or t < table.t[0]:
-        table.clamp_count += 1
-        t = min(max(t, table.t[0]), table.t[-1])
-    j1 = float(np.interp(t, table.t, table.j2_e1))
-    j2 = float(np.interp(t, table.t, table.j2_e2))
-    d = np.arctan2(grad_p[1], grad_p[0]) - np.arctan2(grad_u[1], grad_u[0])
-    return s * np.cos(d) * j1 + s * np.sin(d) * j2
+    """CorrectionTable.lookup at one pair of 2-vectors."""
+    return float(table.lookup(grad_u, grad_p)[0])
 
 
 # ---------------------------------------------------------------------------

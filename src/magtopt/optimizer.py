@@ -161,15 +161,18 @@ class Driver:
                                          self.problem.objective)
         return res, j
 
-    def descent_field(self, psi: LevelSetField,
-                      state: fem.StateResult) -> LevelSetField:
+    def descent_field(self, psi: LevelSetField, state: fem.StateResult
+                      ) -> tuple[LevelSetField, int]:
+        """Descent field at psi over the design nodes, with its count of
+        clamped table lookups."""
         mesh = self.problem.mesh
         gvec = problem_setup.assemble_adjoint_rhs(mesh, state.field,
                                                   self.problem.objective)
         p = fem.solve_adjoint(state, -gvec)
         td = topo_derivative.assemble_generalized_td(
             mesh, self.curve, psi.expand(), state.field, p, *self.tables)
-        return LevelSetField(self.space, self.space.restrict(td.nodal))
+        return (LevelSetField(self.space, self.space.restrict(td.nodal)),
+                td.n_clamped)
 
 
 def step(state: OptState, descent: LevelSetField, driver: Driver,
@@ -223,7 +226,9 @@ def run(problem: Problem, curve, table_air_in_ferro: CorrectionTable,
     {"converged", "stalled", "max_iter"}.
 
     levelset0: full nodal seed (default: the problem's smooth all-ferro
-    bump); callback(state) runs after every accepted iteration.
+    bump); callback(state) runs after every accepted iteration. Table
+    lookups beyond a table's grid, summed over the run, are logged once as a
+    warning at the end.
     """
     options = options or OptimizerOptions()
     driver = Driver(problem, curve, table_air_in_ferro, table_ferro_in_air)
@@ -235,8 +240,10 @@ def run(problem: Problem, curve, table_air_in_ferro: CorrectionTable,
     state = OptState(psi, j0, solution=res)
     log.info("initial objective %.6e", j0)
 
+    n_clamped = 0
     while state.k < options.max_iter:
-        g = driver.descent_field(state.psi, state.solution)
+        g, clamped = driver.descent_field(state.psi, state.solution)
+        n_clamped += clamped
         step(state, g, driver, options)
         if state.status != "running":
             break
@@ -250,4 +257,9 @@ def run(problem: Problem, curve, table_air_in_ferro: CorrectionTable,
         state.status = "max_iter"
     log.info("finished: %s after %d iterations, J=%.6e",
              state.status, state.k, state.objective)
+    if n_clamped:
+        log.warning("%d correction-table lookups had |grad u| beyond the "
+                    "table grid and were held at its last value "
+                    "(t[-1] = %g case I, %g case II)",
+                    n_clamped, *(t.t[-1] for t in driver.tables))
     return state

@@ -18,11 +18,6 @@ class ContrastError(ValueError):
     """Coefficient contrast is not sign-definite."""
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 @dataclass(frozen=True)
 class Anisotropy2:
     """SPD 2x2 coefficient with cached closed-form eigendecomposition.
@@ -126,13 +121,19 @@ def polarization_general(A, A_tilde) -> np.ndarray:
 
 
 def _aligned_frame(curve, grad_u):
-    """(lam1, lam2, R) of the flux Jacobian at grad_u; R maps e1 to grad_u/|grad_u|
-    (identity at grad_u = 0, where lam1 = lam2 makes the result frame-free)."""
+    """(lam1, lam2, e) at grad_u (..., 2): the flux-Jacobian eigenvalues and
+    e = grad_u/|grad_u| (e1 at 0, where lam1 = lam2 makes it frame-free)."""
     grad_u = np.asarray(grad_u, dtype=float)
-    t = float(np.hypot(grad_u[0], grad_u[1]))
-    lam1, lam2 = (float(v) for v in material.jacobian_eigenvalues(curve, t))
-    R = np.eye(2) if t == 0.0 else _rotation(float(np.arctan2(grad_u[1], grad_u[0])))
-    return lam1, lam2, R
+    t = np.hypot(grad_u[..., 0], grad_u[..., 1])
+    lam1, lam2 = material.jacobian_eigenvalues(curve, t)
+    e = np.where((t > 0.0)[..., None], grad_u, [1.0, 0.0])
+    return lam1, lam2, e / np.hypot(e[..., 0], e[..., 1])[..., None]
+
+
+def _in_frame(e, d1, d2):
+    """R diag(d1, d2) R^T for R = [e, e_perp], as d2 I + (d1 - d2) e e^T."""
+    d1, d2 = np.asarray(d1)[..., None, None], np.asarray(d2)[..., None, None]
+    return d2 * np.eye(2) + (d1 - d2) * e[..., :, None] * e[..., None, :]
 
 
 def matrix_air_in_ferro(curve, grad_u) -> np.ndarray:
@@ -141,14 +142,15 @@ def matrix_air_in_ferro(curve, grad_u) -> np.ndarray:
 
         (nu0 - lam1) |w| R diag( (lam2+g)/(nu0+g), (lam1+g)/(nu0+g) ) R^T,
 
-    g = sqrt(lam1 lam2), lam1 = nu(|grad_u|), lam2 = (nu(s) s)'|_{|grad_u|}.
-    Positive definite whenever lam1, lam2 < nu0.
+    g = sqrt(lam1 lam2), lam1 = nu(|grad_u|), lam2 = (nu(s) s)'|_{|grad_u|},
+    R = [e, e_perp], e = grad_u/|grad_u|. Positive definite whenever
+    lam1, lam2 < nu0. grad_u (..., 2) gives (..., 2, 2).
     """
-    lam1, lam2, R = _aligned_frame(curve, grad_u)
+    lam1, lam2, e = _aligned_frame(curve, grad_u)
     nu0 = curve.nu_air
     g = np.sqrt(lam1 * lam2)
-    d = np.diag([(lam2 + g) / (nu0 + g), (lam1 + g) / (nu0 + g)])
-    return (nu0 - lam1) * np.pi * R @ d @ R.T
+    c = (nu0 - lam1) * np.pi / (nu0 + g)
+    return _in_frame(e, c * (lam2 + g), c * (lam1 + g))
 
 
 def matrix_ferro_in_air(curve, grad_u) -> np.ndarray:
@@ -156,9 +158,9 @@ def matrix_ferro_in_air(curve, grad_u) -> np.ndarray:
 
         2 |w| nu0 R diag( (lam1-nu0)/(lam2+nu0), (lam1-nu0)/(lam1+nu0) ) R^T,
 
-    negative definite whenever lam1 < nu0.
+    negative definite whenever lam1 < nu0. grad_u (..., 2) gives (..., 2, 2).
     """
-    lam1, lam2, R = _aligned_frame(curve, grad_u)
+    lam1, lam2, e = _aligned_frame(curve, grad_u)
     nu0 = curve.nu_air
-    d = np.diag([(lam1 - nu0) / (lam2 + nu0), (lam1 - nu0) / (lam1 + nu0)])
-    return 2.0 * np.pi * nu0 * R @ d @ R.T
+    c = 2.0 * np.pi * nu0 * (lam1 - nu0)
+    return _in_frame(e, c / (lam2 + nu0), c / (lam1 + nu0))

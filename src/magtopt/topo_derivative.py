@@ -44,7 +44,7 @@ class TopoDerivField:
     element_values holds one scalar per DESIGN element (indexed by
     design_elements); nodal is the area-weighted projection onto the nodes of
     design elements, zero elsewhere. The branch counters record how many
-    elements took each sensitivity (plumbing check).
+    elements took each sensitivity, n_clamped how many table lookups clamped.
     """
     mesh: TriMesh
     design_elements: np.ndarray
@@ -52,9 +52,11 @@ class TopoDerivField:
     nodal: np.ndarray
     n_ferro_to_air: int
     n_air_to_ferro: int
+    n_clamped: int
 
 
-def assemble_generalized_td(mesh: TriMesh, curve, levelset, u0, p0,
+def assemble_generalized_td(mesh: TriMesh, curve, levelset,
+                            u0: ScalarField, p0: ScalarField,
                             table_air_in_ferro: CorrectionTable,
                             table_ferro_in_air: CorrectionTable) -> TopoDerivField:
     """Per DESIGN element: the ferro-to-air sensitivity where the level set is
@@ -65,24 +67,21 @@ def assemble_generalized_td(mesh: TriMesh, curve, levelset, u0, p0,
     incident design elements with area weights (consumed by the level-set
     update).
     """
-    u = u0.values if isinstance(u0, ScalarField) else np.asarray(u0, float)
-    p = p0.values if isinstance(p0, ScalarField) else np.asarray(p0, float)
     design = np.flatnonzero(mesh.region == Region.DESIGN)
-    gu = mesh.element_gradients(u)[design]
-    gp = mesh.element_gradients(p)[design]
+    gu = u0.element_gradients()[design]
+    gp = p0.element_gradients()[design]
     ferro = ferro_element_mask(mesh, levelset)[design]
 
     vals = np.empty(design.size)
-    n1 = n2 = 0
-    for i in range(design.size):
-        if ferro[i]:
-            vals[i] = g_ferro_to_air(curve, gu[i], gp[i],
-                                     table_air_in_ferro)
-            n1 += 1
-        else:
-            vals[i] = -g_air_to_ferro(curve, gu[i], gp[i],
-                                      table_ferro_in_air)
-            n2 += 1
+    n_clamped = 0
+    for mask, sign, matrix, table in (
+            (ferro, 1.0, polarization.matrix_air_in_ferro, table_air_in_ferro),
+            (~ferro, -1.0, polarization.matrix_ferro_in_air, table_ferro_in_air)):
+        M = matrix(curve, gu[mask])
+        corr, clamped = table.lookup(gu[mask], gp[mask])
+        vals[mask] = sign * (np.einsum("ei,eij,ej->e", gu[mask], M, gp[mask])
+                             + corr)
+        n_clamped += clamped
 
     nodal = np.zeros(mesh.n_nodes)
     wsum = np.zeros(mesh.n_nodes)
@@ -92,4 +91,5 @@ def assemble_generalized_td(mesh: TriMesh, curve, levelset, u0, p0,
     np.add.at(wsum, tr.ravel(), w)
     nz = wsum > 0
     nodal[nz] /= wsum[nz]
-    return TopoDerivField(mesh, design, vals, nodal, n1, n2)
+    return TopoDerivField(mesh, design, vals, nodal, int(ferro.sum()),
+                          int((~ferro).sum()), n_clamped)

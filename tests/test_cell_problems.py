@@ -237,11 +237,28 @@ class TestEvalJ2:
         expected = 2.5 * t1.j2_e1[i]
         assert eval_correction(t1, gu_pt, gp_pt) == pytest.approx(expected, rel=1e-12)
 
-    def test_clamp_counter(self, tables_coarse):
+    def test_lookup_counts_clamped(self, tables_coarse):
         t1, _ = tables_coarse
-        before = t1.clamp_count
-        eval_correction(t1, np.array([t1.t[-1] + 1.0, 0.0]), np.array([1.0, 0.0]))
-        assert t1.clamp_count == before + 1
+        gu = np.array([[t1.t[-1] + 1.0, 0.0], [0.0, t1.t[-1]], [0.5, 0.0]])
+        gp = np.ones_like(gu)
+        # the last grid point itself is inside the grid
+        assert t1.lookup(gu, gp)[1] == 1
+        assert CorrectionTable.zeros(CASE_I).lookup(gu, gp)[1] == 0
+
+    def test_stack_matches_pointwise(self, tables_coarse):
+        t1, _ = tables_coarse
+        rng = np.random.default_rng(5)
+        gu = rng.normal(scale=1.5, size=(12, 2))
+        gp = rng.normal(size=(12, 2))
+        gu[0] = 0.0
+        gp[1] = 0.0
+        gu[2] = [t1.t[-1] + 0.7, -0.4]
+        vals, n_clamped = t1.lookup(gu, gp)
+        assert vals.shape == (12,)
+        expected = [eval_correction(t1, a, b) for a, b in zip(gu, gp)]
+        np.testing.assert_allclose(vals, expected, rtol=1e-14, atol=0.0)
+        beyond = np.hypot(gu[:, 0], gu[:, 1]) > t1.t[-1]
+        assert n_clamped == beyond.sum() >= 1
 
     def test_angle_decomposition_against_direct(self, marrocco, tables_coarse,
                                                 disc_coarse):

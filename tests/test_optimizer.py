@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,33 @@ class TestStepAndRun:
                        op.OptimizerOptions(kappa_start=0.1, max_iter=200))
         assert state.status in ("stalled", "converged")
         assert state.k < 200
+
+
+class TestClampWarning:
+    def test_one_warning_per_run_and_trajectory_unchanged(self, marrocco,
+                                                          caplog):
+        # zero tables on a short grid: every lookup clamps, every value is 0.
+        # square/16, because the descent on square/8 stalls at iteration 0
+        prob = build_benchmark_problem("square", 16)
+        short = [CorrectionTable(case, [0.0, 1e-3], np.zeros(2), np.zeros(2),
+                                 0.0, 0.0, "disabled")
+                 for case in PerturbationCase]
+        options = op.OptimizerOptions(max_iter=2)
+
+        def clamp_warnings():
+            return [r for r in caplog.records if r.levelno == logging.WARNING
+                    and "beyond the table grid" in r.getMessage()]
+
+        with caplog.at_level(logging.WARNING, logger="magtopt.optimizer"):
+            clamped = op.run(prob, marrocco, *short, options)
+            assert len(clamp_warnings()) == 1
+            assert "t[-1] = 0.001" in clamp_warnings()[0].getMessage()
+            caplog.clear()
+            plain = op.run(prob, marrocco, Z1, Z2, options)
+            assert clamp_warnings() == []
+        assert clamped.k == plain.k == 2
+        assert clamped.records == plain.records
+        assert clamped.status == plain.status
 
 
 class TestFerroFraction:

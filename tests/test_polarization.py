@@ -146,13 +146,14 @@ class TestCaseMatrices:
                                    rtol=1e-13, atol=1e-9)
 
     def test_rotation_covariance(self, marrocco):
-        gu_pt = np.array([1.2, 0.5])
-        for th in (0.3, 1.1, 2.0):
-            R = rotation(th)
-            for mat in (matrix_air_in_ferro, matrix_ferro_in_air):
-                M1 = mat(marrocco, R.T @ gu_pt)
-                M2 = R.T @ mat(marrocco, gu_pt) @ R
-                np.testing.assert_allclose(M1, M2, rtol=1e-10, atol=1e-6)
+        stack = np.array([[1.2, 0.5], [0.0, 0.0], [-0.4, 2.1]])
+        for gu in (stack[0], stack):
+            for th in (0.3, 1.1, 2.0):
+                R = rotation(th)
+                for mat in (matrix_air_in_ferro, matrix_ferro_in_air):
+                    M1 = mat(marrocco, gu @ R)  # R^T applied to each gradient
+                    M2 = R.T @ mat(marrocco, gu) @ R
+                    np.testing.assert_allclose(M1, M2, rtol=1e-10, atol=1e-6)
 
     def test_at_zero_gradient_frame_free(self, marrocco):
         M = matrix_air_in_ferro(marrocco, np.zeros(2))
@@ -168,11 +169,19 @@ class TestCaseMatrices:
             assert np.all(ev2 < 0)
 
     def test_symmetry_of_case_matrices(self, marrocco):
-        for _ in range(10):
-            gu_pt = RNG.normal(size=2)
+        points = [RNG.normal(size=2) for _ in range(10)]
+        stack = np.vstack(points + [np.zeros(2)])
+        for gu in points + [stack]:
             for mat in (matrix_air_in_ferro, matrix_ferro_in_air):
-                M = mat(marrocco, gu_pt)
-                np.testing.assert_allclose(M, M.T, rtol=1e-13, atol=1e-7)
+                M = mat(marrocco, gu)
+                np.testing.assert_allclose(M, np.swapaxes(M, -1, -2),
+                                           rtol=1e-13, atol=1e-7)
+        for mat in (matrix_air_in_ferro, matrix_ferro_in_air):
+            M = mat(marrocco, stack)
+            assert M.shape == (stack.shape[0], 2, 2)
+            for row, M_row in zip(stack, M):
+                np.testing.assert_allclose(M_row, mat(marrocco, row),
+                                           rtol=1e-14, atol=0.0)
 
 
 class TestCrossValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magtopt.cell_problems import CorrectionTable, PerturbationCase
-from magtopt.fem import ScalarField, SourceSpec, solve_state
+from magtopt.fem import ScalarField, SourceSpec, ferro_element_mask, solve_state
 from magtopt.material import NU0
 from magtopt.mesh import Region, generate_square_benchmark
 from magtopt.problem_setup import default_levelset
@@ -113,6 +113,34 @@ class TestAssembly:
         off = np.setdiff1d(np.arange(mesh.n_nodes),
                            np.unique(mesh.tris[td.design_elements].ravel()))
         assert np.all(td.nodal[off] == 0.0)
+
+    def test_matches_pointwise_oracle(self, marrocco, tables_coarse):
+        # the default design is all ferro: shift the level set so that both
+        # branches occur, and cut the tables at t = 1 so that both clamp
+        mesh = generate_square_benchmark(16)
+        design = np.flatnonzero(mesh.region == Region.DESIGN)
+        psi = default_levelset(mesh)
+        psi = psi - np.median(psi[mesh.tris[design]].mean(axis=1))
+        src = SourceSpec(magnetization=np.array([0.0, 3e6]))
+        state = solve_state(mesh, marrocco, levelset=psi, sources=src)
+        t1, t2 = (CorrectionTable(t.case, t.t[:5], t.j2_e1[:5], t.j2_e2[:5],
+                                  t.radius, t.h0, t.curve_hash)
+                  for t in tables_coarse)
+        p0 = ScalarField(mesh, np.random.default_rng(3).normal(size=mesh.n_nodes))
+        td = assemble_generalized_td(mesh, marrocco, psi, state.field, p0, t1, t2)
+
+        gu = state.field.element_gradients()[design]
+        gp = p0.element_gradients()[design]
+        ferro = ferro_element_mask(mesh, psi)[design]
+        expected = np.array([
+            g_ferro_to_air(marrocco, a, b, t1) if f
+            else -g_air_to_ferro(marrocco, a, b, t2)
+            for a, b, f in zip(gu, gp, ferro)])
+        clamped = np.hypot(gu[:, 0], gu[:, 1]) > t1.t[-1]
+        assert (clamped & ferro).any() and (clamped & ~ferro).any()
+        assert td.n_clamped == clamped.sum()
+        np.testing.assert_allclose(td.element_values, expected, rtol=0.0,
+                                   atol=1e-12 * np.abs(expected).max())
 
     def test_linear_material_equivalence_elementwise(self, linear_stub):
         # with zero-correction tables the assembled field must equal the
