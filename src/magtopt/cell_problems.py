@@ -63,19 +63,6 @@ def disc_mesh(spec: DiscSpec) -> TriMesh:
     return _mesh_cache[spec]
 
 
-@dataclass
-class CellSolution:
-    """Nodal solution of one cell problem with its input gradients."""
-    mesh: TriMesh
-    values: np.ndarray
-    case: PerturbationCase
-    grad_u: np.ndarray
-    grad_p: np.ndarray | None = None
-
-    def element_gradients(self) -> np.ndarray:
-        return self.mesh.element_gradients(self.values)
-
-
 def _sides(mesh: TriMesh, case: PerturbationCase):
     """(inclusion mask, nonlinear-side mask, rhs sign) for a disc mesh."""
     inclusion = mesh.region == Region.DESIGN
@@ -86,16 +73,16 @@ def _sides(mesh: TriMesh, case: PerturbationCase):
 
 def solve_direct_variation(curve, grad_u, case: PerturbationCase,
                            disc: TriMesh, tol: float = 1e-10,
-                           max_iter: int = 50) -> CellSolution:
+                           max_iter: int = 50) -> np.ndarray:
     """Damped-Newton solve (fem.damped_newton) of the nonlinear transmission
-    problem for the variation of the direct state. A zero state gradient
-    gives the trivial solution without solving.
+    problem for the variation of the direct state; nodal values (n,). A zero
+    state gradient gives the trivial solution without solving.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
     n = disc.n_nodes
     if np.hypot(grad_u[0], grad_u[1]) == 0.0:
-        return CellSolution(disc, np.zeros(n), case, grad_u)
+        return np.zeros(n)
 
     nu0 = curve.nu_air
     nu_u0 = float(curve.nu(np.hypot(grad_u[0], grad_u[1])))
@@ -120,29 +107,25 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase,
     tol_eff = tol * np.linalg.norm(rhs[free]) + 1e-14
     h, _, _ = fem.damped_newton(residual, jacobian, np.zeros(n), free,
                                 tol_eff, max_iter, max_halvings=20)
-    return CellSolution(disc, h, case, grad_u)
+    return h
 
 
 def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
-                            disc: TriMesh) -> CellSolution:
-    """Single linear solve for the variation of the adjoint state."""
+                            disc: TriMesh) -> np.ndarray:
+    """Linear solve for the variation of the adjoint state, whose matrix is
+    the direct-variation Jacobian at h = 0: grad_p (2,) gives nodal values
+    (n,), a stack (k, 2) gives (n, k) from one factorization."""
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
-    nu0 = curve.nu_air
-    dt_u0 = material.flux_jacobian(curve, grad_u)
+    jac = fem.assemble_stiffness(disc, fem._material_jacobian(
+        curve, nonlin, np.broadcast_to(grad_u, (disc.n_tris, 2))))
 
-    coeff = np.zeros((disc.n_tris, 2, 2))
-    coeff[:, 0, 0] = coeff[:, 1, 1] = nu0
-    coeff[nonlin] = dt_u0
-    jac = fem.assemble_stiffness(disc, coeff)
-
-    f_el = np.zeros((disc.n_tris, 2))
-    f_el[inclusion] = sign * (nu0 * np.eye(2) - dt_u0) @ grad_p
+    contrast = curve.nu_air * np.eye(2) - material.flux_jacobian(curve, grad_u)
+    f_el = np.zeros((disc.n_tris,) + grad_p.shape)
+    f_el[inclusion] = sign * grad_p @ contrast.T
     rhs = fem.assemble_flux_divergence(disc, f_el)
-
-    k = fem.solve_free(jac, rhs, fem._free_nodes(disc))
-    return CellSolution(disc, k, case, grad_u, grad_p)
+    return fem.solve_free(jac, rhs, fem._free_nodes(disc))
 
 
 def analytic_adjoint_variation(curve, grad_u, grad_p, x):
@@ -171,12 +154,13 @@ def analytic_adjoint_variation(curve, grad_u, grad_p, x):
 
 
 def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
-                       disc: TriMesh, direct: CellSolution = None,
-                       adjoint: CellSolution = None) -> float:
+                       disc: TriMesh, direct: np.ndarray = None,
+                       adjoint: np.ndarray = None):
     """Correction term: the material nonlinearity evaluated at the direct
     variation, integrated against the adjoint data over the nonlinear side
     (exterior for air-in-ferro, inclusion for ferro-in-air), by centroid
-    quadrature. Solves both cell problems internally unless supplied.
+    quadrature. grad_p (2,) gives a float, a stack (k, 2) gives (k,).
+    Solves both cell problems (nodal values) internally unless supplied.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
@@ -185,11 +169,11 @@ def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
     if adjoint is None:
         adjoint = solve_adjoint_variation(curve, grad_u, grad_p, case, disc)
     _, nonlin, _ = _sides(disc, case)
-    gh = direct.element_gradients()[nonlin]
-    gk = adjoint.element_gradients()[nonlin]
+    gh = disc.element_gradients(direct)[nonlin]
+    gk = disc.element_gradients(adjoint)[nonlin]
     s_el = material.nonlinearity(curve, np.broadcast_to(grad_u, gh.shape), gh)
-    integrand = np.einsum("ei,ei->e", s_el, grad_p + gk)
-    return float(np.sum(integrand * disc.areas[nonlin]))
+    j = np.einsum("e,ei,e...i->...", disc.areas[nonlin], s_el, grad_p + gk)
+    return float(j) if j.ndim == 0 else j
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +241,11 @@ def _table_sample(curve, case, spec: DiscSpec, t: float):
     disc = disc_mesh(spec)
     if t == 0.0:
         return 0.0, 0.0
-    grad_u = np.array([t, 0.0])
+    grad_u, basis = np.array([t, 0.0]), np.eye(2)
     direct = solve_direct_variation(curve, grad_u, case, disc)
-    out = []
-    for grad_p in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        adjoint = solve_adjoint_variation(curve, grad_u, grad_p, case, disc)
-        out.append(compute_correction(curve, grad_u, grad_p, case, disc,
-                                      direct=direct, adjoint=adjoint))
-    return tuple(out)
+    adjoint = solve_adjoint_variation(curve, grad_u, basis, case, disc)
+    return compute_correction(curve, grad_u, basis, case, disc,
+                              direct=direct, adjoint=adjoint)
 
 
 def build_correction_table(curve, case: PerturbationCase, t_grid=None,
@@ -319,10 +300,11 @@ def save_table(path, table: CorrectionTable, config_hash: str = None) -> None:
 
 
 def load_table(path) -> CorrectionTable:
+    """Table from save_table's CSV; ValueError naming the file if malformed."""
     meta = {}
     rows = []
     with open(path) as f:
-        for line in f:
+        for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -334,11 +316,18 @@ def load_table(path) -> CorrectionTable:
                 continue
             if line.lower().startswith("t,"):
                 continue
-            rows.append([float(c) for c in line.split(",")])
+            try:
+                t, a, b = map(float, line.split(","))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: bad t,j2_e1,j2_e2 row: {exc}") from exc
+            rows.append((t, a, b))
     missing = [k for k in ("case", "radius", "h0", "curve") if k not in meta]
     if missing:
         raise ValueError(f"{path}: table header lacks {', '.join(missing)}")
-    data = np.asarray(rows)
-    return CorrectionTable(PerturbationCase(meta["case"]), data[:, 0],
-                           data[:, 1], data[:, 2], float(meta["radius"]),
-                           float(meta["h0"]), meta["curve"])
+    data = np.asarray(rows, dtype=float).reshape(-1, 3)
+    try:
+        return CorrectionTable(PerturbationCase(meta["case"]), data[:, 0],
+                               data[:, 1], data[:, 2], float(meta["radius"]),
+                               float(meta["h0"]), meta["curve"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

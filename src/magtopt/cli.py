@@ -74,8 +74,8 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def build_curve(cfg: dict, force_linear: bool = False):
-    kind = "linear" if force_linear else cfg["curve"]
+def build_curve(cfg: dict):
+    kind = cfg["curve"]
     if kind == "marrocco":
         return material.MarroccoCurve(alpha=float(cfg["alpha"]),
                                       c=float(cfg["c"]), tau=float(cfg["tau"]))
@@ -85,7 +85,7 @@ def build_curve(cfg: dict, force_linear: bool = False):
         if not cfg["spline_csv"]:
             raise ConfigError("curve = spline requires spline_csv")
         return material.SplineCurve.from_csv(cfg["spline_csv"])
-    raise ConfigError(f"unknown curve kind {cfg['curve']!r}")
+    raise ConfigError(f"unknown curve kind {kind!r}")
 
 
 def disc_spec(cfg: dict) -> DiscSpec:
@@ -105,7 +105,7 @@ def _prepare_out(out: str, force: bool) -> Path:
 # subcommands
 
 def cmd_validate_material(cfg, args) -> int:
-    curve = build_curve(cfg, args.linear)
+    curve = build_curve(cfg)
     report = material.validate_assumptions(curve)
     out = _prepare_out(args.out, args.force)
     text = (f"# config={config_hash(cfg)}\n"
@@ -145,7 +145,7 @@ def _build_tables(cfg, curve, out: Path):
 
 
 def cmd_build_tables(cfg, args) -> int:
-    curve = build_curve(cfg, args.linear)
+    curve = build_curve(cfg)
     _build_tables(cfg, curve, _prepare_out(args.out, args.force))
     if isinstance(curve, material.LinearCurve):
         log.info("linear stub: both tables are identically zero")
@@ -181,7 +181,7 @@ def _build_problem(cfg):
 
 
 def cmd_solve(cfg, args) -> int:
-    curve = build_curve(cfg, args.linear)
+    curve = build_curve(cfg)
     out = _prepare_out(args.out, args.force)
     prob = _build_problem(cfg)
     res = fem.solve_state(prob.mesh, curve, levelset=None, sources=prob.sources)
@@ -199,7 +199,7 @@ def cmd_solve(cfg, args) -> int:
 
 
 def cmd_optimize(cfg, args) -> int:
-    curve = build_curve(cfg, args.linear)
+    curve = build_curve(cfg)
     out = _prepare_out(args.out, args.force)
     t1, t2 = _load_or_build_tables(cfg, curve, out)
     prob = _build_problem(cfg)
@@ -253,7 +253,7 @@ def cmd_export(cfg, args) -> int:
 def cmd_selftest(cfg, args) -> int:
     """Quick property sweep (seeded); exercises the core identities."""
     rng = np.random.default_rng(int(cfg["seed"]))
-    curve = build_curve(cfg, args.linear)
+    curve = build_curve(cfg)
     failures = []
 
     def check(name, ok):
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel workers for table builds")
     parser.add_argument("--linear", action="store_true",
-                        help="override the curve with the linear stub")
+                        help="same as curve = linear (also in the config hash)")
     args = parser.parse_args(argv)
 
     logging.basicConfig(
@@ -334,6 +334,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.workers is not None:
             cfg["workers"] = str(args.workers)
+        if args.linear:
+            cfg["curve"] = "linear"
         return COMMANDS[args.command](cfg, args)
     except (ConfigError, ConfigurationError, material.MaterialError,
             ValueError) as exc:

@@ -97,11 +97,13 @@ def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble_flux_divergence(mesh: TriMesh, flux_el: np.ndarray) -> np.ndarray:
-    """Vector with entries sum_e A_e flux_e . grad(phi_i) for (m, 2) fluxes."""
-    contrib = np.einsum("ei,eki->ek", flux_el, mesh.grads) * mesh.areas[:, None]
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.tris.ravel(), contrib.ravel())
-    return out
+    """Vector with entries sum_e A_e flux_e . grad(phi_i) for (m, 2) fluxes;
+    (m, k, 2) fluxes give k columns (n, k)."""
+    cols = flux_el.shape[1:-1]
+    contrib = np.einsum("e...i,eki->...ek", flux_el, mesh.grads) * mesh.areas[:, None]
+    out = np.zeros(cols + (mesh.n_nodes,))
+    np.add.at(out, (..., mesh.tris.ravel()), contrib.reshape(cols + (-1,)))
+    return out.T
 
 
 def ferro_element_mask(mesh: TriMesh, levelset=None) -> np.ndarray:
@@ -127,13 +129,13 @@ def _free_nodes(mesh: TriMesh) -> np.ndarray:
 
 
 def solve_free(A: sp.spmatrix, b: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Solve A x = b restricted to the `free` DOFs; full-length x, zero on
-    the others."""
+    """Solve A x = b, b of shape (n,) or (n, k), restricted to the `free`
+    DOFs with one factorization; x has b's shape and is zero elsewhere."""
     try:
         lu = spla.splu(A[np.ix_(free, free)].tocsc())
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    x = np.zeros(A.shape[0])
+    x = np.zeros(np.shape(b))
     x[free] = lu.solve(np.asarray(b, dtype=float)[free])
     return x
 
@@ -172,12 +174,12 @@ def damped_newton(residual, jacobian, x0: np.ndarray, free: np.ndarray,
 
 @dataclass
 class StateResult:
-    """Converged state with the final Newton Jacobian, reused by the adjoint."""
+    """Converged state; solve_adjoint assembles the Jacobian at it."""
     field: ScalarField
     iterations: int
     residual_norm: float
     ferro_mask: np.ndarray
-    jacobian: sp.csr_matrix
+    curve: object
     free: np.ndarray
 
 
@@ -229,19 +231,21 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
     u, iterations, rnorm = damped_newton(residual, jacobian, np.zeros(mesh.n_nodes),
                                          free, tol, max_iter, max_halvings)
     return StateResult(ScalarField(mesh, u), iterations, rnorm, ferro,
-                       jacobian(u), free)
+                       curve, free)
 
 
 def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> ScalarField:
-    """Linear adjoint solve: the system matrix is the state Jacobian at the
-    converged state.
+    """Linear adjoint solve: the system matrix is the state Jacobian,
+    assembled here at the converged state (only accepted designs need it).
 
     `adjoint_rhs` is the literal right-hand-side vector of the linear system
     (for the tracking objective the caller passes the negated objective
     derivative). The matrix is symmetric because the flux Jacobian is.
     """
-    jac = state.jacobian
+    mesh = state.field.mesh
+    jac = assemble_stiffness(mesh, _material_jacobian(
+        state.curve, state.ferro_mask, state.field.element_gradients()))
     asym = abs(jac - jac.T).max()
     if asym > 1e-9 * abs(jac).max():
         raise SolverError(f"adjoint system matrix not symmetric (dev {asym:.3g})")
-    return ScalarField(state.field.mesh, solve_free(jac, adjoint_rhs, state.free))
+    return ScalarField(mesh, solve_free(jac, adjoint_rhs, state.free))

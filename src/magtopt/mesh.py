@@ -97,8 +97,9 @@ class TriMesh:
         self._cache["grads"] = b
 
     def element_gradients(self, u: np.ndarray) -> np.ndarray:
-        """Gradient of the P1 field u, constant per element, shape (m, 2)."""
-        return np.einsum("ek,eki->ei", u[self.tris], self.grads)
+        """Gradient of the P1 field u, constant per element: shape (m, 2)
+        for nodal values (n,), (m, k, 2) for k nodal columns (n, k)."""
+        return np.einsum("ek...,eki->e...i", u[self.tris], self.grads)
 
     def dirichlet_nodes(self) -> np.ndarray:
         sel = self.btags == Boundary.DIRICHLET_OUTER

@@ -144,6 +144,11 @@ class TestOptimize:
         assert rc == 0
         table = load_table(out / "j2_case1.csv")
         assert np.abs(table.j2_e1).max() < 1e-9
+        # the run is stamped with the hash of the configuration it ran
+        ran = cli.load_config(cfg)
+        ran["curve"] = "linear"
+        header = (out / "iterations.csv").read_text().splitlines()[0]
+        assert header == f"# config={cli.config_hash(ran)}"
 
 
 class TestTableGuards:
@@ -171,6 +176,24 @@ class TestTableGuards:
         rc = cli.main(["optimize", "--config", str(swapped), "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         assert "is case II, expected case I" in caplog.text
+        assert not (out / "iterations.csv").exists()
+
+    def test_header_only_table_rejected(self, tmp_path, caplog):
+        tables = tmp_path / "tables"
+        cfg = write_config(tmp_path)
+        assert cli.main(["build-tables", "--config", str(cfg),
+                         "--out", str(tables)]) == 0
+        header_only = tmp_path / "header_only.csv"
+        lines = (tables / "j2_case1.csv").read_text().splitlines(keepends=True)
+        header_only.write_text("".join(l for l in lines
+                                       if l.startswith(("#", "t,"))))
+        bad = write_config(tmp_path, name="bad.cfg",
+                           table_case1=str(header_only),
+                           table_case2=str(tables / "j2_case2.csv"))
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(bad), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{header_only}: empty table" in caplog.text
         assert not (out / "iterations.csv").exists()
 
 

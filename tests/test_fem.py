@@ -58,6 +58,21 @@ class TestStateSolve:
                           sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
         assert np.all(res.field.values[bench.dirichlet_nodes()] == 0.0)
 
+    def test_one_assembly_per_newton_iteration(self, bench, marrocco, monkeypatch):
+        # the Jacobian at the converged state is left to solve_adjoint
+        calls = []
+        assemble = fem.assemble_stiffness
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(fem, "assemble_stiffness", counted)
+        res = solve_state(bench, marrocco,
+                          sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
+        assert res.iterations >= 2
+        assert len(calls) == res.iterations
+
     def test_nonconvergence_raises_with_residual(self, bench, marrocco):
         with pytest.raises(SolverError) as exc:
             solve_state(bench, marrocco, max_iter=1,
