@@ -9,8 +9,8 @@ from .material import (NU0, AssumptionReport, LinearCurve, MarroccoCurve,
 from .mesh import (Boundary, Region, TriMesh, generate_disc_mesh,
                    generate_mini_motor, generate_square_benchmark, load_mesh,
                    save_mesh, unit_square_mesh)
-from .fem import (ScalarField, SolverError, SourceSpec, assemble_rhs,
-                  solve_adjoint, solve_state)
+from .fem import (SolverError, SourceSpec, assemble_rhs, solve_adjoint,
+                  solve_state)
 from .polarization import (Anisotropy2, matrix_air_in_ferro, matrix_ferro_in_air,
                            polarization_disk, polarization_ellipse,
                            polarization_general)

@@ -188,9 +188,9 @@ def cmd_solve(cfg, args) -> int:
     j = problem_setup.eval_objective(prob.mesh, res.field, prob.objective)
     log.info("state solved in %d Newton iterations, objective %.6e",
              res.iterations, j)
-    gu = res.field.element_gradients()
+    gu = prob.mesh.element_gradients(res.field)
     vtkio.write_vtk(out / "state.vtk", prob.mesh,
-                    point_data={"u": res.field.values},
+                    point_data={"u": res.field},
                     cell_data={"B_magnitude": np.hypot(gu[:, 0], gu[:, 1]),
                                "region": prob.mesh.region.astype(float)},
                     title=f"magtopt state config={config_hash(cfg)}")
@@ -225,10 +225,9 @@ def cmd_optimize(cfg, args) -> int:
         for r in state.records:
             f.write(f"{r.k},{r.objective:.17g},{r.theta_deg:.17g},"
                     f"{r.kappa:.17g},{r.ferro_fraction:.17g}\n")
-    psi = state.psi.expand()
-    indicator = fem.ferro_element_mask(prob.mesh, psi).astype(float)
+    indicator = state.solution.ferro_mask.astype(float)
     vtkio.write_vtk(out / "design_final.vtk", prob.mesh,
-                    point_data={"psi": psi},
+                    point_data={"psi": state.psi.expand()},
                     cell_data={"ferro": indicator},
                     title=f"magtopt final design config={h}")
     if isinstance(curve, material.LinearCurve):

@@ -32,21 +32,6 @@ class SolverError(Exception):
 
 
 @dataclass
-class ScalarField:
-    """Nodal P1 field over a mesh (state u, adjoint p, ...)."""
-    mesh: TriMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.n_nodes,):
-            raise ValueError("field length must equal node count")
-
-    def element_gradients(self) -> np.ndarray:
-        return self.mesh.element_gradients(self.values)
-
-
-@dataclass
 class SourceSpec:
     """Coil current density J_z [A/m^2] and magnetization M [A/m].
 
@@ -174,8 +159,12 @@ def damped_newton(residual, jacobian, x0: np.ndarray, free: np.ndarray,
 
 @dataclass
 class StateResult:
-    """Converged state; solve_adjoint assembles the Jacobian at it."""
-    field: ScalarField
+    """Converged state of one design: the mesh, curve and per-element ferro
+    mask it was solved with, and the nodal values u (n,) in `field`.
+    Consumers read the design from here; solve_adjoint assembles the
+    Jacobian at it."""
+    mesh: TriMesh
+    field: np.ndarray
     iterations: int
     residual_norm: float
     ferro_mask: np.ndarray
@@ -230,22 +219,22 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
 
     u, iterations, rnorm = damped_newton(residual, jacobian, np.zeros(mesh.n_nodes),
                                          free, tol, max_iter, max_halvings)
-    return StateResult(ScalarField(mesh, u), iterations, rnorm, ferro,
-                       curve, free)
+    return StateResult(mesh, u, iterations, rnorm, ferro, curve, free)
 
 
-def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> ScalarField:
+def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> np.ndarray:
     """Linear adjoint solve: the system matrix is the state Jacobian,
     assembled here at the converged state (only accepted designs need it).
 
     `adjoint_rhs` is the literal right-hand-side vector of the linear system
     (for the tracking objective the caller passes the negated objective
     derivative). The matrix is symmetric because the flux Jacobian is.
+    Returns the nodal adjoint p (n,).
     """
-    mesh = state.field.mesh
+    mesh = state.mesh
     jac = assemble_stiffness(mesh, _material_jacobian(
-        state.curve, state.ferro_mask, state.field.element_gradients()))
+        state.curve, state.ferro_mask, mesh.element_gradients(state.field)))
     asym = abs(jac - jac.T).max()
     if asym > 1e-9 * abs(jac).max():
         raise SolverError(f"adjoint system matrix not symmetric (dev {asym:.3g})")
-    return ScalarField(mesh, solve_free(jac, adjoint_rhs, state.free))
+    return solve_free(jac, adjoint_rhs, state.free)

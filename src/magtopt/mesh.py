@@ -99,7 +99,9 @@ class TriMesh:
     def element_gradients(self, u: np.ndarray) -> np.ndarray:
         """Gradient of the P1 field u, constant per element: shape (m, 2)
         for nodal values (n,), (m, k, 2) for k nodal columns (n, k)."""
-        return np.einsum("ek...,eki->e...i", u[self.tris], self.grads)
+        if u.ndim == 2:
+            return np.stack([self.element_gradients(c) for c in u.T], axis=1)
+        return np.einsum("ek,eki->ei", u[self.tris], self.grads)
 
     def dirichlet_nodes(self) -> np.ndarray:
         sel = self.btags == Boundary.DIRICHLET_OUTER

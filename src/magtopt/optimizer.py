@@ -102,8 +102,10 @@ def slerp(psi: LevelSetField, g: LevelSetField, theta: float,
     return LevelSetField(psi.space, vals).normalized()
 
 
-def ferro_fraction(space: DesignSpace, psi: LevelSetField) -> float:
-    ferro = fem.ferro_element_mask(space.mesh, psi.expand())[space.elements]
+def ferro_fraction(space: DesignSpace, ferro_mask: np.ndarray) -> float:
+    """Area fraction of the design region that a per-element ferro mask
+    (StateResult.ferro_mask) marks ferromagnetic."""
+    ferro = ferro_mask[space.elements]
     a = space.mesh.areas[space.elements]
     return float(a[ferro].sum() / space.area)
 
@@ -161,16 +163,13 @@ class Driver:
                                          self.problem.objective)
         return res, j
 
-    def descent_field(self, psi: LevelSetField, state: fem.StateResult
-                      ) -> tuple[LevelSetField, int]:
-        """Descent field at psi over the design nodes, with its count of
-        clamped table lookups."""
-        mesh = self.problem.mesh
-        gvec = problem_setup.assemble_adjoint_rhs(mesh, state.field,
+    def descent_field(self, state: fem.StateResult) -> tuple[LevelSetField, int]:
+        """Descent field at the solved design over the design nodes, with its
+        count of clamped table lookups."""
+        gvec = problem_setup.assemble_adjoint_rhs(self.problem.mesh, state.field,
                                                   self.problem.objective)
         p = fem.solve_adjoint(state, -gvec)
-        td = topo_derivative.assemble_generalized_td(
-            mesh, self.curve, psi.expand(), state.field, p, *self.tables)
+        td = topo_derivative.assemble_generalized_td(state, p, *self.tables)
         return (LevelSetField(self.space, self.space.restrict(td.nodal)),
                 td.n_clamped)
 
@@ -181,8 +180,10 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
 
     Computes theta between the current psi and the normalized descent field,
     then tries kappa_start, kappa_start/2, ... accepting the first trial
-    whose objective strictly decreases. Underflow of kappa marks a stall,
-    theta below tolerance marks convergence.
+    whose objective strictly decreases. A trial whose state solve fails is
+    rejected like one that does not decrease the objective (with a logged
+    warning). Underflow of kappa marks a stall, theta below tolerance marks
+    convergence.
     """
     if descent.norm() == 0.0:
         state.status = "converged"
@@ -200,19 +201,19 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
         try:
             res, j_try = driver.solve(trial)
         except fem.SolverError as exc:
-            raise fem.SolverError(
-                f"state solve failed in trial kappa={kappa:g} "
-                f"at iteration {state.k}: {exc}",
-                residual_norm=exc.residual_norm) from exc
-        if j_try < state.objective:
-            state.k += 1
-            state.psi = trial
-            state.objective = j_try
-            state.records.append(IterationRecord(
-                state.k, j_try, np.degrees(theta), kappa,
-                ferro_fraction(driver.space, trial)))
-            state.solution = res
-            return state
+            log.warning("state solve failed in trial kappa=%g at iteration %d "
+                        "(residual %s): %s; trial rejected",
+                        kappa, state.k + 1, exc.residual_norm, exc)
+        else:
+            if j_try < state.objective:
+                state.k += 1
+                state.psi = trial
+                state.objective = j_try
+                state.records.append(IterationRecord(
+                    state.k, j_try, np.degrees(theta), kappa,
+                    ferro_fraction(driver.space, res.ferro_mask)))
+                state.solution = res
+                return state
         kappa *= 0.5
     state.status = "stalled"
     return state
@@ -242,7 +243,7 @@ def run(problem: Problem, curve, table_air_in_ferro: CorrectionTable,
 
     n_clamped = 0
     while state.k < options.max_iter:
-        g, clamped = driver.descent_field(state.psi, state.solution)
+        g, clamped = driver.descent_field(state.solution)
         n_clamped += clamped
         step(state, g, driver, options)
         if state.status != "running":

@@ -90,8 +90,7 @@ def make_objective(mesh: TriMesh, b_target) -> ObjectiveSpec:
 
 def gap_flux(mesh: TriMesh, u, spec: ObjectiveSpec) -> np.ndarray:
     """grad(u).tau at the edge midpoints, from the fixed-side elements."""
-    vals = u.values if isinstance(u, fem.ScalarField) else np.asarray(u, float)
-    gu = mesh.element_gradients(vals)[spec.elements]
+    gu = mesh.element_gradients(np.asarray(u, float))[spec.elements]
     return np.einsum("ki,ki->k", gu, spec.tangents)
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import polarization
 from .cell_problems import CorrectionTable, eval_correction
-from .fem import ScalarField, ferro_element_mask
-from .mesh import Region, TriMesh
+from .fem import StateResult
+from .mesh import Region
 
 
 def g_ferro_to_air(curve, grad_u, grad_p,
@@ -46,7 +46,6 @@ class TopoDerivField:
     design elements, zero elsewhere. The branch counters record how many
     elements took each sensitivity, n_clamped how many table lookups clamped.
     """
-    mesh: TriMesh
     design_elements: np.ndarray
     element_values: np.ndarray
     nodal: np.ndarray
@@ -55,22 +54,23 @@ class TopoDerivField:
     n_clamped: int
 
 
-def assemble_generalized_td(mesh: TriMesh, curve, levelset,
-                            u0: ScalarField, p0: ScalarField,
+def assemble_generalized_td(state: StateResult, p: np.ndarray,
                             table_air_in_ferro: CorrectionTable,
                             table_ferro_in_air: CorrectionTable) -> TopoDerivField:
-    """Per DESIGN element: the ferro-to-air sensitivity where the level set is
-    positive at the centroid, minus the air-to-ferro sensitivity elsewhere.
+    """Per DESIGN element: the ferro-to-air sensitivity where the solved
+    design `state` holds ferromagnetic material, minus the air-to-ferro
+    sensitivity elsewhere.
 
     The gradients entering the sensitivities are the element-constant P1
-    gradients of the state u0 and adjoint p0. The nodal projection averages
-    incident design elements with area weights (consumed by the level-set
-    update).
+    gradients of the state u (state.field) and the nodal adjoint p (n,). The
+    nodal projection averages incident design elements with area weights
+    (consumed by the level-set update).
     """
+    mesh, curve = state.mesh, state.curve
     design = np.flatnonzero(mesh.region == Region.DESIGN)
-    gu = u0.element_gradients()[design]
-    gp = p0.element_gradients()[design]
-    ferro = ferro_element_mask(mesh, levelset)[design]
+    gu = mesh.element_gradients(state.field)[design]
+    gp = mesh.element_gradients(p)[design]
+    ferro = state.ferro_mask[design]
 
     vals = np.empty(design.size)
     n_clamped = 0
@@ -91,5 +91,5 @@ def assemble_generalized_td(mesh: TriMesh, curve, levelset,
     np.add.at(wsum, tr.ravel(), w)
     nz = wsum > 0
     nodal[nz] /= wsum[nz]
-    return TopoDerivField(mesh, design, vals, nodal, int(ferro.sum()),
+    return TopoDerivField(design, vals, nodal, int(ferro.sum()),
                           int((~ferro).sum()), n_clamped)

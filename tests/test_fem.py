@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magtopt import fem
-from magtopt.fem import (ScalarField, SolverError, SourceSpec, assemble_rhs,
+from magtopt.fem import (SolverError, SourceSpec, assemble_rhs,
                          assemble_rhs_elements, ferro_element_mask,
                          solve_adjoint, solve_state)
 from magtopt.material import NU0, LinearCurve
@@ -43,7 +43,7 @@ class TestAssembleRhs:
 class TestStateSolve:
     def test_zero_sources_trivial(self, bench, marrocco):
         res = solve_state(bench, marrocco, sources=SourceSpec())
-        assert np.all(res.field.values == 0.0)
+        assert np.all(res.field == 0.0)
         assert res.iterations <= 1
 
     def test_linear_stub_one_iteration(self, bench, linear_stub):
@@ -56,7 +56,7 @@ class TestStateSolve:
     def test_dirichlet_values_exact(self, bench, marrocco):
         res = solve_state(bench, marrocco,
                           sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
-        assert np.all(res.field.values[bench.dirichlet_nodes()] == 0.0)
+        assert np.all(res.field[bench.dirichlet_nodes()] == 0.0)
 
     def test_one_assembly_per_newton_iteration(self, bench, marrocco, monkeypatch):
         # the Jacobian at the converged state is left to solve_adjoint
@@ -83,7 +83,7 @@ class TestStateSolve:
     def test_ferro_coefficient_within_law_bounds(self, bench, marrocco):
         res = solve_state(bench, marrocco,
                           sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
-        gu = res.field.element_gradients()
+        gu = bench.element_gradients(res.field)
         s = np.hypot(gu[:, 0], gu[:, 1])[res.ferro_mask]
         nu_vals = marrocco.nu(s)
         assert np.all(nu_vals >= marrocco.nu_min - 1e-9)
@@ -98,7 +98,7 @@ class TestStateSolve:
             f = 2 * np.pi ** 2 * NU0 * np.sin(np.pi * cen[:, 0]) * np.sin(np.pi * cen[:, 1])
             rhs = assemble_rhs_elements(mesh, f, np.zeros((mesh.n_tris, 2)))
             res = solve_state(mesh, LinearCurve(nu_const=NU0), rhs=rhs)
-            gu = res.field.element_gradients()
+            gu = mesh.element_gradients(res.field)
             gx = np.pi * np.cos(np.pi * cen[:, 0]) * np.sin(np.pi * cen[:, 1])
             gy = np.pi * np.sin(np.pi * cen[:, 0]) * np.cos(np.pi * cen[:, 1])
             err2 = mesh.areas * ((gu[:, 0] - gx) ** 2 + (gu[:, 1] - gy) ** 2)
@@ -134,13 +134,13 @@ class TestAdjoint:
         state = solve_state(bench, marrocco,
                             sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
         p = solve_adjoint(state, np.zeros(bench.n_nodes))
-        assert np.all(p.values == 0.0)
+        assert np.all(p == 0.0)
 
     def test_linear_self_adjointness(self, bench, linear_stub):
         rhs = assemble_rhs(bench, SourceSpec(magnetization=np.array([0.0, 1e5])))
         state = solve_state(bench, linear_stub, rhs=rhs)
         p = solve_adjoint(state, -rhs)
-        np.testing.assert_allclose(p.values, -state.field.values,
+        np.testing.assert_allclose(p, -state.field,
                                    rtol=1e-10, atol=1e-12)
 
     def test_air_coefficient_is_exactly_nu0(self, bench, marrocco):
@@ -158,11 +158,11 @@ class TestAdjoint:
         rhs = RNG.normal(size=bench.n_nodes)
         p1 = solve_adjoint(state, rhs)
         # the same system assembled afresh from the converged field
-        gu = state.field.element_gradients()
+        gu = bench.element_gradients(state.field)
         jac = fem.assemble_stiffness(
             bench, fem._material_jacobian(marrocco, state.ferro_mask, gu))
         p2 = fem.solve_free(jac, rhs, state.free)
-        np.testing.assert_allclose(p1.values, p2, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(p1, p2, rtol=1e-9, atol=1e-12)
 
 
 class TestEnergyConsistency:
@@ -200,16 +200,18 @@ class TestSplineCurveSolve:
         res = solve_state(bench, curve,
                           sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
         assert res.iterations >= 2
-        assert np.isfinite(res.field.values).all()
+        assert np.isfinite(res.field).all()
 
 
-class TestScalarField:
-    def test_length_checked(self, bench):
-        with pytest.raises(ValueError):
-            ScalarField(bench, np.zeros(3))
-
+class TestElementGradients:
     def test_gradients_of_linear_function_exact(self, bench):
         u = 2.0 * bench.nodes[:, 0] - 3.0 * bench.nodes[:, 1]
-        g = ScalarField(bench, u).element_gradients()
+        g = bench.element_gradients(u)
         np.testing.assert_allclose(g[:, 0], 2.0, rtol=1e-12)
         np.testing.assert_allclose(g[:, 1], -3.0, rtol=1e-12)
+        # an (n, 2) stack: each column equals the single-column call exactly
+        v = 0.5 * bench.nodes[:, 0] + 4.0 * bench.nodes[:, 1]
+        stack = bench.element_gradients(np.column_stack([u, v]))
+        assert stack.shape == (bench.n_tris, 2, 2)
+        assert np.array_equal(stack[:, 0], g)
+        assert np.array_equal(stack[:, 1], bench.element_gradients(v))

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from magtopt import fem
 from magtopt import optimizer as op
 from magtopt.cell_problems import CorrectionTable, PerturbationCase
 from magtopt.mesh import Region
@@ -180,14 +181,52 @@ class TestClampWarning:
         assert clamped.status == plain.status
 
 
+class TestFailedTrial:
+    def test_failed_trial_is_rejected(self, marrocco, monkeypatch, caplog):
+        prob = build_benchmark_problem("square", 16)
+        solve = fem.solve_state
+        calls = []
+
+        def first_trial_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:        # call 1 is the initial design
+                raise fem.SolverError("injected failure", residual_norm=1.5)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_state", first_trial_fails)
+        # 0.1 = kappa_start/2 is the first step a kappa_start = 0.1 run accepts
+        options = op.OptimizerOptions(kappa_start=0.2, max_iter=2)
+        with caplog.at_level(logging.WARNING, logger="magtopt.optimizer"):
+            state = op.run(prob, marrocco, Z1, Z2, options)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "kappa=0.2 " in warnings[0] and "iteration 1" in warnings[0]
+        assert "residual 1.5" in warnings[0]
+        assert state.k == 2
+        assert state.records[0].kappa == options.kappa_start / 2
+
+    def test_initial_solve_failure_raises(self, marrocco, monkeypatch):
+        prob = build_benchmark_problem("square", 16)
+
+        def fails(*args, **kwargs):
+            raise fem.SolverError("injected failure", residual_norm=1.5)
+
+        monkeypatch.setattr(fem, "solve_state", fails)
+        with pytest.raises(fem.SolverError, match="injected failure"):
+            op.run(prob, marrocco, Z1, Z2, op.OptimizerOptions(max_iter=2))
+
+
 class TestFerroFraction:
     def test_all_positive_is_one(self, square16, space):
         psi = op.LevelSetField(space, np.ones(space.nodes.size))
-        assert op.ferro_fraction(space, psi) == 1.0
+        mask = fem.ferro_element_mask(square16.mesh, psi.expand())
+        assert op.ferro_fraction(space, mask) == 1.0
 
     def test_all_negative_is_zero(self, square16, space):
         psi = op.LevelSetField(space, -np.ones(space.nodes.size))
-        assert op.ferro_fraction(space, psi) == 0.0
+        mask = fem.ferro_element_mask(square16.mesh, psi.expand())
+        assert op.ferro_fraction(space, mask) == 0.0
 
 
 class TestMiniMotor:

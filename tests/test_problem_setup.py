@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magtopt.fem import ScalarField, SourceSpec, solve_state
+from magtopt.fem import SourceSpec, solve_state
 from magtopt.mesh import (Boundary, Region, TriMesh, generate_square_benchmark,
                           MINI_MOTOR_RADII, MINI_MOTOR_PROBE_RADIUS)
 from magtopt.problem_setup import (ConfigurationError, assemble_adjoint_rhs,
@@ -33,7 +33,7 @@ class TestEvalObjective:
     def test_constant_mismatch_gives_total_length(self, square):
         mesh = square.mesh
         spec = make_objective(mesh, np.ones(len(square.objective.edges)))
-        u = ScalarField(mesh, np.zeros(mesh.n_nodes))
+        u = np.zeros(mesh.n_nodes)
         assert eval_objective(mesh, u, spec) == pytest.approx(
             spec.total_length, rel=1e-12)
 
@@ -41,13 +41,13 @@ class TestEvalObjective:
         mesh = square.mesh
         spec = make_objective(mesh, np.zeros(len(square.objective.edges)))
         j1 = eval_objective(mesh, solved, spec)
-        u2 = ScalarField(mesh, 2.0 * solved.values)
+        u2 = 2.0 * solved
         assert eval_objective(mesh, u2, spec) == pytest.approx(4.0 * j1, rel=1e-12)
 
     def test_nonnegative(self, square):
         mesh = square.mesh
         for _ in range(5):
-            u = ScalarField(mesh, RNG.normal(size=mesh.n_nodes))
+            u = RNG.normal(size=mesh.n_nodes)
             assert eval_objective(mesh, u, square.objective) >= 0.0
 
 
@@ -71,13 +71,13 @@ class TestAdjointRhs:
         mesh = square.mesh
         spec = square.objective
         gvec = assemble_adjoint_rhs(mesh, solved, spec)
-        scale = max(1.0, np.abs(solved.values).max())
+        scale = max(1.0, np.abs(solved).max())
         h = 1e-6 * scale
         for _ in range(5):
             eta = RNG.normal(size=mesh.n_nodes)
             eta /= np.abs(eta).max()
-            up = ScalarField(mesh, solved.values + h * eta)
-            dn = ScalarField(mesh, solved.values - h * eta)
+            up = solved + h * eta
+            dn = solved - h * eta
             fd = (eval_objective(mesh, up, spec)
                   - eval_objective(mesh, dn, spec)) / (2 * h)
             assert fd == pytest.approx(float(gvec @ eta), rel=1e-5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magtopt.cell_problems import CorrectionTable, PerturbationCase
-from magtopt.fem import ScalarField, SourceSpec, ferro_element_mask, solve_state
+from magtopt.fem import SourceSpec, ferro_element_mask, solve_state
 from magtopt.material import NU0
 from magtopt.mesh import Region, generate_square_benchmark
 from magtopt.problem_setup import default_levelset
@@ -19,6 +19,13 @@ RNG = np.random.default_rng(13)
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def pointwise_oracle(curve, gu, gp, ferro, t1, t2):
+    """Element values from the pointwise g-functions, branch chosen by ferro."""
+    return np.array([g_ferro_to_air(curve, a, b, t1) if f
+                     else -g_air_to_ferro(curve, a, b, t2)
+                     for a, b, f in zip(gu, gp, ferro)])
 
 
 class TestPointwiseSensitivities:
@@ -73,9 +80,8 @@ def solved_bench(marrocco):
 class TestAssembly:
     def test_zero_adjoint_gives_zero_field(self, marrocco, solved_bench, tables_coarse):
         mesh, psi, state = solved_bench
-        p0 = ScalarField(mesh, np.zeros(mesh.n_nodes))
-        td = assemble_generalized_td(mesh, marrocco, psi, state.field, p0,
-                                     *tables_coarse)
+        p0 = np.zeros(mesh.n_nodes)
+        td = assemble_generalized_td(state, p0, *tables_coarse)
         assert np.all(td.element_values == 0.0)
         assert np.all(td.nodal == 0.0)
 
@@ -83,9 +89,8 @@ class TestAssembly:
         mesh, psi, state = solved_bench
         design = np.flatnonzero(mesh.region == Region.DESIGN)
         psi_c = psi[mesh.tris[design]].mean(axis=1)
-        p0 = ScalarField(mesh, RNG.normal(size=mesh.n_nodes))
-        td = assemble_generalized_td(mesh, marrocco, psi, state.field, p0,
-                                     *tables_coarse)
+        p0 = RNG.normal(size=mesh.n_nodes)
+        td = assemble_generalized_td(state, p0, *tables_coarse)
         assert td.n_ferro_to_air == int((psi_c > 0).sum())
         assert td.n_air_to_ferro == int((psi_c <= 0).sum())
         assert td.n_ferro_to_air + td.n_air_to_ferro == design.size
@@ -93,19 +98,16 @@ class TestAssembly:
     def test_bilinearity_in_adjoint(self, marrocco, solved_bench, tables_coarse):
         mesh, psi, state = solved_bench
         p = RNG.normal(size=mesh.n_nodes)
-        td1 = assemble_generalized_td(mesh, marrocco, psi, state.field,
-                                      ScalarField(mesh, p), *tables_coarse)
-        td2 = assemble_generalized_td(mesh, marrocco, psi, state.field,
-                                      ScalarField(mesh, 2.0 * p), *tables_coarse)
+        td1 = assemble_generalized_td(state, p, *tables_coarse)
+        td2 = assemble_generalized_td(state, 2.0 * p, *tables_coarse)
         np.testing.assert_allclose(td2.element_values, 2.0 * td1.element_values,
                                    rtol=1e-9)
 
     def test_nodal_projection_is_area_weighted_average(self, marrocco,
                                                        solved_bench, tables_coarse):
         mesh, psi, state = solved_bench
-        p0 = ScalarField(mesh, RNG.normal(size=mesh.n_nodes))
-        td = assemble_generalized_td(mesh, marrocco, psi, state.field, p0,
-                                     *tables_coarse)
+        p0 = RNG.normal(size=mesh.n_nodes)
+        td = assemble_generalized_td(state, p0, *tables_coarse)
         lo = td.element_values.min()
         hi = td.element_values.max()
         nz = td.nodal[np.unique(mesh.tris[td.design_elements].ravel())]
@@ -126,19 +128,40 @@ class TestAssembly:
         t1, t2 = (CorrectionTable(t.case, t.t[:5], t.j2_e1[:5], t.j2_e2[:5],
                                   t.radius, t.h0, t.curve_hash)
                   for t in tables_coarse)
-        p0 = ScalarField(mesh, np.random.default_rng(3).normal(size=mesh.n_nodes))
-        td = assemble_generalized_td(mesh, marrocco, psi, state.field, p0, t1, t2)
+        p0 = np.random.default_rng(3).normal(size=mesh.n_nodes)
+        td = assemble_generalized_td(state, p0, t1, t2)
 
-        gu = state.field.element_gradients()[design]
-        gp = p0.element_gradients()[design]
+        gu = mesh.element_gradients(state.field)[design]
+        gp = mesh.element_gradients(p0)[design]
         ferro = ferro_element_mask(mesh, psi)[design]
-        expected = np.array([
-            g_ferro_to_air(marrocco, a, b, t1) if f
-            else -g_air_to_ferro(marrocco, a, b, t2)
-            for a, b, f in zip(gu, gp, ferro)])
+        expected = pointwise_oracle(marrocco, gu, gp, ferro, t1, t2)
         clamped = np.hypot(gu[:, 0], gu[:, 1]) > t1.t[-1]
         assert (clamped & ferro).any() and (clamped & ~ferro).any()
         assert td.n_clamped == clamped.sum()
+        np.testing.assert_allclose(td.element_values, expected, rtol=0.0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    def test_branches_follow_state_mask(self, marrocco, tables_coarse):
+        # the state is solved with an explicit mask, not a level set: the
+        # all-ferro default design with one interior design element in air
+        mesh = generate_square_benchmark(16)
+        design = np.flatnonzero(mesh.region == Region.DESIGN)
+        mask = ferro_element_mask(mesh, default_levelset(mesh))
+        cen = mesh.centroids[design]
+        hole = design[np.argmin(np.hypot(*(cen - cen.mean(axis=0)).T))]
+        mask[hole] = False
+        src = SourceSpec(magnetization=np.array([0.0, 3e6]))
+        state = solve_state(mesh, marrocco, sources=src, ferro_mask=mask)
+        p0 = np.random.default_rng(4).normal(size=mesh.n_nodes)
+        td = assemble_generalized_td(state, p0, *tables_coarse)
+
+        ferro = mask[design]
+        assert td.n_ferro_to_air == ferro.sum() == design.size - 1
+        assert td.n_air_to_ferro == (~ferro).sum() == 1
+        t1, t2 = tables_coarse
+        gu = mesh.element_gradients(state.field)[design]
+        gp = mesh.element_gradients(p0)[design]
+        expected = pointwise_oracle(marrocco, gu, gp, ferro, t1, t2)
         np.testing.assert_allclose(td.element_values, expected, rtol=0.0,
                                    atol=1e-12 * np.abs(expected).max())
 
@@ -149,12 +172,11 @@ class TestAssembly:
         psi = default_levelset(mesh)
         src = SourceSpec(magnetization=np.array([0.0, 1e5]))
         state = solve_state(mesh, linear_stub, levelset=psi, sources=src)
-        p0 = ScalarField(mesh, -state.field.values)  # self-adjoint surrogate
-        td = assemble_generalized_td(mesh, linear_stub, psi, state.field, p0,
-                                     Z1, Z2)
+        p0 = -state.field  # self-adjoint surrogate
+        td = assemble_generalized_td(state, p0, Z1, Z2)
         lam = linear_stub.nu_const
         c1 = 2 * np.pi * lam * (NU0 - lam) / (NU0 + lam)
-        gu = state.field.element_gradients()[td.design_elements]
+        gu = mesh.element_gradients(state.field)[td.design_elements]
         gp = -gu
         expected = c1 * np.einsum("ei,ei->e", gu, gp)
         np.testing.assert_allclose(td.element_values, expected, rtol=1e-10)
@@ -166,10 +188,9 @@ class TestAssembly:
         psi = default_levelset(mesh)
         src = SourceSpec(magnetization=np.array([0.0, 1e5]))
         state = solve_state(mesh, linear_stub, levelset=psi, sources=src)
-        p0 = ScalarField(mesh, -state.field.values)
-        td = assemble_generalized_td(mesh, linear_stub, psi, state.field, p0,
-                                     Z1, Z2)
-        gu = state.field.element_gradients()[td.design_elements]
+        p0 = -state.field
+        td = assemble_generalized_td(state, p0, Z1, Z2)
+        gu = mesh.element_gradients(state.field)[td.design_elements]
         active = (gu * gu).sum(1) > 1e-16
         assert np.all(td.element_values[active] < 0.0)
 
@@ -197,8 +218,7 @@ class TestElementFlipOracle:
         j0 = eval_objective(mesh, state.field, prob.objective)
         gvec = assemble_adjoint_rhs(mesh, state.field, prob.objective)
         p = fem.solve_adjoint(state, -gvec)
-        field = assemble_generalized_td(mesh, marrocco, psi, state.field, p,
-                                        *tables_coarse)
+        field = assemble_generalized_td(state, p, *tables_coarse)
 
         g = field.element_values
         order = np.argsort(g)
