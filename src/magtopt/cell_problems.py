@@ -71,12 +71,25 @@ def _sides(mesh: TriMesh, case: PerturbationCase):
     return inclusion, inclusion, +1.0
 
 
+def factorize_jacobian0(curve, grad_u, case: PerturbationCase,
+                        disc: TriMesh):
+    """Factorization of the free block of the direct-variation Jacobian at
+    h = 0, which is also the adjoint-variation matrix."""
+    _, nonlin, _ = _sides(disc, case)
+    coeff = fem._material_jacobian(
+        curve, nonlin, np.broadcast_to(np.asarray(grad_u, dtype=float),
+                                       (disc.n_tris, 2)))
+    return fem.factorize(fem.assemble_stiffness(disc, coeff,
+                                                fem._free_nodes(disc)))
+
+
 def solve_direct_variation(curve, grad_u, case: PerturbationCase,
                            disc: TriMesh, tol: float = 1e-10,
-                           max_iter: int = 50) -> np.ndarray:
+                           max_iter: int = 50, lu0=None) -> np.ndarray:
     """Damped-Newton solve (fem.damped_newton) of the nonlinear transmission
     problem for the variation of the direct state; nodal values (n,). A zero
-    state gradient gives the trivial solution without solving.
+    state gradient gives the trivial solution without solving. `lu0`
+    (factorize_jacobian0) replaces the first Newton step's factorization.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
@@ -102,30 +115,31 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase,
     def jacobian(h):
         gh = disc.element_gradients(h)
         return fem.assemble_stiffness(
-            disc, fem._material_jacobian(curve, nonlin, grad_u + gh))
+            disc, fem._material_jacobian(curve, nonlin, grad_u + gh), free)
 
     tol_eff = tol * np.linalg.norm(rhs[free]) + 1e-14
     h, _, _ = fem.damped_newton(residual, jacobian, np.zeros(n), free,
-                                tol_eff, max_iter, max_halvings=20)
+                                tol_eff, max_iter, max_halvings=20, jac0=lu0)
     return h
 
 
 def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
-                            disc: TriMesh) -> np.ndarray:
+                            disc: TriMesh, lu0=None) -> np.ndarray:
     """Linear solve for the variation of the adjoint state, whose matrix is
-    the direct-variation Jacobian at h = 0: grad_p (2,) gives nodal values
+    the direct-variation Jacobian at h = 0 (factorized here unless `lu0`
+    from factorize_jacobian0 is given): grad_p (2,) gives nodal values
     (n,), a stack (k, 2) gives (n, k) from one factorization."""
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
-    inclusion, nonlin, sign = _sides(disc, case)
-    jac = fem.assemble_stiffness(disc, fem._material_jacobian(
-        curve, nonlin, np.broadcast_to(grad_u, (disc.n_tris, 2))))
+    inclusion, _, sign = _sides(disc, case)
+    if lu0 is None:
+        lu0 = factorize_jacobian0(curve, grad_u, case, disc)
 
     contrast = curve.nu_air * np.eye(2) - material.flux_jacobian(curve, grad_u)
     f_el = np.zeros((disc.n_tris,) + grad_p.shape)
     f_el[inclusion] = sign * grad_p @ contrast.T
     rhs = fem.assemble_flux_divergence(disc, f_el)
-    return fem.solve_free(jac, rhs, fem._free_nodes(disc))
+    return fem.solve_free(lu0, rhs, fem._free_nodes(disc))
 
 
 def analytic_adjoint_variation(curve, grad_u, grad_p, x):
@@ -242,8 +256,9 @@ def _table_sample(curve, case, spec: DiscSpec, t: float):
     if t == 0.0:
         return 0.0, 0.0
     grad_u, basis = np.array([t, 0.0]), np.eye(2)
-    direct = solve_direct_variation(curve, grad_u, case, disc)
-    adjoint = solve_adjoint_variation(curve, grad_u, basis, case, disc)
+    lu0 = factorize_jacobian0(curve, grad_u, case, disc)
+    direct = solve_direct_variation(curve, grad_u, case, disc, lu0=lu0)
+    adjoint = solve_adjoint_variation(curve, grad_u, basis, case, disc, lu0=lu0)
     return compute_correction(curve, grad_u, basis, case, disc,
                               direct=direct, adjoint=adjoint)
 

@@ -71,14 +71,42 @@ def assemble_rhs(mesh: TriMesh, sources: SourceSpec) -> np.ndarray:
     return assemble_rhs_elements(mesh, jz_el, m_el)
 
 
-def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray) -> sp.csr_matrix:
-    """Stiffness matrix for per-element 2x2 coefficient `coeff` (m, 2, 2)."""
+def _free_block_pattern(mesh: TriMesh, free: np.ndarray):
+    """CSC structure (indptr, indices) of the stiffness block on the `free`
+    DOFs, and the position of each of the 9 m element entries in its data
+    array (len(indices) for entries outside the block). Computed on first
+    use and cached on the mesh per free set."""
+    key = ("free_block_pattern", free.tobytes())
+    if key not in mesh._cache:
+        nf = free.size
+        loc = np.full(mesh.n_nodes, -1, dtype=np.int64)
+        loc[free] = np.arange(nf)
+        # element entry (k, l) is grad(phi_l) . C grad(phi_k): row l, column k
+        rows = loc[np.tile(mesh.tris, (1, 3)).ravel()]
+        cols = loc[np.repeat(mesh.tris, 3, axis=1).ravel()]
+        inside = (rows >= 0) & (cols >= 0)
+        entries, pos = np.unique(cols[inside] * nf + rows[inside],
+                                 return_inverse=True)
+        scatter = np.full(rows.size, entries.size, dtype=np.int64)
+        scatter[inside] = pos
+        indptr = np.searchsorted(entries // nf, np.arange(nf + 1))
+        mesh._cache[key] = (indptr.astype(np.int32),
+                            (entries % nf).astype(np.int32), scatter)
+    return mesh._cache[key]
+
+
+def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray,
+                       free: np.ndarray = None) -> sp.csc_matrix:
+    """Stiffness matrix K_ij = sum_e A_e grad(phi_i) . coeff_e grad(phi_j)
+    for per-element 2x2 coefficients `coeff` (m, 2, 2), restricted to the
+    rows and columns of the `free` DOFs (in their order; all nodes when
+    None)."""
+    free = np.arange(mesh.n_nodes) if free is None else free
+    indptr, indices, scatter = _free_block_pattern(mesh, free)
     db = np.einsum("eij,ekj->eki", coeff, mesh.grads)
     ke = np.einsum("eki,eli->ekl", db, mesh.grads) * mesh.areas[:, None, None]
-    rows = np.repeat(mesh.tris, 3, axis=1).ravel()
-    cols = np.tile(mesh.tris, (1, 3)).ravel()
-    n = mesh.n_nodes
-    return sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(n, n))
+    data = np.bincount(scatter, weights=ke.ravel(), minlength=indices.size + 1)
+    return sp.csc_matrix((data[:-1], indices, indptr), shape=(free.size,) * 2)
 
 
 def assemble_flux_divergence(mesh: TriMesh, flux_el: np.ndarray) -> np.ndarray:
@@ -113,24 +141,33 @@ def _free_nodes(mesh: TriMesh) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def solve_free(A: sp.spmatrix, b: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Solve A x = b, b of shape (n,) or (n, k), restricted to the `free`
-    DOFs with one factorization; x has b's shape and is zero elsewhere."""
+def factorize(A: sp.csc_matrix):
+    """Sparse LU of a symmetric system matrix, with a fill-reducing ordering
+    of A^T + A (every system matrix here is symmetric)."""
     try:
-        lu = spla.splu(A[np.ix_(free, free)].tocsc())
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+
+def solve_free(A, b: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Solve A x = b, b of shape (n,) or (n, k), on the `free` DOFs: A is the
+    free block (assemble_stiffness with `free`) or its `factorize`d form.
+    x has b's shape and is zero off the free DOFs."""
+    lu = A if isinstance(A, spla.SuperLU) else factorize(A)
     x = np.zeros(np.shape(b))
     x[free] = lu.solve(np.asarray(b, dtype=float)[free])
     return x
 
 
 def damped_newton(residual, jacobian, x0: np.ndarray, free: np.ndarray,
-                  tol: float, max_iter: int, max_halvings: int):
+                  tol: float, max_iter: int, max_halvings: int, jac0=None):
     """Damped Newton for residual(x) = 0 on the free DOFs.
 
     Converged when ||residual(x)[free]||_2 <= tol; each Newton step is
     halved (up to max_halvings) until the residual norm strictly decreases.
+    jacobian(x) returns the free block (or its factorization); jac0, if
+    given, stands for jacobian(x0) in the first step.
     Returns (x, iterations, residual_norm).
     """
     x = x0
@@ -141,7 +178,8 @@ def damped_newton(residual, jacobian, x0: np.ndarray, free: np.ndarray,
             return x, it, rnorm
         if it == max_iter:
             break
-        dx = solve_free(jacobian(x), -r, free)
+        jac = jac0 if it == 0 and jac0 is not None else jacobian(x)
+        dx = solve_free(jac, -r, free)
         step = 1.0
         for _ in range(max_halvings):
             r_try = residual(x + step * dx)
@@ -192,13 +230,16 @@ def _material_jacobian(curve, ferro_mask, grad_u):
 def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
                 rhs: np.ndarray = None, tol_abs: float = 1e-10,
                 tol_rel: float = 1e-10, max_iter: int = 50,
-                max_halvings: int = 20, ferro_mask: np.ndarray = None) -> StateResult:
+                max_halvings: int = 20, ferro_mask: np.ndarray = None,
+                x0: np.ndarray = None) -> StateResult:
     """Damped-Newton solve of the quasilinear state equation, converged when
     ||r||_2 <= tol_abs + tol_rel ||F||_2.
 
     Either `sources` or a pre-assembled load vector `rhs` must be given.
     `ferro_mask` overrides the level-set material indicator with an explicit
     per-element boolean array (single-element perturbation studies).
+    `x0` is the Newton start on the free DOFs (zero by default), e.g. the
+    field of a nearby design.
     """
     if rhs is None:
         if sources is None:
@@ -215,10 +256,13 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
 
     def jacobian(u):
         gu = mesh.element_gradients(u)
-        return assemble_stiffness(mesh, _material_jacobian(curve, ferro, gu))
+        return assemble_stiffness(mesh, _material_jacobian(curve, ferro, gu), free)
 
-    u, iterations, rnorm = damped_newton(residual, jacobian, np.zeros(mesh.n_nodes),
-                                         free, tol, max_iter, max_halvings)
+    u0 = np.zeros(mesh.n_nodes)
+    if x0 is not None:
+        u0[free] = np.asarray(x0, dtype=float)[free]
+    u, iterations, rnorm = damped_newton(residual, jacobian, u0, free, tol,
+                                         max_iter, max_halvings)
     return StateResult(mesh, u, iterations, rnorm, ferro, curve, free)
 
 
@@ -228,12 +272,13 @@ def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> np.ndarray:
 
     `adjoint_rhs` is the literal right-hand-side vector of the linear system
     (for the tracking objective the caller passes the negated objective
-    derivative). The matrix is symmetric because the flux Jacobian is.
-    Returns the nodal adjoint p (n,).
+    derivative). The matrix is symmetric because the flux Jacobian is; its
+    free block is checked. Returns the nodal adjoint p (n,).
     """
     mesh = state.mesh
     jac = assemble_stiffness(mesh, _material_jacobian(
-        state.curve, state.ferro_mask, mesh.element_gradients(state.field)))
+        state.curve, state.ferro_mask, mesh.element_gradients(state.field)),
+        state.free)
     asym = abs(jac - jac.T).max()
     if asym > 1e-9 * abs(jac).max():
         raise SolverError(f"adjoint system matrix not symmetric (dev {asym:.3g})")

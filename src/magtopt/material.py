@@ -256,7 +256,12 @@ def nonlinearity(curve, W: np.ndarray, V: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     V = np.asarray(V, dtype=float)
     DV = np.einsum("...ij,...j->...i", flux_jacobian(curve, W), V)
-    return flux_map(curve, W + V) - flux_map(curve, W) - DV
+    # flux_map(W+V) - flux_map(W) with the nu(|W|) W terms cancelled
+    # analytically: the remainder is round-off-free where nu is constant
+    WV = W + V
+    nu_w = curve.nu(np.linalg.norm(W, axis=-1))
+    dnu = curve.nu(np.linalg.norm(WV, axis=-1)) - nu_w
+    return dnu[..., None] * WV + nu_w[..., None] * V - DV
 
 
 def jacobian_eigenvalues(curve, s):

@@ -156,9 +156,12 @@ class Driver:
         self.space = DesignSpace(problem.mesh)
         self.rhs = fem.assemble_rhs(problem.mesh, problem.sources)
 
-    def solve(self, psi: LevelSetField) -> tuple[fem.StateResult, float]:
+    def solve(self, psi: LevelSetField,
+              x0: np.ndarray = None) -> tuple[fem.StateResult, float]:
+        """State solve and objective at psi; x0 is the Newton start (zero
+        by default)."""
         res = fem.solve_state(self.problem.mesh, self.curve,
-                              levelset=psi.expand(), rhs=self.rhs)
+                              levelset=psi.expand(), rhs=self.rhs, x0=x0)
         j = problem_setup.eval_objective(self.problem.mesh, res.field,
                                          self.problem.objective)
         return res, j
@@ -180,10 +183,12 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
 
     Computes theta between the current psi and the normalized descent field,
     then tries kappa_start, kappa_start/2, ... accepting the first trial
-    whose objective strictly decreases. A trial whose state solve fails is
-    rejected like one that does not decrease the objective (with a logged
-    warning). Underflow of kappa marks a stall, theta below tolerance marks
-    convergence.
+    whose objective strictly decreases. Each trial's state solve starts from
+    the current design's field, so a trial with the design's own material
+    mask converges at once to the same J and is rejected. A trial whose
+    state solve fails is rejected like one that does not decrease the
+    objective (with a logged warning). Underflow of kappa marks a stall,
+    theta below tolerance marks convergence.
     """
     if descent.norm() == 0.0:
         state.status = "converged"
@@ -195,11 +200,12 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
         state.status = "converged"
         return state
 
+    u0 = None if state.solution is None else state.solution.field
     kappa = options.kappa_start
     while kappa >= options.kappa_min:
         trial = slerp(state.psi, g, theta, kappa)
         try:
-            res, j_try = driver.solve(trial)
+            res, j_try = driver.solve(trial, x0=u0)
         except fem.SolverError as exc:
             log.warning("state solve failed in trial kappa=%g at iteration %d "
                         "(residual %s): %s; trial rejected",

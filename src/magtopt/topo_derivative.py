@@ -68,8 +68,8 @@ def assemble_generalized_td(state: StateResult, p: np.ndarray,
     """
     mesh, curve = state.mesh, state.curve
     design = np.flatnonzero(mesh.region == Region.DESIGN)
-    gu = mesh.element_gradients(state.field)[design]
-    gp = mesh.element_gradients(p)[design]
+    gu = mesh.element_gradients(state.field, design)
+    gp = mesh.element_gradients(p, design)
     ferro = state.ferro_mask[design]
 
     vals = np.empty(design.size)

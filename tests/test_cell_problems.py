@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magtopt import fem, material
+from magtopt import cell_problems, fem, material
 from magtopt.fem import SolverError
 from magtopt.cell_problems import (DiscSpec, CorrectionTable, PerturbationCase,
                                    analytic_adjoint_variation, build_correction_table,
@@ -330,6 +330,33 @@ class TestTruncation:
         ja = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_mesh(s1000))
         jb = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_mesh(s500))
         assert abs(ja - jb) <= 0.01 * abs(ja)
+
+
+class TestTableSample:
+    def test_h0_factorization_shared(self, marrocco, monkeypatch):
+        # the first Newton step of the direct variation and the adjoint
+        # variation share one factorization of the h = 0 Jacobian
+        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+        disc = disc_mesh(spec)
+        grad_u, basis = np.array([1.5, 0.0]), np.eye(2)
+        calls = []
+        factorize = fem.factorize
+
+        def counted(A):
+            calls.append(A)
+            return factorize(A)
+
+        monkeypatch.setattr(fem, "factorize", counted)
+        direct = solve_direct_variation(marrocco, grad_u, CASE_I, disc)
+        n_direct = len(calls)
+        adjoint = solve_adjoint_variation(marrocco, grad_u, basis, CASE_I, disc)
+        separate = compute_correction(marrocco, grad_u, basis, CASE_I, disc,
+                                      direct=direct, adjoint=adjoint)
+        calls.clear()
+        shared = cell_problems._table_sample(marrocco, CASE_I, spec, 1.5)
+        assert n_direct >= 2
+        assert len(calls) == n_direct
+        assert np.array_equal(shared, separate)
 
 
 class TestWorkers:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from magtopt import fem
 from magtopt.fem import (SolverError, SourceSpec, assemble_rhs,
@@ -114,6 +116,100 @@ class TestStateSolve:
         assert 2 <= res.iterations <= 50
 
 
+class TestWarmStart:
+    SOURCES = SourceSpec(magnetization=np.array([0.0, 3e6]))
+
+    def test_converged_start_returns_at_once(self, bench, marrocco):
+        cold = solve_state(bench, marrocco, sources=self.SOURCES)
+        warm = solve_state(bench, marrocco, sources=self.SOURCES, x0=cold.field)
+        assert cold.iterations >= 2
+        assert warm.iterations == 0
+        assert np.array_equal(warm.field, cold.field)
+        assert warm.residual_norm == cold.residual_norm
+
+    def test_neighbouring_design_matches_cold(self, bench, marrocco):
+        rhs = assemble_rhs(bench, self.SOURCES)
+        mask = ferro_element_mask(bench, None)
+        previous = solve_state(bench, marrocco, rhs=rhs, ferro_mask=mask)
+        # swap the design elements nearest the region's centre to air
+        design = np.flatnonzero(bench.region == Region.DESIGN)
+        centre = bench.centroids[design].mean(axis=0)
+        near = np.argsort(np.linalg.norm(bench.centroids[design] - centre, axis=1))
+        trial_mask = mask.copy()
+        trial_mask[design[near[:design.size // 4]]] = False
+        cold = solve_state(bench, marrocco, rhs=rhs, ferro_mask=trial_mask)
+        warm = solve_state(bench, marrocco, rhs=rhs, ferro_mask=trial_mask,
+                           x0=previous.field)
+        tol = 1e-10 + 1e-10 * np.linalg.norm(rhs[warm.free])
+        assert 1 <= warm.iterations < cold.iterations
+        assert warm.residual_norm <= tol and cold.residual_norm <= tol
+        np.testing.assert_allclose(warm.field, cold.field, rtol=0,
+                                   atol=1e-8 * np.abs(cold.field).max())
+
+
+class TestFreeBlock:
+    """The free-DOF block assembled through the cached pattern, against the
+    full matrix and an independent triplet sum."""
+
+    @pytest.fixture(params=["square16", "disc_coarse"])
+    def mesh(self, request, bench):
+        return bench if request.param == "square16" \
+            else request.getfixturevalue("disc_coarse")
+
+    @staticmethod
+    def coefficients(mesh):
+        # a non-symmetric coefficient, so a transposed scatter shows
+        return RNG.normal(size=(mesh.n_tris, 2, 2)) + 3.0 * np.eye(2)
+
+    @staticmethod
+    def coo_reference(mesh, coeff):
+        # K_ij = sum_e A_e grad(phi_i) . C_e grad(phi_j), summed from triplets
+        ke = np.einsum("eki,eij,elj->ekl", mesh.grads, coeff, mesh.grads) \
+            * mesh.areas[:, None, None]
+        rows = np.repeat(mesh.tris, 3, axis=1).ravel()
+        cols = np.tile(mesh.tris, (1, 3)).ravel()
+        n = mesh.n_nodes
+        return sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(n, n))
+
+    def test_free_block_matches_full_matrix(self, mesh):
+        coeff = self.coefficients(mesh)
+        full = fem.assemble_stiffness(mesh, coeff)
+        ref = self.coo_reference(mesh, coeff)
+        scale = abs(ref).max()
+        assert abs(full - ref).max() <= 1e-14 * scale
+        free = fem._free_nodes(mesh)
+        block = fem.assemble_stiffness(mesh, coeff, free)
+        assert block.shape == (free.size, free.size)
+        assert abs(block - full[np.ix_(free, free)]).max() <= 1e-14 * scale
+
+    def test_solve_free_matches_spsolve(self, mesh, marrocco):
+        gu = RNG.normal(size=(mesh.n_tris, 2))
+        coeff = fem._material_jacobian(marrocco, mesh.region != Region.AIR_FIXED, gu)
+        free = fem._free_nodes(mesh)
+        block = fem.assemble_stiffness(mesh, coeff, free)
+        b = RNG.normal(size=mesh.n_nodes)
+        x = fem.solve_free(block, b, free)
+        ref = spla.spsolve(block, b[free])
+        assert np.all(x[mesh.dirichlet_nodes()] == 0.0)
+        np.testing.assert_allclose(x[free], ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+        # a factorization stands in for the matrix
+        assert np.array_equal(fem.solve_free(fem.factorize(block), b, free), x)
+
+    def test_pattern_keyed_by_free_set(self, mesh):
+        coeff = self.coefficients(mesh)
+        full = fem.assemble_stiffness(mesh, coeff)
+        free = fem._free_nodes(mesh)
+        fem.assemble_stiffness(mesh, coeff, free)
+        # same size, one node swapped: a pattern cached by size would be stale
+        swapped = np.sort(np.append(free[1:], mesh.dirichlet_nodes()[0]))
+        for other in (free[1:], swapped):
+            block = fem.assemble_stiffness(mesh, coeff, other)
+            assert block.shape == (other.size, other.size)
+            assert abs(block - full[np.ix_(other, other)]).max() \
+                <= 1e-14 * abs(full).max()
+
+
 class TestLevelSetMask:
     def test_none_means_all_design_is_ferro(self, bench):
         mask = ferro_element_mask(bench, None)
@@ -160,7 +256,8 @@ class TestAdjoint:
         # the same system assembled afresh from the converged field
         gu = bench.element_gradients(state.field)
         jac = fem.assemble_stiffness(
-            bench, fem._material_jacobian(marrocco, state.ferro_mask, gu))
+            bench, fem._material_jacobian(marrocco, state.ferro_mask, gu),
+            state.free)
         p2 = fem.solve_free(jac, rhs, state.free)
         np.testing.assert_allclose(p1, p2, rtol=1e-9, atol=1e-12)
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,32 @@ class TestNonlinearity:
         V = RNG.normal(size=(50, 2))
         np.testing.assert_allclose(nonlinearity(linear_stub, W, V), 0.0,
                                    atol=1e-9)
+        # the nu(|W|) W terms cancel analytically, not in round-off
+        assert np.all(nonlinearity(linear_stub, W, V) == 0.0)
+
+    def test_small_increment_accuracy(self, marrocco):
+        # reference: the remainder from the same nu values and Jacobian in
+        # exact rational arithmetic; the error stays at round-off of the
+        # increment-sized terms, not of nu |W| (|V| << |W| here)
+        rng = np.random.default_rng(11)
+        W = rng.normal(scale=1.5, size=(20, 2))
+        V = rng.normal(scale=1e-3, size=(20, 2))
+        got = nonlinearity(marrocco, W, V)
+        nu_w = marrocco.nu(np.linalg.norm(W, axis=1))
+        nu_wv = marrocco.nu(np.linalg.norm(W + V, axis=1))
+        jac = flux_jacobian(marrocco, W)
+        eps = np.finfo(float).eps
+        for e in range(len(W)):
+            n0, n1 = Fraction(float(nu_w[e])), Fraction(float(nu_wv[e]))
+            w = [Fraction(float(x)) for x in W[e]]
+            v = [Fraction(float(x)) for x in V[e]]
+            jv = [sum(Fraction(float(jac[e, i, j])) * v[j] for j in range(2))
+                  for i in range(2)]
+            for i in range(2):
+                exact = n1 * (w[i] + v[i]) - n0 * w[i] - jv[i]
+                bound = 8 * eps * float(abs(n1 - n0) * (abs(w[i]) + abs(v[i]))
+                                        + abs(n0 * v[i]) + abs(jv[i]))
+                assert abs(float(Fraction(float(got[e, i])) - exact)) <= bound
 
     def test_quadratic_bound(self, marrocco):
         # fit the constant once on a calibration sample, check on fresh draws

@@ -217,6 +217,32 @@ class TestFailedTrial:
             op.run(prob, marrocco, Z1, Z2, op.OptimizerOptions(max_iter=2))
 
 
+class TestWarmStart:
+    def test_descent_matches_cold_start(self, marrocco, tables_coarse,
+                                        monkeypatch):
+        prob = build_benchmark_problem("square", 32)
+        opts = op.OptimizerOptions(kappa_start=0.1, max_iter=400)
+        warm_starts = []
+        solve = fem.solve_state
+
+        def recorded(*args, x0=None, **kwargs):
+            warm_starts.append(x0 is not None)
+            return solve(*args, x0=x0, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_state", recorded)
+        warm = op.run(prob, marrocco, *tables_coarse, opts)
+        monkeypatch.setattr(fem, "solve_state",
+                            lambda *args, x0=None, **kwargs: solve(*args, **kwargs))
+        cold = op.run(prob, marrocco, *tables_coarse, opts)
+        # every trial after the initial solve starts from the current design
+        assert warm_starts == [False] + [True] * (len(warm_starts) - 1)
+        assert warm.k == cold.k >= 10
+        assert warm.status == cold.status
+        assert [r.kappa for r in warm.records] == [r.kappa for r in cold.records]
+        np.testing.assert_allclose(warm.objective_history,
+                                   cold.objective_history, rtol=1e-9, atol=0)
+
+
 class TestFerroFraction:
     def test_all_positive_is_one(self, square16, space):
         psi = op.LevelSetField(space, np.ones(space.nodes.size))
