@@ -54,9 +54,8 @@ def assemble_rhs_elements(mesh: TriMesh, jz_el: np.ndarray,
     mperp = np.column_stack([-m[:, 1], m[:, 0]])
     contrib = np.einsum("ei,eki->ek", mperp, mesh.grads) * mesh.areas[:, None]
     contrib += (np.asarray(jz_el, dtype=float) * mesh.areas / 3.0)[:, None]
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.tris.ravel(), contrib.ravel())
-    return out
+    return np.bincount(mesh.tris.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 def assemble_rhs(mesh: TriMesh, sources: SourceSpec) -> np.ndarray:
@@ -103,8 +102,13 @@ def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray,
     None)."""
     free = np.arange(mesh.n_nodes) if free is None else free
     indptr, indices, scatter = _free_block_pattern(mesh, free)
-    db = np.einsum("eij,ekj->eki", coeff, mesh.grads)
-    ke = np.einsum("eki,eli->ekl", db, mesh.grads) * mesh.areas[:, None, None]
+    g0, g1 = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
+    # d_i[k] = (C grad(phi_k))_i; entry (k, l) = A_e sum_i d_i[k] grad_i(phi_l)
+    d0 = coeff[:, 0, 0, None] * g0 + coeff[:, 0, 1, None] * g1
+    d1 = coeff[:, 1, 0, None] * g0 + coeff[:, 1, 1, None] * g1
+    ke = d0[:, :, None] * g0[:, None, :]
+    ke += d1[:, :, None] * g1[:, None, :]
+    ke *= mesh.areas[:, None, None]
     data = np.bincount(scatter, weights=ke.ravel(), minlength=indices.size + 1)
     return sp.csc_matrix((data[:-1], indices, indptr), shape=(free.size,) * 2)
 
@@ -113,10 +117,13 @@ def assemble_flux_divergence(mesh: TriMesh, flux_el: np.ndarray) -> np.ndarray:
     """Vector with entries sum_e A_e flux_e . grad(phi_i) for (m, 2) fluxes;
     (m, k, 2) fluxes give k columns (n, k)."""
     cols = flux_el.shape[1:-1]
+    n = mesh.n_nodes
     contrib = np.einsum("e...i,eki->...ek", flux_el, mesh.grads) * mesh.areas[:, None]
-    out = np.zeros(cols + (mesh.n_nodes,))
-    np.add.at(out, (..., mesh.tris.ravel()), contrib.reshape(cols + (-1,)))
-    return out.T
+    # column c of a stack scatters into bins c * n + node
+    offset = n * np.arange(int(np.prod(cols)))[:, None]
+    out = np.bincount((offset + mesh.tris.ravel()).ravel(),
+                      weights=contrib.ravel(), minlength=offset.size * n)
+    return out.reshape(cols + (n,)).T
 
 
 def ferro_element_mask(mesh: TriMesh, levelset=None) -> np.ndarray:
@@ -135,17 +142,32 @@ def ferro_element_mask(mesh: TriMesh, levelset=None) -> np.ndarray:
 
 
 def _free_nodes(mesh: TriMesh) -> np.ndarray:
-    fixed = mesh.dirichlet_nodes()
-    free = np.ones(mesh.n_nodes, dtype=bool)
-    free[fixed] = False
-    return np.flatnonzero(free)
+    """The DOFs off the Dirichlet boundary, in a fill-reducing order.
+
+    The order is the column order SuperLU's MMD_AT_PLUS_A gives the free
+    block of the P1 Laplacian. It depends only on the sparsity pattern, which
+    every stiffness block on this mesh shares, so blocks assembled on this
+    free set arrive permuted and `factorize` needs no ordering of its own.
+    Computed on first use (one factorization) and cached on the mesh.
+    """
+    if "free_nodes" not in mesh._cache:
+        free = np.ones(mesh.n_nodes, dtype=bool)
+        free[mesh.dirichlet_nodes()] = False
+        free = np.flatnonzero(free)
+        laplace = assemble_stiffness(
+            mesh, np.broadcast_to(np.eye(2), (mesh.n_tris, 2, 2)), free)
+        # only blocks on the ordered set are assembled from here on
+        del mesh._cache[("free_block_pattern", free.tobytes())]
+        lu = spla.splu(laplace, permc_spec="MMD_AT_PLUS_A")
+        mesh._cache["free_nodes"] = free[np.argsort(lu.perm_c)]
+    return mesh._cache["free_nodes"]
 
 
 def factorize(A: sp.csc_matrix):
-    """Sparse LU of a symmetric system matrix, with a fill-reducing ordering
-    of A^T + A (every system matrix here is symmetric)."""
+    """Sparse LU of a system matrix in its given column order: blocks on
+    `_free_nodes` are already in fill-reducing order."""
     try:
-        return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(A, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 

@@ -177,6 +177,21 @@ class Driver:
                 td.n_clamped)
 
 
+def _solve_trial(driver: Driver, trial: LevelSetField, u0, kappa: float,
+                 k: int):
+    """State solve of a kappa trial started from u0; a warm start that fails
+    is retried once from a cold start, whose failure propagates."""
+    if u0 is None:
+        return driver.solve(trial)
+    try:
+        return driver.solve(trial, x0=u0)
+    except fem.SolverError as exc:
+        log.info("warm-started state solve failed in trial kappa=%g at "
+                 "iteration %d (residual %s): %s; retrying from a cold start",
+                 kappa, k, exc.residual_norm, exc)
+    return driver.solve(trial)
+
+
 def step(state: OptState, descent: LevelSetField, driver: Driver,
          options: OptimizerOptions) -> OptState:
     """One accepted descent iteration (or a terminal state).
@@ -185,8 +200,9 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
     then tries kappa_start, kappa_start/2, ... accepting the first trial
     whose objective strictly decreases. Each trial's state solve starts from
     the current design's field, so a trial with the design's own material
-    mask converges at once to the same J and is rejected. A trial whose
-    state solve fails is rejected like one that does not decrease the
+    mask converges at once to the same J and is rejected. A warm-started
+    solve that fails is retried once from a cold start; a trial whose cold
+    solve fails too is rejected like one that does not decrease the
     objective (with a logged warning). Underflow of kappa marks a stall,
     theta below tolerance marks convergence.
     """
@@ -205,7 +221,7 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
     while kappa >= options.kappa_min:
         trial = slerp(state.psi, g, theta, kappa)
         try:
-            res, j_try = driver.solve(trial, x0=u0)
+            res, j_try = _solve_trial(driver, trial, u0, kappa, state.k + 1)
         except fem.SolverError as exc:
             log.warning("state solve failed in trial kappa=%g at iteration %d "
                         "(residual %s): %s; trial rejected",

@@ -22,11 +22,10 @@ def write_vtk(path, mesh: TriMesh, point_data: dict = None,
         f.write(title[:255] + "\n")
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.nodes:
-            f.write(f"{x:.17g} {y:.17g} 0\n")
+        f.write("".join(f"{x:.17g} {y:.17g} 0\n"
+                        for x, y in mesh.nodes.tolist()))
         f.write(f"CELLS {mesh.n_tris} {4 * mesh.n_tris}\n")
-        for i, j, k in mesh.tris:
-            f.write(f"3 {i} {j} {k}\n")
+        f.write("".join(f"3 {i} {j} {k}\n" for i, j, k in mesh.tris.tolist()))
         f.write(f"CELL_TYPES {mesh.n_tris}\n")
         f.write("\n".join([str(_VTK_TRIANGLE)] * mesh.n_tris) + "\n")
         if point_data:
@@ -40,6 +39,6 @@ def write_vtk(path, mesh: TriMesh, point_data: dict = None,
 
 
 def _write_scalars(f, name, vals):
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(vals, dtype=float).tolist()
     f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-    f.write("\n".join(f"{v:.17g}" for v in vals) + "\n")
+    f.write("".join(f"{v:.17g}\n" for v in vals))

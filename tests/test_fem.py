@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from magtopt import fem
+from magtopt.cell_problems import DiscSpec
 from magtopt.fem import (SolverError, SourceSpec, assemble_rhs,
                          assemble_rhs_elements, ferro_element_mask,
                          solve_adjoint, solve_state)
@@ -149,7 +150,9 @@ class TestWarmStart:
 
 class TestFreeBlock:
     """The free-DOF block assembled through the cached pattern, against the
-    full matrix and an independent triplet sum."""
+    full matrix and an independent triplet sum; closed-form element
+    matrices, bincount scatters and the cached fill-reducing DOF order
+    against the generic forms they replace."""
 
     @pytest.fixture(params=["square16", "disc_coarse"])
     def mesh(self, request, bench):
@@ -208,6 +211,63 @@ class TestFreeBlock:
             assert block.shape == (other.size, other.size)
             assert abs(block - full[np.ix_(other, other)]).max() \
                 <= 1e-14 * abs(full).max()
+
+    def test_element_matrices_match_einsum(self, mesh):
+        coeff = self.coefficients(mesh)
+        free = fem._free_nodes(mesh)
+        block = fem.assemble_stiffness(mesh, coeff, free)
+        # the two-einsum contraction: entry (k, l) is grad(phi_l) . C grad(phi_k)
+        db = np.einsum("eij,ekj->eki", coeff, mesh.grads)
+        ke = np.einsum("eki,eli->ekl", db, mesh.grads) * mesh.areas[:, None, None]
+        _, indices, scatter = fem._free_block_pattern(mesh, free)
+        data = np.bincount(scatter, weights=ke.ravel(),
+                           minlength=indices.size + 1)[:-1]
+        assert np.array_equal(block.data, data)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2)])
+    def test_scatters_match_add_at(self, mesh, shape):
+        flux = RNG.normal(size=(mesh.n_tris,) + shape)
+        cols = shape[:-1]
+        contrib = np.einsum("e...i,eki->...ek", flux, mesh.grads) \
+            * mesh.areas[:, None]
+        ref = np.zeros(cols + (mesh.n_nodes,))
+        np.add.at(ref, (..., mesh.tris.ravel()), contrib.reshape(cols + (-1,)))
+        assert np.array_equal(fem.assemble_flux_divergence(mesh, flux), ref.T)
+
+        jz, m_el = RNG.normal(size=mesh.n_tris), RNG.normal(size=(mesh.n_tris, 2))
+        contrib = np.einsum("ei,eki->ek", np.column_stack([-m_el[:, 1], m_el[:, 0]]),
+                            mesh.grads) * mesh.areas[:, None]
+        contrib += (jz * mesh.areas / 3.0)[:, None]
+        ref = np.zeros(mesh.n_nodes)
+        np.add.at(ref, mesh.tris.ravel(), contrib.ravel())
+        assert np.array_equal(assemble_rhs_elements(mesh, jz, m_el), ref)
+
+    def test_free_nodes_permute_sorted_free_set(self, mesh):
+        free = fem._free_nodes(mesh)
+        interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.dirichlet_nodes())
+        assert np.array_equal(np.sort(free), interior)
+        assert not np.array_equal(free, interior)
+        assert fem._free_nodes(mesh) is free
+
+    def test_order_repeats_on_fresh_meshes(self):
+        # serial and parallel table builds order their own disc meshes
+        for build in (lambda: generate_square_benchmark(16),
+                      DiscSpec(radius=200.0, h0=0.2, n_theta=32).build):
+            a, b = build(), build()
+            free = fem._free_nodes(a)
+            assert np.array_equal(free, fem._free_nodes(b))
+            # no stiffness pattern is kept for the sorted set the order came from
+            assert ("free_block_pattern", np.sort(free).tobytes()) not in a._cache
+
+    def test_fill_matches_symmetric_ordering(self, mesh, marrocco):
+        gu = RNG.normal(size=(mesh.n_tris, 2))
+        coeff = fem._material_jacobian(marrocco, mesh.region != Region.AIR_FIXED, gu)
+        free = fem._free_nodes(mesh)
+        lu = fem.factorize(fem.assemble_stiffness(mesh, coeff, free))
+        ref = spla.splu(fem.assemble_stiffness(mesh, coeff, np.sort(free)),
+                        permc_spec="MMD_AT_PLUS_A")
+        assert np.array_equal(lu.perm_c, np.arange(free.size))
+        assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
 
 
 class TestLevelSetMask:

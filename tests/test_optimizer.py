@@ -182,18 +182,26 @@ class TestClampWarning:
 
 
 class TestFailedTrial:
+    @staticmethod
+    def failing_solves(monkeypatch, failing):
+        """Make the state solves numbered in `failing` raise (call 1 is the
+        initial design); returns the x0 each call was given."""
+        solve = fem.solve_state
+        starts = []
+
+        def injected(*args, x0=None, **kwargs):
+            starts.append(x0)
+            if len(starts) in failing:
+                raise fem.SolverError("injected failure", residual_norm=1.5)
+            return solve(*args, x0=x0, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_state", injected)
+        return starts
+
     def test_failed_trial_is_rejected(self, marrocco, monkeypatch, caplog):
         prob = build_benchmark_problem("square", 16)
-        solve = fem.solve_state
-        calls = []
-
-        def first_trial_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:        # call 1 is the initial design
-                raise fem.SolverError("injected failure", residual_norm=1.5)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(fem, "solve_state", first_trial_fails)
+        # the first trial's warm start and its cold retry both fail
+        self.failing_solves(monkeypatch, {2, 3})
         # 0.1 = kappa_start/2 is the first step a kappa_start = 0.1 run accepts
         options = op.OptimizerOptions(kappa_start=0.2, max_iter=2)
         with caplog.at_level(logging.WARNING, logger="magtopt.optimizer"):
@@ -205,6 +213,20 @@ class TestFailedTrial:
         assert "residual 1.5" in warnings[0]
         assert state.k == 2
         assert state.records[0].kappa == options.kappa_start / 2
+
+    def test_failed_warm_start_retried_cold(self, marrocco, monkeypatch,
+                                            caplog):
+        prob = build_benchmark_problem("square", 16)
+        starts = self.failing_solves(monkeypatch, {2})
+        # every smaller kappa raises J here, so only a retry of the failed
+        # kappa = 0.1 trial lets the run continue
+        options = op.OptimizerOptions(kappa_start=0.1, max_iter=1)
+        with caplog.at_level(logging.WARNING, logger="magtopt.optimizer"):
+            state = op.run(prob, marrocco, Z1, Z2, options)
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert starts[0] is None and starts[1] is not None and starts[2] is None
+        assert state.k == 1
+        assert state.records[0].kappa == options.kappa_start
 
     def test_initial_solve_failure_raises(self, marrocco, monkeypatch):
         prob = build_benchmark_problem("square", 16)
