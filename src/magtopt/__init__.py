@@ -3,9 +3,9 @@ magnetostatics: nonlinear state/adjoint FEM, closed-form polarization
 matrices, exterior cell problems for the nonlinear correction term, and a
 level-set descent algorithm."""
 
-from .material import (NU0, AssumptionReport, LinearCurve, MarroccoCurve,
-                       SplineCurve, eval_nu, flux_jacobian, flux_map,
-                       nonlinearity, validate_assumptions)
+from .material import (NU0, LinearCurve, MarroccoCurve, SplineCurve,
+                       flux_jacobian, flux_map, nonlinearity,
+                       validate_assumptions)
 from .mesh import (Boundary, Region, TriMesh, generate_disc_mesh,
                    generate_mini_motor, generate_square_benchmark, load_mesh,
                    save_mesh, unit_square_mesh)

@@ -79,23 +79,20 @@ def factorize_jacobian0(curve, grad_u, case: PerturbationCase,
     coeff = fem._material_jacobian(
         curve, nonlin, np.broadcast_to(np.asarray(grad_u, dtype=float),
                                        (disc.n_tris, 2)))
-    return fem.factorize(fem.assemble_stiffness(disc, coeff,
-                                                fem._free_nodes(disc)))
+    return fem.factorize(fem.assemble_stiffness(disc, coeff))
 
 
-def solve_direct_variation(curve, grad_u, case: PerturbationCase,
-                           disc: TriMesh, tol: float = 1e-10,
+def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
                            max_iter: int = 50, lu0=None) -> np.ndarray:
-    """Damped-Newton solve (fem.damped_newton) of the nonlinear transmission
-    problem for the variation of the direct state; nodal values (n,). A zero
-    state gradient gives the trivial solution without solving. `lu0`
-    (factorize_jacobian0) replaces the first Newton step's factorization.
-    """
+    """Damped-Newton solve (fem.damped_newton, to ||r||_2 <= fem.TOL_REL ||F||_2
+    + 1e-14) of the nonlinear transmission problem for the variation of the
+    direct state; nodal values (n,). A zero state gradient gives the trivial
+    solution without solving. `lu0` (factorize_jacobian0) replaces the first
+    Newton step's factorization."""
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
-    n = disc.n_nodes
     if np.hypot(grad_u[0], grad_u[1]) == 0.0:
-        return np.zeros(n)
+        return np.zeros(disc.n_nodes)
 
     nu0 = curve.nu_air
     nu_u0 = float(curve.nu(np.hypot(grad_u[0], grad_u[1])))
@@ -103,7 +100,6 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase,
     f_el[inclusion] = sign * (nu0 - nu_u0) * grad_u
     rhs = fem.assemble_flux_divergence(disc, f_el)
 
-    free = fem._free_nodes(disc)
     t_u0 = material.flux_map(curve, grad_u)
 
     def residual(h):
@@ -115,11 +111,12 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase,
     def jacobian(h):
         gh = disc.element_gradients(h)
         return fem.assemble_stiffness(
-            disc, fem._material_jacobian(curve, nonlin, grad_u + gh), free)
+            disc, fem._material_jacobian(curve, nonlin, grad_u + gh))
 
-    tol_eff = tol * np.linalg.norm(rhs[free]) + 1e-14
-    h, _, _ = fem.damped_newton(residual, jacobian, np.zeros(n), free,
-                                tol_eff, max_iter, max_halvings=20, jac0=lu0)
+    free, _ = fem._free_block(disc)
+    tol = fem.TOL_REL * np.linalg.norm(rhs[free]) + 1e-14
+    h, _, _ = fem.damped_newton(residual, jacobian, np.zeros(disc.n_nodes), disc,
+                                tol, max_iter, jac0=lu0)
     return h
 
 
@@ -139,7 +136,7 @@ def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
     f_el = np.zeros((disc.n_tris,) + grad_p.shape)
     f_el[inclusion] = sign * grad_p @ contrast.T
     rhs = fem.assemble_flux_divergence(disc, f_el)
-    return fem.solve_free(lu0, rhs, fem._free_nodes(disc))
+    return fem.solve_free(lu0, rhs, disc)
 
 
 def analytic_adjoint_variation(curve, grad_u, grad_p, x):
@@ -217,8 +214,11 @@ class CorrectionTable:
             raise ValueError("empty table")
         if self.t[0] != 0.0 or (self.j2_e1[0], self.j2_e2[0]) != (0.0, 0.0):
             raise ValueError("table must start with the zero row")
-        if self.t.size > 1 and np.any(np.diff(self.t) <= 0):
-            raise ValueError("table grid must be strictly increasing")
+        # comparisons with NaN are False, so a NaN grid point fails here
+        if not np.all(self.t[1:] > self.t[:-1]):
+            raise ValueError("table grid must be strictly increasing, without NaN")
+        if not np.all(np.isfinite(np.r_[self.j2_e1, self.j2_e2])):
+            raise ValueError("table j2 values must be finite")
 
     @classmethod
     def zeros(cls, case: PerturbationCase) -> "CorrectionTable":

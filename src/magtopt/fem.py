@@ -22,6 +22,12 @@ import scipy.sparse.linalg as spla
 from . import material
 from .mesh import Region, TriMesh
 
+#: state Newton converges when ||r||_2 <= TOL_ABS + TOL_REL ||F||_2
+TOL_ABS = 1e-10
+TOL_REL = 1e-10
+#: line-search halvings of one Newton step before it counts as stalled
+MAX_HALVINGS = 20
+
 
 class SolverError(Exception):
     """Newton or linear-solve failure; carries the last residual norm."""
@@ -70,38 +76,27 @@ def assemble_rhs(mesh: TriMesh, sources: SourceSpec) -> np.ndarray:
     return assemble_rhs_elements(mesh, jz_el, m_el)
 
 
-def _free_block_pattern(mesh: TriMesh, free: np.ndarray):
-    """CSC structure (indptr, indices) of the stiffness block on the `free`
-    DOFs, and the position of each of the 9 m element entries in its data
-    array (len(indices) for entries outside the block). Computed on first
-    use and cached on the mesh per free set."""
-    key = ("free_block_pattern", free.tobytes())
-    if key not in mesh._cache:
-        nf = free.size
-        loc = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        loc[free] = np.arange(nf)
-        # element entry (k, l) is grad(phi_l) . C grad(phi_k): row l, column k
-        rows = loc[np.tile(mesh.tris, (1, 3)).ravel()]
-        cols = loc[np.repeat(mesh.tris, 3, axis=1).ravel()]
-        inside = (rows >= 0) & (cols >= 0)
-        entries, pos = np.unique(cols[inside] * nf + rows[inside],
-                                 return_inverse=True)
-        scatter = np.full(rows.size, entries.size, dtype=np.int64)
-        scatter[inside] = pos
-        indptr = np.searchsorted(entries // nf, np.arange(nf + 1))
-        mesh._cache[key] = (indptr.astype(np.int32),
-                            (entries % nf).astype(np.int32), scatter)
-    return mesh._cache[key]
+def _block_structure(mesh: TriMesh, loc: np.ndarray):
+    """CSC structure (indptr, indices) of the stiffness block that holds node
+    i in row and column loc[i] (nodes with loc -1 are left out), and the
+    position of each of the 9 m element entries in its data array
+    (len(indices) for entries left out)."""
+    n = int(loc.max()) + 1
+    # element entry (k, l) is grad(phi_l) . C grad(phi_k): row l, column k
+    rows = loc[np.tile(mesh.tris, (1, 3)).ravel()]
+    cols = loc[np.repeat(mesh.tris, 3, axis=1).ravel()]
+    inside = (rows >= 0) & (cols >= 0)
+    entries, pos = np.unique(cols[inside] * n + rows[inside], return_inverse=True)
+    scatter = np.full(rows.size, entries.size, dtype=np.int64)
+    scatter[inside] = pos
+    indptr = np.searchsorted(entries // n, np.arange(n + 1))
+    return indptr.astype(np.int32), (entries % n).astype(np.int32), scatter
 
 
-def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray,
-                       free: np.ndarray = None) -> sp.csc_matrix:
-    """Stiffness matrix K_ij = sum_e A_e grad(phi_i) . coeff_e grad(phi_j)
-    for per-element 2x2 coefficients `coeff` (m, 2, 2), restricted to the
-    rows and columns of the `free` DOFs (in their order; all nodes when
-    None)."""
-    free = np.arange(mesh.n_nodes) if free is None else free
-    indptr, indices, scatter = _free_block_pattern(mesh, free)
+def _stiffness(mesh: TriMesh, coeff: np.ndarray, structure) -> sp.csc_matrix:
+    """Entries sum_e A_e grad(phi_i) . coeff_e grad(phi_j) summed into a
+    _block_structure."""
+    indptr, indices, scatter = structure
     g0, g1 = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
     # d_i[k] = (C grad(phi_k))_i; entry (k, l) = A_e sum_i d_i[k] grad_i(phi_l)
     d0 = coeff[:, 0, 0, None] * g0 + coeff[:, 0, 1, None] * g1
@@ -110,7 +105,34 @@ def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray,
     ke += d1[:, :, None] * g1[:, None, :]
     ke *= mesh.areas[:, None, None]
     data = np.bincount(scatter, weights=ke.ravel(), minlength=indices.size + 1)
-    return sp.csc_matrix((data[:-1], indices, indptr), shape=(free.size,) * 2)
+    return sp.csc_matrix((data[:-1], indices, indptr), shape=(indptr.size - 1,) * 2)
+
+
+def _free_block(mesh: TriMesh):
+    """The DOFs off the Dirichlet boundary in a fill-reducing order, and the
+    _block_structure of the stiffness block on them; computed on first use
+    (one factorization) and cached on the mesh. The order is the column order
+    SuperLU's MMD_AT_PLUS_A gives the P1 Laplacian on the sorted free DOFs.
+    It depends only on the sparsity pattern, which every stiffness block on
+    this mesh shares, so `factorize` needs no ordering of its own."""
+    if "free_block" not in mesh._cache:
+        dofs = np.setdiff1d(np.arange(mesh.n_nodes), mesh.dirichlet_nodes())
+        loc = np.full(mesh.n_nodes, -1, dtype=np.int64)
+        loc[dofs] = np.arange(dofs.size)
+        laplace = _stiffness(mesh, np.broadcast_to(np.eye(2), (mesh.n_tris, 2, 2)),
+                             _block_structure(mesh, loc))
+        # perm_c's base is the factorization: no name holds it past this line
+        dofs = dofs[np.argsort(spla.splu(laplace, permc_spec="MMD_AT_PLUS_A").perm_c)]
+        loc[dofs] = np.arange(dofs.size)
+        mesh._cache["free_block"] = (dofs, _block_structure(mesh, loc))
+    return mesh._cache["free_block"]
+
+
+def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray) -> sp.csc_matrix:
+    """Stiffness block K_ij = sum_e A_e grad(phi_i) . coeff_e grad(phi_j) on
+    the free DOFs in their fill-reducing order (_free_block), for
+    per-element 2x2 coefficients `coeff` (m, 2, 2)."""
+    return _stiffness(mesh, coeff, _free_block(mesh)[1])
 
 
 def assemble_flux_divergence(mesh: TriMesh, flux_el: np.ndarray) -> np.ndarray:
@@ -141,57 +163,36 @@ def ferro_element_mask(mesh: TriMesh, levelset=None) -> np.ndarray:
     return mask | (design & (psi_c > 0.0))
 
 
-def _free_nodes(mesh: TriMesh) -> np.ndarray:
-    """The DOFs off the Dirichlet boundary, in a fill-reducing order.
-
-    The order is the column order SuperLU's MMD_AT_PLUS_A gives the free
-    block of the P1 Laplacian. It depends only on the sparsity pattern, which
-    every stiffness block on this mesh shares, so blocks assembled on this
-    free set arrive permuted and `factorize` needs no ordering of its own.
-    Computed on first use (one factorization) and cached on the mesh.
-    """
-    if "free_nodes" not in mesh._cache:
-        free = np.ones(mesh.n_nodes, dtype=bool)
-        free[mesh.dirichlet_nodes()] = False
-        free = np.flatnonzero(free)
-        laplace = assemble_stiffness(
-            mesh, np.broadcast_to(np.eye(2), (mesh.n_tris, 2, 2)), free)
-        # only blocks on the ordered set are assembled from here on
-        del mesh._cache[("free_block_pattern", free.tobytes())]
-        lu = spla.splu(laplace, permc_spec="MMD_AT_PLUS_A")
-        mesh._cache["free_nodes"] = free[np.argsort(lu.perm_c)]
-    return mesh._cache["free_nodes"]
-
-
 def factorize(A: sp.csc_matrix):
-    """Sparse LU of a system matrix in its given column order: blocks on
-    `_free_nodes` are already in fill-reducing order."""
+    """Sparse LU of a stiffness block in its given column order, which is
+    already fill-reducing."""
     try:
         return spla.splu(A, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
 
-def solve_free(A, b: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Solve A x = b, b of shape (n,) or (n, k), on the `free` DOFs: A is the
-    free block (assemble_stiffness with `free`) or its `factorize`d form.
-    x has b's shape and is zero off the free DOFs."""
-    lu = A if isinstance(A, spla.SuperLU) else factorize(A)
+def solve_free(lu, b: np.ndarray, mesh: TriMesh) -> np.ndarray:
+    """Solve A x = b, b of shape (n,) or (n, k), on the free DOFs of `mesh`
+    with the `factorize`d stiffness block `lu`. x has b's shape and is zero
+    on the Dirichlet boundary."""
+    free, _ = _free_block(mesh)
     x = np.zeros(np.shape(b))
     x[free] = lu.solve(np.asarray(b, dtype=float)[free])
     return x
 
 
-def damped_newton(residual, jacobian, x0: np.ndarray, free: np.ndarray,
-                  tol: float, max_iter: int, max_halvings: int, jac0=None):
-    """Damped Newton for residual(x) = 0 on the free DOFs.
+def damped_newton(residual, jacobian, x0: np.ndarray, mesh: TriMesh,
+                  tol: float, max_iter: int, jac0=None):
+    """Damped Newton for residual(x) = 0 on the free DOFs of `mesh`.
 
     Converged when ||residual(x)[free]||_2 <= tol; each Newton step is
-    halved (up to max_halvings) until the residual norm strictly decreases.
-    jacobian(x) returns the free block (or its factorization); jac0, if
-    given, stands for jacobian(x0) in the first step.
+    halved (up to MAX_HALVINGS times) until the residual norm strictly
+    decreases. jacobian(x) returns the stiffness block; jac0, if given, is
+    the factorization of jacobian(x0) and serves the first step.
     Returns (x, iterations, residual_norm).
     """
+    free, _ = _free_block(mesh)
     x = x0
     r = residual(x)
     rnorm = np.linalg.norm(r[free])
@@ -200,10 +201,11 @@ def damped_newton(residual, jacobian, x0: np.ndarray, free: np.ndarray,
             return x, it, rnorm
         if it == max_iter:
             break
-        jac = jac0 if it == 0 and jac0 is not None else jacobian(x)
-        dx = solve_free(jac, -r, free)
+        lu = jac0 if it == 0 and jac0 is not None else factorize(jacobian(x))
+        dx = solve_free(lu, -r, mesh)
+        del lu   # holding the factors through the line search raises peak memory
         step = 1.0
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             r_try = residual(x + step * dx)
             rn_try = np.linalg.norm(r_try[free])
             if rn_try < rnorm:
@@ -229,7 +231,6 @@ class StateResult:
     residual_norm: float
     ferro_mask: np.ndarray
     curve: object
-    free: np.ndarray
 
 
 def _material_flux(curve, ferro_mask, grad_u):
@@ -250,12 +251,10 @@ def _material_jacobian(curve, ferro_mask, grad_u):
 
 
 def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
-                rhs: np.ndarray = None, tol_abs: float = 1e-10,
-                tol_rel: float = 1e-10, max_iter: int = 50,
-                max_halvings: int = 20, ferro_mask: np.ndarray = None,
-                x0: np.ndarray = None) -> StateResult:
+                rhs: np.ndarray = None, max_iter: int = 50,
+                ferro_mask: np.ndarray = None, x0: np.ndarray = None) -> StateResult:
     """Damped-Newton solve of the quasilinear state equation, converged when
-    ||r||_2 <= tol_abs + tol_rel ||F||_2.
+    ||r||_2 <= TOL_ABS + TOL_REL ||F||_2.
 
     Either `sources` or a pre-assembled load vector `rhs` must be given.
     `ferro_mask` overrides the level-set material indicator with an explicit
@@ -269,8 +268,8 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
         rhs = assemble_rhs(mesh, sources)
     ferro = ferro_element_mask(mesh, levelset) if ferro_mask is None \
         else np.asarray(ferro_mask, dtype=bool)
-    free = _free_nodes(mesh)
-    tol = tol_abs + tol_rel * np.linalg.norm(rhs[free])
+    free, _ = _free_block(mesh)
+    tol = TOL_ABS + TOL_REL * np.linalg.norm(rhs[free])
 
     def residual(u):
         gu = mesh.element_gradients(u)
@@ -278,14 +277,13 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
 
     def jacobian(u):
         gu = mesh.element_gradients(u)
-        return assemble_stiffness(mesh, _material_jacobian(curve, ferro, gu), free)
+        return assemble_stiffness(mesh, _material_jacobian(curve, ferro, gu))
 
     u0 = np.zeros(mesh.n_nodes)
     if x0 is not None:
         u0[free] = np.asarray(x0, dtype=float)[free]
-    u, iterations, rnorm = damped_newton(residual, jacobian, u0, free, tol,
-                                         max_iter, max_halvings)
-    return StateResult(mesh, u, iterations, rnorm, ferro, curve, free)
+    u, iterations, rnorm = damped_newton(residual, jacobian, u0, mesh, tol, max_iter)
+    return StateResult(mesh, u, iterations, rnorm, ferro, curve)
 
 
 def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> np.ndarray:
@@ -299,9 +297,8 @@ def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> np.ndarray:
     """
     mesh = state.mesh
     jac = assemble_stiffness(mesh, _material_jacobian(
-        state.curve, state.ferro_mask, mesh.element_gradients(state.field)),
-        state.free)
+        state.curve, state.ferro_mask, mesh.element_gradients(state.field)))
     asym = abs(jac - jac.T).max()
     if asym > 1e-9 * abs(jac).max():
         raise SolverError(f"adjoint system matrix not symmetric (dev {asym:.3g})")
-    return solve_free(jac, adjoint_rhs, state.free)
+    return solve_free(factorize(jac), adjoint_rhs, mesh)

@@ -212,13 +212,6 @@ class SplineCurve:
 # ---------------------------------------------------------------------------
 # derived operators
 
-def eval_nu(curve, s: float) -> float:
-    """Reluctivity at flux density magnitude s >= 0."""
-    if s < 0:
-        raise MaterialError("flux density magnitude must be >= 0")
-    return float(curve.nu(s))
-
-
 def flux_map(curve, W: np.ndarray) -> np.ndarray:
     """H-field map nu(|W|) W; W has shape (..., 2)."""
     W = np.asarray(W, dtype=float)

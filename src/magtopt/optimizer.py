@@ -133,10 +133,10 @@ class OptState:
     accepted iterations by the acceptance rule."""
     psi: LevelSetField
     objective: float
+    solution: fem.StateResult   # state solve at the current psi
     k: int = 0
     status: str = "running"
     records: list = field(default_factory=list)
-    solution: fem.StateResult | None = None   # state solve at the current psi
 
     @property
     def objective_history(self):
@@ -181,8 +181,6 @@ def _solve_trial(driver: Driver, trial: LevelSetField, u0, kappa: float,
                  k: int):
     """State solve of a kappa trial started from u0; a warm start that fails
     is retried once from a cold start, whose failure propagates."""
-    if u0 is None:
-        return driver.solve(trial)
     try:
         return driver.solve(trial, x0=u0)
     except fem.SolverError as exc:
@@ -216,7 +214,7 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
         state.status = "converged"
         return state
 
-    u0 = None if state.solution is None else state.solution.field
+    u0 = state.solution.field
     kappa = options.kappa_start
     while kappa >= options.kappa_min:
         trial = slerp(state.psi, g, theta, kappa)

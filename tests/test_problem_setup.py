@@ -153,6 +153,23 @@ class TestBenchmarks:
                                              0.3 * np.sin(2 * th),
                                              period=2 * np.pi), atol=1e-12)
 
+    def test_target_csv_single_row_is_constant(self, tmp_path):
+        p = tmp_path / "target.csv"
+        p.write_text("theta,b_d\n0.5,0.25\n")
+        prob = build_benchmark_problem("square", 16, b_target=load_target_csv(p))
+        assert np.all(prob.objective.b_target == 0.25)
+
+    @pytest.mark.parametrize("body", ["", "0.5\n1.0\n", "0.5,0.2,3\n",
+                                      "0.5,0.2\n1.0,0.1,3\n"],
+                             ids=["no_rows", "one_column", "three_columns",
+                                  "ragged"])
+    def test_short_target_csv_names_file(self, tmp_path, body):
+        p = tmp_path / "target.csv"
+        p.write_text("theta,b_d\n" + body)
+        with pytest.raises(ConfigurationError) as exc:
+            load_target_csv(p)
+        assert str(exc.value).startswith(f"{p}: ")
+
 
 class TestDefaultLevelset:
     def test_all_ferro_at_centroids(self, square):
