@@ -14,6 +14,14 @@ term integrates the material nonlinearity at the direct variation against
 the adjoint data over the nonlinear side; it is linear in the adjoint
 gradient and invariant under joint rotation of both gradients, which reduces
 its precomputation to two 1D tables in the state-gradient magnitude.
+
+A table sample takes grad_u = t e1. Both variations it needs (the direct one
+and the adjoint one for grad_p = e1) are then odd in x and even in y, so it
+solves them on the quarter sector {x >= 0, y >= 0} of the disc mesh, with
+value 0 on the y-axis, and tabulates 4 times the sector's integral. The
+sector is the exact restriction of the disc mesh when n_theta is a multiple
+of 4. The e2 column is zero by the same reflection symmetry and is stored as
+exact zeros.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, material, polarization
-from .mesh import Region, TriMesh, generate_disc_mesh
+from .mesh import Boundary, Region, TriMesh, generate_disc_mesh
 
 
 class PerturbationCase(enum.Enum):
@@ -194,9 +202,10 @@ def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
 class CorrectionTable:
     """Samples of the correction term along t = |grad_u| for grad_p = e1 and e2.
 
-    The e2 column is zero in the continuum (reflection symmetry plus
-    linearity in grad_p) and stays near machine zero on the symmetric disc mesh;
-    it is kept for the evaluation formula and as a discretization check.
+    The e2 column is zero by reflection symmetry plus linearity in grad_p;
+    built tables store it as exact zeros, since each sample is solved on the
+    quarter disc, which imposes that symmetry (on the full disc mesh it is
+    round-off). It is kept for the evaluation formula and the file format.
     """
     case: PerturbationCase
     t: np.ndarray
@@ -251,22 +260,53 @@ def default_t_grid(t_max: float = 3.0, n: int = 61) -> np.ndarray:
     return np.linspace(0.0, t_max, n)
 
 
+def _quarter(disc: TriMesh) -> TriMesh:
+    """The sector {x >= 0, y >= 0} of a disc mesh whose n_theta is a multiple
+    of 4: its triangles and nodes, renumbered, with the outer arc and the
+    y-axis (centre node included) as the Dirichlet boundary; the x-axis keeps
+    the natural condition. Cached on the disc mesh."""
+    if "quarter" not in disc._cache:
+        cen = disc.centroids
+        keep = (cen[:, 0] > 0.0) & (cen[:, 1] > 0.0)
+        if 4 * np.count_nonzero(keep) != disc.n_tris:
+            raise ValueError(f"quarter cut kept {np.count_nonzero(keep)} of "
+                             f"{disc.n_tris} triangles, not a quarter")
+        used = np.unique(disc.tris[keep])
+        loc = np.full(disc.n_nodes, -1, dtype=np.int64)
+        loc[used] = np.arange(used.size)
+        nodes = disc.nodes[used]
+        arc = disc.bedges[np.all(loc[disc.bedges] >= 0, axis=1)]
+        # y-axis nodes sit at x = r cos(pi/2) ~ 6e-17 r, not at 0
+        r = np.hypot(nodes[:, 0], nodes[:, 1])
+        axis = np.flatnonzero(np.abs(nodes[:, 0]) <= 1e-12 * r)
+        axis = axis[np.argsort(r[axis])]
+        bedges = np.vstack([loc[arc], np.column_stack([axis[:-1], axis[1:]])])
+        disc._cache["quarter"] = TriMesh(
+            nodes, loc[disc.tris[keep]], disc.region[keep], bedges,
+            np.full(len(bedges), Boundary.DIRICHLET_OUTER, dtype=np.int8))
+    return disc._cache["quarter"]
+
+
 def _table_sample(curve, case, spec: DiscSpec, t: float):
-    disc = disc_mesh(spec)
+    """(j2_e1, j2_e2) at t: 4 times the e1 correction on the quarter disc,
+    and zero (module docstring)."""
     if t == 0.0:
         return 0.0, 0.0
-    grad_u, basis = np.array([t, 0.0]), np.eye(2)
-    lu0 = factorize_jacobian0(curve, grad_u, case, disc)
-    direct = solve_direct_variation(curve, grad_u, case, disc, lu0=lu0)
-    adjoint = solve_adjoint_variation(curve, grad_u, basis, case, disc, lu0=lu0)
-    return compute_correction(curve, grad_u, basis, case, disc,
-                              direct=direct, adjoint=adjoint)
+    quarter = _quarter(disc_mesh(spec))
+    grad_u, e1 = np.array([t, 0.0]), np.array([1.0, 0.0])
+    lu0 = factorize_jacobian0(curve, grad_u, case, quarter)
+    direct = solve_direct_variation(curve, grad_u, case, quarter, lu0=lu0)
+    adjoint = solve_adjoint_variation(curve, grad_u, e1, case, quarter, lu0=lu0)
+    return 4.0 * compute_correction(curve, grad_u, e1, case, quarter,
+                                    direct=direct, adjoint=adjoint), 0.0
 
 
 def build_correction_table(curve, case: PerturbationCase, t_grid=None,
                    disc_spec: DiscSpec = None, workers: int = 1) -> CorrectionTable:
     """Solve the cell problems for each grid value of t = |grad_u| and tabulate
     the two correction components. The t = 0 row is exact zeros by theory.
+    Each sample is solved on the quarter disc (_table_sample), which needs
+    disc_spec.n_theta to be a multiple of 4 (ValueError before any solve).
 
     Failures abort with the offending sample index. With workers > 1 the
     samples run in separate processes; results are gathered in grid order,
@@ -276,6 +316,9 @@ def build_correction_table(curve, case: PerturbationCase, t_grid=None,
     spec = disc_spec or DiscSpec()
     if t_grid.size == 0 or t_grid[0] != 0.0:
         raise ValueError("t grid must be non-empty and start at 0")
+    if spec.n_theta % 4 != 0:
+        raise ValueError(f"n_theta = {spec.n_theta} is not a multiple of 4: the "
+                         "disc axes must be mesh lines for the quarter-disc solve")
     sample = functools.partial(_table_sample, curve, case, spec)
     ts = t_grid.tolist()
     vals = np.zeros((len(ts), 2))

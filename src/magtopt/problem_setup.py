@@ -181,8 +181,9 @@ def build_benchmark_problem(kind: str, resolution: int,
 
 def load_target_csv(path):
     """Target override from CSV `theta,b_d` (radians, tesla): a header line,
-    then one or more rows (one row gives a constant target). Returns a
-    callable that interpolates periodically in the midpoint angle."""
+    then one or more rows of finite values (one row gives a constant
+    target). Returns a callable that interpolates periodically in the
+    midpoint angle."""
     with warnings.catch_warnings():
         # a file without rows is reported below, not as loadtxt's warning
         warnings.simplefilter("ignore", UserWarning)
@@ -192,6 +193,8 @@ def load_target_csv(path):
             raise ConfigurationError(f"{path}: {exc}") from exc
     if data.shape[0] == 0 or data.shape[1] != 2:
         raise ConfigurationError(f"{path}: need one or more rows of theta,b_d")
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError(f"{path}: theta,b_d values must be finite")
     th, bd = data[:, 0], data[:, 1]
 
     def target(mid):

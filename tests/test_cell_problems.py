@@ -344,8 +344,8 @@ class TestTableSample:
         # the first Newton step of the direct variation and the adjoint
         # variation share one factorization of the h = 0 Jacobian
         spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
-        disc = disc_mesh(spec)
-        grad_u, basis = np.array([1.5, 0.0]), np.eye(2)
+        quarter = cell_problems._quarter(disc_mesh(spec))
+        grad_u, e1 = np.array([1.5, 0.0]), np.array([1.0, 0.0])
         calls = []
         factorize = fem.factorize
 
@@ -354,16 +354,64 @@ class TestTableSample:
             return factorize(A)
 
         monkeypatch.setattr(fem, "factorize", counted)
-        direct = solve_direct_variation(marrocco, grad_u, CASE_I, disc)
+        direct = solve_direct_variation(marrocco, grad_u, CASE_I, quarter)
         n_direct = len(calls)
-        adjoint = solve_adjoint_variation(marrocco, grad_u, basis, CASE_I, disc)
-        separate = compute_correction(marrocco, grad_u, basis, CASE_I, disc,
-                                      direct=direct, adjoint=adjoint)
+        adjoint = solve_adjoint_variation(marrocco, grad_u, e1, CASE_I, quarter)
+        separate = (4.0 * compute_correction(marrocco, grad_u, e1, CASE_I, quarter,
+                                             direct=direct, adjoint=adjoint), 0.0)
         calls.clear()
         shared = cell_problems._table_sample(marrocco, CASE_I, spec, 1.5)
         assert n_direct >= 2
         assert len(calls) == n_direct
         assert np.array_equal(shared, separate)
+
+
+class TestQuarterDisc:
+    """Table samples solve the aligned cell problems on the quarter sector
+    {x >= 0, y >= 0} of the disc mesh."""
+
+    SPEC = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+
+    def test_cut_is_a_quarter(self):
+        disc = disc_mesh(self.SPEC)
+        quarter = cell_problems._quarter(disc)
+        assert 4 * quarter.n_tris == disc.n_tris
+        assert 4.0 * quarter.areas.sum() == pytest.approx(disc.areas.sum(),
+                                                          rel=1e-12)
+        assert np.all(quarter.nodes >= -1e-9)
+
+    def test_dirichlet_nodes_are_arc_and_y_axis(self):
+        quarter = cell_problems._quarter(disc_mesh(self.SPEC))
+        x, y = quarter.nodes.T
+        on_arc = np.isclose(np.hypot(x, y), self.SPEC.radius, rtol=1e-12)
+        on_axis = np.abs(x) < 1e-9
+        np.testing.assert_array_equal(quarter.dirichlet_nodes(),
+                                      np.flatnonzero(on_arc | on_axis))
+
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_sample_matches_full_disc(self, marrocco, case):
+        disc = disc_mesh(self.SPEC)
+        for t in (0.8, 1.5, 2.4):
+            full = compute_correction(marrocco, np.array([t, 0.0]), np.eye(2),
+                                      case, disc)
+            e1, e2 = cell_problems._table_sample(marrocco, case, self.SPEC, t)
+            assert abs(e1 - full[0]) <= 1e-9 * abs(full[0])
+            assert e2 == 0.0
+            # on the full disc, e2 vanishes by symmetry up to round-off
+            assert abs(full[1]) <= 1e-9 * abs(full[0])
+
+    def test_n_theta_not_multiple_of_4_rejected(self, marrocco, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fem, "factorize", lambda A: calls.append(A))
+        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=30)
+        with pytest.raises(ValueError, match="n_theta = 30"):
+            build_correction_table(marrocco, CASE_I, np.array([0.0, 1.0]), spec)
+        assert calls == []
+
+    def test_cut_refuses_unaligned_disc(self):
+        disc = DiscSpec(radius=200.0, h0=0.2, n_theta=30).build()
+        with pytest.raises(ValueError, match="not a quarter"):
+            cell_problems._quarter(disc)
 
 
 class TestWorkers:

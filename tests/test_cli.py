@@ -104,6 +104,14 @@ class TestBuildTables:
         assert rc == 0
         assert len(load_table(out / "j2_case1.csv").t) == 1
 
+    def test_n_theta_not_multiple_of_4_rejected(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, n_theta="30")
+        out = tmp_path / "out"
+        rc = cli.main(["build-tables", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert "n_theta = 30" in caplog.text
+        assert not (out / "j2_case1.csv").exists()
+
 
 class TestOptimize:
     def test_end_to_end_square(self, tmp_path):
@@ -126,6 +134,17 @@ class TestOptimize:
         rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         assert f"{target}: need one or more rows of theta,b_d" in caplog.text
+        assert not (out / "iterations.csv").exists()
+
+    @pytest.mark.parametrize("row", ["3.0,nan", "inf,0.2"], ids=["nan_b_d", "inf_theta"])
+    def test_non_finite_target_rejected(self, tmp_path, caplog, row):
+        target = tmp_path / "target.csv"
+        target.write_text(f"theta,b_d\n0.5,0.2\n{row}\n")
+        cfg = write_config(tmp_path, target_csv=str(target))
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{target}: theta,b_d values must be finite" in caplog.text
         assert not (out / "iterations.csv").exists()
 
     def test_resume_guard(self, tmp_path):
