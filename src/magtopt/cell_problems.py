@@ -30,7 +30,7 @@ import contextlib
 import enum
 import functools
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,8 +132,7 @@ def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
                             disc: TriMesh, lu0=None) -> np.ndarray:
     """Linear solve for the variation of the adjoint state, whose matrix is
     the direct-variation Jacobian at h = 0 (factorized here unless `lu0`
-    from factorize_jacobian0 is given): grad_p (2,) gives nodal values
-    (n,), a stack (k, 2) gives (n, k) from one factorization."""
+    from factorize_jacobian0 is given); nodal values (n,)."""
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
     inclusion, _, sign = _sides(disc, case)
@@ -141,7 +140,7 @@ def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
         lu0 = factorize_jacobian0(curve, grad_u, case, disc)
 
     contrast = curve.nu_air * np.eye(2) - material.flux_jacobian(curve, grad_u)
-    f_el = np.zeros((disc.n_tris,) + grad_p.shape)
+    f_el = np.zeros((disc.n_tris, 2))
     f_el[inclusion] = sign * grad_p @ contrast.T
     rhs = fem.assemble_flux_divergence(disc, f_el)
     return fem.solve_free(lu0, rhs, disc)
@@ -178,8 +177,8 @@ def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
     """Correction term: the material nonlinearity evaluated at the direct
     variation, integrated against the adjoint data over the nonlinear side
     (exterior for air-in-ferro, inclusion for ferro-in-air), by centroid
-    quadrature. grad_p (2,) gives a float, a stack (k, 2) gives (k,).
-    Solves both cell problems (nodal values) internally unless supplied.
+    quadrature. Solves both cell problems (nodal values) internally unless
+    supplied.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
@@ -191,8 +190,7 @@ def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
     gh = disc.element_gradients(direct)[nonlin]
     gk = disc.element_gradients(adjoint)[nonlin]
     s_el = material.nonlinearity(curve, np.broadcast_to(grad_u, gh.shape), gh)
-    j = np.einsum("e,ei,e...i->...", disc.areas[nonlin], s_el, grad_p + gk)
-    return float(j) if j.ndim == 0 else j
+    return float(np.einsum("e,ei,ei->", disc.areas[nonlin], s_el, grad_p + gk))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +304,8 @@ def build_correction_table(curve, case: PerturbationCase, t_grid=None,
     """Solve the cell problems for each grid value of t = |grad_u| and tabulate
     the two correction components. The t = 0 row is exact zeros by theory.
     Each sample is solved on the quarter disc (_table_sample), which needs
-    disc_spec.n_theta to be a multiple of 4 (ValueError before any solve).
+    disc_spec.n_theta to be a multiple of 4. A grid that breaks that rule or
+    CorrectionTable's raises ValueError before any solve.
 
     Failures abort with the offending sample index. With workers > 1 the
     samples run in separate processes; results are gathered in grid order,
@@ -314,8 +313,10 @@ def build_correction_table(curve, case: PerturbationCase, t_grid=None,
     """
     t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     spec = disc_spec or DiscSpec()
-    if t_grid.size == 0 or t_grid[0] != 0.0:
-        raise ValueError("t grid must be non-empty and start at 0")
+    # the zero-valued table applies the grid rules before any solve
+    zero = np.zeros(t_grid.shape)
+    table = CorrectionTable(case, t_grid, zero, zero, spec.radius, spec.h0,
+                            curve.cache_key())
     if spec.n_theta % 4 != 0:
         raise ValueError(f"n_theta = {spec.n_theta} is not a multiple of 4: the "
                          "disc axes must be mesh lines for the quarter-disc solve")
@@ -332,8 +333,7 @@ def build_correction_table(curve, case: PerturbationCase, t_grid=None,
                 raise fem.SolverError(
                     f"table sample {i} (t = {t:g}) failed: {exc}",
                     residual_norm=exc.residual_norm) from exc
-    return CorrectionTable(case, t_grid, vals[:, 0], vals[:, 1],
-                   spec.radius, spec.h0, curve.cache_key())
+    return replace(table, j2_e1=vals[:, 0], j2_e2=vals[:, 1])
 
 
 def eval_correction(table: CorrectionTable, grad_u, grad_p) -> float:

@@ -132,6 +132,8 @@ def _build_tables(cfg, curve, out: Path):
     them to their configured paths, and return them (case I, case II)."""
     spec = disc_spec(cfg)
     t_max, n = float(cfg["t_max"]), int(cfg["n_samples"])
+    if not (np.isfinite(t_max) and t_max >= 0.0):
+        raise ConfigError(f"t_max = {t_max:g} must be finite and non-negative")
     grid = np.linspace(0.0, t_max, n) if t_max > 0 else np.array([0.0])
     h = config_hash(cfg)
     tables = []

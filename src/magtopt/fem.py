@@ -136,16 +136,10 @@ def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray) -> sp.csc_matrix:
 
 
 def assemble_flux_divergence(mesh: TriMesh, flux_el: np.ndarray) -> np.ndarray:
-    """Vector with entries sum_e A_e flux_e . grad(phi_i) for (m, 2) fluxes;
-    (m, k, 2) fluxes give k columns (n, k)."""
-    cols = flux_el.shape[1:-1]
-    n = mesh.n_nodes
-    contrib = np.einsum("e...i,eki->...ek", flux_el, mesh.grads) * mesh.areas[:, None]
-    # column c of a stack scatters into bins c * n + node
-    offset = n * np.arange(int(np.prod(cols)))[:, None]
-    out = np.bincount((offset + mesh.tris.ravel()).ravel(),
-                      weights=contrib.ravel(), minlength=offset.size * n)
-    return out.reshape(cols + (n,)).T
+    """Vector with entries sum_e A_e flux_e . grad(phi_i) for (m, 2) fluxes."""
+    contrib = np.einsum("ei,eki->ek", flux_el, mesh.grads) * mesh.areas[:, None]
+    return np.bincount(mesh.tris.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 def ferro_element_mask(mesh: TriMesh, levelset=None) -> np.ndarray:
@@ -173,11 +167,11 @@ def factorize(A: sp.csc_matrix):
 
 
 def solve_free(lu, b: np.ndarray, mesh: TriMesh) -> np.ndarray:
-    """Solve A x = b, b of shape (n,) or (n, k), on the free DOFs of `mesh`
-    with the `factorize`d stiffness block `lu`. x has b's shape and is zero
-    on the Dirichlet boundary."""
+    """Solve A x = b for nodal b (n,) on the free DOFs of `mesh` with the
+    `factorize`d stiffness block `lu`; x (n,) is zero on the Dirichlet
+    boundary."""
     free, _ = _free_block(mesh)
-    x = np.zeros(np.shape(b))
+    x = np.zeros(mesh.n_nodes)
     x[free] = lu.solve(np.asarray(b, dtype=float)[free])
     return x
 

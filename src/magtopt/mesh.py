@@ -97,12 +97,8 @@ class TriMesh:
         self._cache["grads"] = b
 
     def element_gradients(self, u: np.ndarray, elements=None) -> np.ndarray:
-        """Gradient of the P1 field u, constant per element: shape (m, 2)
-        for nodal values (n,), (m, k, 2) for k nodal columns (n, k); only
-        the rows of `elements` (an index array) when given."""
-        if u.ndim == 2:
-            return np.stack([self.element_gradients(c, elements) for c in u.T],
-                            axis=1)
+        """Gradient of the P1 field u (n,), constant per element: shape
+        (m, 2), only the rows of `elements` (an index array) when given."""
         tris, grads = (self.tris, self.grads) if elements is None else \
             (self.tris[elements], self.grads[elements])
         return np.einsum("ek,eki->ei", u[tris], grads)

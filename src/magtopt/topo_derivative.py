@@ -41,16 +41,12 @@ def g_air_to_ferro(curve, grad_u, grad_p,
 class TopoDerivField:
     """Generalized descent field over the design region.
 
-    element_values holds one scalar per DESIGN element (indexed by
-    design_elements); nodal is the area-weighted projection onto the nodes of
-    design elements, zero elsewhere. The branch counters record how many
-    elements took each sensitivity, n_clamped how many table lookups clamped.
+    element_values holds one scalar per DESIGN element, in element order;
+    nodal is the area-weighted projection onto the nodes of design elements,
+    zero elsewhere; n_clamped counts the table lookups that clamped.
     """
-    design_elements: np.ndarray
     element_values: np.ndarray
     nodal: np.ndarray
-    n_ferro_to_air: int
-    n_air_to_ferro: int
     n_clamped: int
 
 
@@ -91,5 +87,4 @@ def assemble_generalized_td(state: StateResult, p: np.ndarray,
     np.add.at(wsum, tr.ravel(), w)
     nz = wsum > 0
     nodal[nz] /= wsum[nz]
-    return TopoDerivField(design, vals, nodal, int(ferro.sum()),
-                          int((~ferro).sum()), n_clamped)
+    return TopoDerivField(vals, nodal, n_clamped)

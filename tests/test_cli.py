@@ -112,6 +112,15 @@ class TestBuildTables:
         assert "n_theta = 30" in caplog.text
         assert not (out / "j2_case1.csv").exists()
 
+    @pytest.mark.parametrize("t_max", ["nan", "-1", "inf"])
+    def test_bad_tmax_rejected(self, tmp_path, caplog, t_max):
+        cfg = write_config(tmp_path, t_max=t_max)
+        out = tmp_path / "out"
+        rc = cli.main(["build-tables", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"t_max = {t_max} must be finite and non-negative" in caplog.text
+        assert not (out / "j2_case1.csv").exists()
+
 
 class TestOptimize:
     def test_end_to_end_square(self, tmp_path):
