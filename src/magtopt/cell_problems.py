@@ -84,48 +84,28 @@ def factorize_jacobian0(curve, grad_u, case: PerturbationCase,
     """Factorization of the free block of the direct-variation Jacobian at
     h = 0, which is also the adjoint-variation matrix."""
     _, nonlin, _ = _sides(disc, case)
-    coeff = fem._material_jacobian(
-        curve, nonlin, np.broadcast_to(np.asarray(grad_u, dtype=float),
-                                       (disc.n_tris, 2)))
-    return fem.factorize(fem.assemble_stiffness(disc, coeff))
+    return fem.factorize(fem.assemble_jacobian(
+        disc, curve, nonlin, np.broadcast_to(np.asarray(grad_u, dtype=float),
+                                             (disc.n_tris, 2))))
 
 
 def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
                            max_iter: int = 50, lu0=None) -> np.ndarray:
-    """Damped-Newton solve (fem.damped_newton, to ||r||_2 <= fem.TOL_REL ||F||_2
-    + 1e-14) of the nonlinear transmission problem for the variation of the
-    direct state; nodal values (n,). A zero state gradient gives the trivial
-    solution without solving. `lu0` (factorize_jacobian0) replaces the first
-    Newton step's factorization."""
+    """The nonlinear transmission problem for the variation H of the direct
+    state: fem.solve_quasilinear with offset w = grad_u on the nonlinear side,
+    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2; nodal values (n,). A zero
+    state gradient gives the trivial solution without solving. `lu0`
+    (factorize_jacobian0) replaces the first Newton step's factorization."""
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
     if np.hypot(grad_u[0], grad_u[1]) == 0.0:
         return np.zeros(disc.n_nodes)
-
-    nu0 = curve.nu_air
     nu_u0 = float(curve.nu(np.hypot(grad_u[0], grad_u[1])))
     f_el = np.zeros((disc.n_tris, 2))
-    f_el[inclusion] = sign * (nu0 - nu_u0) * grad_u
+    f_el[inclusion] = sign * (curve.nu_air - nu_u0) * grad_u
     rhs = fem.assemble_flux_divergence(disc, f_el)
-
-    t_u0 = material.flux_map(curve, grad_u)
-
-    def residual(h):
-        gh = disc.element_gradients(h)
-        flux = nu0 * gh
-        flux[nonlin] = material.flux_map(curve, grad_u + gh[nonlin]) - t_u0
-        return fem.assemble_flux_divergence(disc, flux) - rhs
-
-    def jacobian(h):
-        gh = disc.element_gradients(h)
-        return fem.assemble_stiffness(
-            disc, fem._material_jacobian(curve, nonlin, grad_u + gh))
-
-    free, _ = fem._free_block(disc)
-    tol = fem.TOL_REL * np.linalg.norm(rhs[free]) + 1e-14
-    h, _, _ = fem.damped_newton(residual, jacobian, np.zeros(disc.n_nodes), disc,
-                                tol, max_iter, jac0=lu0)
-    return h
+    return fem.solve_quasilinear(disc, curve, nonlin, rhs, 1e-14, max_iter,
+                                 w=grad_u, jac0=lu0)[0]
 
 
 def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,

@@ -134,6 +134,8 @@ def _build_tables(cfg, curve, out: Path):
     t_max, n = float(cfg["t_max"]), int(cfg["n_samples"])
     if not (np.isfinite(t_max) and t_max >= 0.0):
         raise ConfigError(f"t_max = {t_max:g} must be finite and non-negative")
+    if t_max > 0 and n < 2:
+        raise ConfigError(f"n_samples = {n} must be at least 2 when t_max > 0")
     grid = np.linspace(0.0, t_max, n) if t_max > 0 else np.array([0.0])
     h = config_hash(cfg)
     tables = []

@@ -176,39 +176,77 @@ def solve_free(lu, b: np.ndarray, mesh: TriMesh) -> np.ndarray:
     return x
 
 
-def damped_newton(residual, jacobian, x0: np.ndarray, mesh: TriMesh,
-                  tol: float, max_iter: int, jac0=None):
-    """Damped Newton for residual(x) = 0 on the free DOFs of `mesh`.
+def _flux(curve, mask, gx, g, t_w):
+    """Per-element flux T_e(w + gx) - T_e(w), given g = w + gx and t_w = T(w):
+    the material law on the masked elements, and nu_air gx elsewhere, where
+    the offset cancels."""
+    flux = curve.nu_air * gx
+    if np.any(mask):
+        flux[mask] = material.flux_map(curve, g[mask]) - t_w
+    return flux
 
-    Converged when ||residual(x)[free]||_2 <= tol; each Newton step is
-    halved (up to MAX_HALVINGS times) until the residual norm strictly
-    decreases. jacobian(x) returns the stiffness block; jac0, if given, is
-    the factorization of jacobian(x0) and serves the first step.
+
+def assemble_jacobian(mesh: TriMesh, curve, mask: np.ndarray,
+                      grad: np.ndarray) -> sp.csc_matrix:
+    """Stiffness block of the flux Jacobian: the material law's at the
+    element gradients grad (m, 2) on the masked elements, nu_air I
+    elsewhere."""
+    coeff = np.zeros((mesh.n_tris, 2, 2))
+    coeff[:, 0, 0] = coeff[:, 1, 1] = curve.nu_air
+    if np.any(mask):
+        coeff[mask] = material.flux_jacobian(curve, grad[mask])
+    return assemble_stiffness(mesh, coeff)
+
+
+def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
+                      tol_abs: float, max_iter: int, w: np.ndarray = None,
+                      x0: np.ndarray = None, jac0=None):
+    """Damped Newton for x (zero on the Dirichlet boundary) with
+
+        r_i(x) = sum_e A_e (T_e(w + grad x) - T_e(w)) . grad(phi_i) - F_i = 0
+
+    on the free DOFs of `mesh`, T_e the material law of `curve` on the
+    `mask`ed elements and nu_air elsewhere, w a constant offset 2-vector
+    (None: no offset) and F = rhs. Converged when ||r[free]||_2 <= tol_abs
+    + TOL_REL ||F[free]||_2; each Newton step is halved (up to MAX_HALVINGS
+    times) until the residual norm strictly decreases. x0 (zero by default)
+    is the start on the free DOFs; jac0, if given, is the factorization of
+    the Jacobian at x0 and serves the first step.
     Returns (x, iterations, residual_norm).
     """
     free, _ = _free_block(mesh)
-    x = x0
-    r = residual(x)
-    rnorm = np.linalg.norm(r[free])
+    tol = tol_abs + TOL_REL * np.linalg.norm(rhs[free])
+    t_w = 0.0 if w is None else material.flux_map(curve, w)
+
+    def residual(x):
+        gx = mesh.element_gradients(x)
+        g = gx if w is None else w + gx
+        r = assemble_flux_divergence(mesh, _flux(curve, mask, gx, g, t_w)) - rhs
+        return g, r, np.linalg.norm(r[free])
+
+    x = np.zeros(mesh.n_nodes)
+    if x0 is not None:
+        x[free] = np.asarray(x0, dtype=float)[free]
+    g, r, rnorm = residual(x)
     for it in range(max_iter + 1):
         if rnorm <= tol:
             return x, it, rnorm
         if it == max_iter:
             break
-        lu = jac0 if it == 0 and jac0 is not None else factorize(jacobian(x))
+        lu = jac0 if it == 0 and jac0 is not None \
+            else factorize(assemble_jacobian(mesh, curve, mask, g))
         dx = solve_free(lu, -r, mesh)
         del lu   # holding the factors through the line search raises peak memory
         step = 1.0
         for _ in range(MAX_HALVINGS):
-            r_try = residual(x + step * dx)
-            rn_try = np.linalg.norm(r_try[free])
+            g_try, r_try, rn_try = residual(x + step * dx)
             if rn_try < rnorm:
                 break
             step *= 0.5
         else:
             raise SolverError("Newton line search stalled", residual_norm=rnorm)
         x = x + step * dx
-        r, rnorm = r_try, rn_try
+        g, r, rnorm = g_try, r_try, rn_try
     raise SolverError(f"Newton did not converge in {max_iter} iterations",
                       residual_norm=rnorm)
 
@@ -227,28 +265,11 @@ class StateResult:
     curve: object
 
 
-def _material_flux(curve, ferro_mask, grad_u):
-    """Per-element H-flux: nonlinear law on ferro elements, nu_air elsewhere."""
-    flux = curve.nu_air * grad_u
-    if np.any(ferro_mask):
-        flux[ferro_mask] = material.flux_map(curve, grad_u[ferro_mask])
-    return flux
-
-
-def _material_jacobian(curve, ferro_mask, grad_u):
-    m = len(grad_u)
-    coeff = np.zeros((m, 2, 2))
-    coeff[:, 0, 0] = coeff[:, 1, 1] = curve.nu_air
-    if np.any(ferro_mask):
-        coeff[ferro_mask] = material.flux_jacobian(curve, grad_u[ferro_mask])
-    return coeff
-
-
 def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
                 rhs: np.ndarray = None, max_iter: int = 50,
                 ferro_mask: np.ndarray = None, x0: np.ndarray = None) -> StateResult:
-    """Damped-Newton solve of the quasilinear state equation, converged when
-    ||r||_2 <= TOL_ABS + TOL_REL ||F||_2.
+    """solve_quasilinear without offset, to ||r||_2 <= TOL_ABS + TOL_REL
+    ||F||_2, with the material law on the ferro elements.
 
     Either `sources` or a pre-assembled load vector `rhs` must be given.
     `ferro_mask` overrides the level-set material indicator with an explicit
@@ -262,21 +283,8 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
         rhs = assemble_rhs(mesh, sources)
     ferro = ferro_element_mask(mesh, levelset) if ferro_mask is None \
         else np.asarray(ferro_mask, dtype=bool)
-    free, _ = _free_block(mesh)
-    tol = TOL_ABS + TOL_REL * np.linalg.norm(rhs[free])
-
-    def residual(u):
-        gu = mesh.element_gradients(u)
-        return assemble_flux_divergence(mesh, _material_flux(curve, ferro, gu)) - rhs
-
-    def jacobian(u):
-        gu = mesh.element_gradients(u)
-        return assemble_stiffness(mesh, _material_jacobian(curve, ferro, gu))
-
-    u0 = np.zeros(mesh.n_nodes)
-    if x0 is not None:
-        u0[free] = np.asarray(x0, dtype=float)[free]
-    u, iterations, rnorm = damped_newton(residual, jacobian, u0, mesh, tol, max_iter)
+    u, iterations, rnorm = solve_quasilinear(mesh, curve, ferro, rhs, TOL_ABS,
+                                             max_iter, x0=x0)
     return StateResult(mesh, u, iterations, rnorm, ferro, curve)
 
 
@@ -290,8 +298,8 @@ def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> np.ndarray:
     free block is checked. Returns the nodal adjoint p (n,).
     """
     mesh = state.mesh
-    jac = assemble_stiffness(mesh, _material_jacobian(
-        state.curve, state.ferro_mask, mesh.element_gradients(state.field)))
+    jac = assemble_jacobian(mesh, state.curve, state.ferro_mask,
+                            mesh.element_gradients(state.field))
     asym = abs(jac - jac.T).max()
     if asym > 1e-9 * abs(jac).max():
         raise SolverError(f"adjoint system matrix not symmetric (dev {asym:.3g})")

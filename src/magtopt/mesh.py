@@ -32,10 +32,6 @@ class MeshError(Exception):
     pass
 
 
-class PointNotFound(MeshError):
-    """Query point outside the mesh hull."""
-
-
 @dataclass
 class TriMesh:
     """Triangle mesh: node coordinates [m], triangles (CCW), tagged edges.
@@ -117,28 +113,6 @@ class TriMesh:
         e.sort(axis=1)
         uniq, counts = np.unique(e, axis=0, return_counts=True)
         return {tuple(k): int(c) for k, c in zip(uniq, counts)}
-
-    def locate_point(self, x) -> tuple[int, np.ndarray]:
-        """Containing triangle and barycentric coordinates of point x.
-
-        Raises PointNotFound if x lies outside every triangle (tolerance 1e-12
-        on the barycentric coordinates).
-        """
-        x = np.asarray(x, dtype=float)
-        p = self.nodes[self.tris]
-        v0 = p[:, 1] - p[:, 0]
-        v1 = p[:, 2] - p[:, 0]
-        d = x[None, :] - p[:, 0]
-        det = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
-        l1 = (d[:, 0] * v1[:, 1] - d[:, 1] * v1[:, 0]) / det
-        l2 = (v0[:, 0] * d[:, 1] - v0[:, 1] * d[:, 0]) / det
-        l0 = 1.0 - l1 - l2
-        ok = (l0 >= -1e-12) & (l1 >= -1e-12) & (l2 >= -1e-12)
-        idx = np.flatnonzero(ok)
-        if idx.size == 0:
-            raise PointNotFound(f"point {x} outside mesh hull")
-        e = int(idx[0])
-        return e, np.array([l0[e], l1[e], l2[e]])
 
 
 # ---------------------------------------------------------------------------

@@ -39,33 +39,32 @@ class ObjectiveSpec:
 def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
     """Fixed-side element per edge: the incident element whose centroid lies
     left of the directed edge. Errors if any incident element is DESIGN."""
-    incidence = {}
-    for e, tri in enumerate(mesh.tris):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            incidence.setdefault(key, []).append(e)
-    out = np.empty(len(edges), dtype=np.int64)
+    n = mesh.n_nodes
+    a, b = mesh.tris, np.roll(mesh.tris, -1, axis=1)   # sides (0,1), (1,2), (2,0)
+    keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
+    order = np.argsort(keys, kind="stable")   # incident elements in index order
+    keys, owner = keys[order], order // 3
+    query = edges.min(axis=1) * n + edges.max(axis=1)
+    lo = np.searchsorted(keys, query)
+    hi = np.searchsorted(keys, query, side="right")
     air = {int(Region.AIR_FIXED), int(Region.AIRGAP),
            int(Region.COIL), int(Region.MAGNET)}
+    out = np.empty(len(edges), dtype=np.int64)
     for k, (i, j) in enumerate(edges):
-        elems = incidence.get((min(i, j), max(i, j)), [])
-        if not elems:
+        elems = owner[lo[k]:hi[k]]
+        if elems.size == 0:
             raise ConfigurationError(f"gap edge ({i},{j}) not in the mesh")
-        for e in elems:
-            if int(mesh.region[e]) == int(Region.DESIGN):
+        for region in mesh.region[elems].tolist():
+            if region == Region.DESIGN:
                 raise ConfigurationError(
                     f"gap edge ({i},{j}) adjacent to a DESIGN element")
-            if int(mesh.region[e]) not in air:
+            if region not in air:
                 raise ConfigurationError(
                     f"gap edge ({i},{j}) adjacent to non-air element")
         tau = mesh.nodes[j] - mesh.nodes[i]
-        chosen = None
-        for e in elems:
-            d = mesh.centroids[e] - 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-            if tau[0] * d[1] - tau[1] * d[0] > 0:
-                chosen = e
-                break
-        out[k] = elems[0] if chosen is None else chosen
+        d = mesh.centroids[elems] - 0.5 * (mesh.nodes[i] + mesh.nodes[j])
+        left = np.flatnonzero(tau[0] * d[:, 1] - tau[1] * d[:, 0] > 0)
+        out[k] = elems[left[0] if left.size else 0]
     return out
 
 

@@ -121,6 +121,15 @@ class TestBuildTables:
         assert f"t_max = {t_max} must be finite and non-negative" in caplog.text
         assert not (out / "j2_case1.csv").exists()
 
+    @pytest.mark.parametrize("n_samples", ["1", "0"])
+    def test_too_few_samples_rejected(self, tmp_path, caplog, n_samples):
+        cfg = write_config(tmp_path, t_max="2", n_samples=n_samples)
+        out = tmp_path / "out"
+        rc = cli.main(["build-tables", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"n_samples = {n_samples} must be at least 2" in caplog.text
+        assert not (out / "j2_case1.csv").exists()
+
 
 class TestOptimize:
     def test_end_to_end_square(self, tmp_path):

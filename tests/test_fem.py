@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from magtopt import fem
+from magtopt import fem, material
 from magtopt.cell_problems import DiscSpec
 from magtopt.fem import (SolverError, SourceSpec, assemble_rhs,
                          assemble_rhs_elements, ferro_element_mask,
@@ -185,9 +185,8 @@ class TestFreeBlock:
 
     def test_solve_free_matches_spsolve(self, mesh, marrocco):
         gu = RNG.normal(size=(mesh.n_tris, 2))
-        coeff = fem._material_jacobian(marrocco, mesh.region != Region.AIR_FIXED, gu)
         free, _ = fem._free_block(mesh)
-        block = fem.assemble_stiffness(mesh, coeff)
+        block = fem.assemble_jacobian(mesh, marrocco, mesh.region != Region.AIR_FIXED, gu)
         b = RNG.normal(size=mesh.n_nodes)
         x = fem.solve_free(fem.factorize(block), b, mesh)
         ref = spla.spsolve(block, b[free])
@@ -240,9 +239,8 @@ class TestFreeBlock:
 
     def test_fill_matches_symmetric_ordering(self, mesh, marrocco):
         gu = RNG.normal(size=(mesh.n_tris, 2))
-        coeff = fem._material_jacobian(marrocco, mesh.region != Region.AIR_FIXED, gu)
         free, _ = fem._free_block(mesh)
-        block = fem.assemble_stiffness(mesh, coeff)
+        block = fem.assemble_jacobian(mesh, marrocco, mesh.region != Region.AIR_FIXED, gu)
         lu = fem.factorize(block)
         # the same block on the sorted free set, ordered by SuperLU
         by_node = np.argsort(free)
@@ -281,10 +279,14 @@ class TestAdjoint:
         np.testing.assert_allclose(p, -state.field,
                                    rtol=1e-10, atol=1e-12)
 
-    def test_air_coefficient_is_exactly_nu0(self, bench, marrocco):
+    def test_air_coefficient_is_exactly_nu0(self, bench, marrocco, monkeypatch):
         gu = np.zeros((bench.n_tris, 2))
         gu[:, 0] = 1.7
-        coeff = fem._material_jacobian(marrocco, ferro_element_mask(bench, None), gu)
+        coeffs = []
+        monkeypatch.setattr(fem, "assemble_stiffness",
+                            lambda mesh, coeff: coeffs.append(coeff))
+        fem.assemble_jacobian(bench, marrocco, ferro_element_mask(bench, None), gu)
+        coeff, = coeffs
         air = ~ferro_element_mask(bench, None)
         assert np.all(coeff[air, 0, 0] == NU0)
         assert np.all(coeff[air, 1, 1] == NU0)
@@ -297,36 +299,47 @@ class TestAdjoint:
         p1 = solve_adjoint(state, rhs)
         # the same system assembled afresh from the converged field
         gu = bench.element_gradients(state.field)
-        jac = fem.assemble_stiffness(
-            bench, fem._material_jacobian(marrocco, state.ferro_mask, gu))
+        jac = fem.assemble_jacobian(bench, marrocco, state.ferro_mask, gu)
         p2 = fem.solve_free(fem.factorize(jac), rhs, bench)
         np.testing.assert_allclose(p1, p2, rtol=1e-9, atol=1e-12)
 
 
 class TestEnergyConsistency:
     def test_residual_is_energy_gradient(self, bench, marrocco):
-        # E(u) = sum_e A_e int_0^{|grad u|} nu(t) t dt (+ air quadratic);
-        # directional derivative must match the assembled residual.
-        def energy(u):
-            gu = bench.element_gradients(u)
-            s = np.hypot(gu[:, 0], gu[:, 1])
-            ferro = ferro_element_mask(bench, None)
-            # 32-point Gauss-Legendre on [0, s] per element
-            x, w = np.polynomial.legendre.leggauss(32)
-            half = 0.5 * s
-            pts = half[:, None] * (x[None, :] + 1.0)
-            dens = (marrocco.nu(pts) * pts * w[None, :]).sum(1) * half
-            dens = np.where(ferro, dens, 0.5 * NU0 * s ** 2)
-            return float((bench.areas * dens).sum())
+        # E(u) = sum_e A_e [W(w + grad u) - W(w) - T(w) . grad u] with
+        # W(g) = int_0^{|g|} nu(t) t dt on ferro (0.5 nu0 |g|^2 in air, where
+        # the offset cancels); its directional derivative must match the
+        # assembled residual of the quasilinear operator with offset w: none
+        # (the state) and a constant 2-vector (the direct variation).
+        ferro = ferro_element_mask(bench, None)
 
-        u = RNG.normal(scale=0.05, size=bench.n_nodes)
-        eta = RNG.normal(size=bench.n_nodes)
-        gu = bench.element_gradients(u)
-        flux = fem._material_flux(marrocco, ferro_element_mask(bench, None), gu)
-        resid = fem.assemble_flux_divergence(bench, flux)
-        h = 1e-6
-        fd = (energy(u + h * eta) - energy(u - h * eta)) / (2 * h)
-        assert fd == pytest.approx(float(resid @ eta), rel=1e-6)
+        def density(g):
+            # 32-point Gauss-Legendre on [0, |g|] per element
+            s = np.hypot(g[..., 0], g[..., 1])
+            x, wq = np.polynomial.legendre.leggauss(32)
+            half = 0.5 * s
+            pts = half[..., None] * (x + 1.0)
+            return (marrocco.nu(pts) * pts * wq).sum(-1) * half
+
+        for w in (None, np.array([1.2, -0.7])):
+            offset = np.zeros(2) if w is None else w
+            t_w = material.flux_map(marrocco, offset)   # T(0) = 0
+
+            def energy(u):
+                gu = bench.element_gradients(u)
+                dens = density(offset + gu) - density(offset) - gu @ t_w
+                dens = np.where(ferro, dens, 0.5 * NU0 * (gu ** 2).sum(1))
+                return float((bench.areas * dens).sum())
+
+            u = RNG.normal(scale=0.05, size=bench.n_nodes)
+            eta = RNG.normal(size=bench.n_nodes)
+            gu = bench.element_gradients(u)
+            g = gu if w is None else w + gu
+            flux = fem._flux(marrocco, ferro, gu, g, t_w)
+            resid = fem.assemble_flux_divergence(bench, flux)
+            h = 1e-6
+            fd = (energy(u + h * eta) - energy(u - h * eta)) / (2 * h)
+            assert fd == pytest.approx(float(resid @ eta), rel=1e-6)
 
 
 class TestSplineCurveSolve:

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from magtopt.mesh import (Boundary, MeshError, PointNotFound, Region, TriMesh,
+from magtopt.mesh import (Boundary, MeshError, Region, TriMesh,
                           generate_disc_mesh, generate_mini_motor,
                           generate_square_benchmark, load_mesh, save_mesh,
                           unit_square_mesh, MINI_MOTOR_RADII,
                           MINI_MOTOR_PROBE_RADIUS)
-
-RNG = np.random.default_rng(3)
-
 
 def euler_characteristic(mesh):
     edges = set()
@@ -118,43 +115,8 @@ class TestDiscMesh:
 
 
 @pytest.fixture(scope="module")
-def bench8():
-    return generate_square_benchmark(8)
-
-
-@pytest.fixture(scope="module")
 def motor64():
     return generate_mini_motor(64)
-
-
-class TestLocatePoint:
-    @pytest.fixture()
-    def mesh(self, bench8):
-        return bench8
-
-    def test_centroid(self, mesh):
-        e = 17
-        idx, lam = mesh.locate_point(mesh.centroids[e])
-        assert idx == e
-        np.testing.assert_allclose(lam, 1.0 / 3.0, atol=1e-12)
-
-    def test_node(self, mesh):
-        node = 40
-        idx, lam = mesh.locate_point(mesh.nodes[node])
-        assert node in mesh.tris[idx]
-        assert lam.max() == pytest.approx(1.0, abs=1e-12)
-
-    def test_roundtrip_random_points(self, mesh):
-        for _ in range(20):
-            x = RNG.uniform(0.05, 0.95, size=2)
-            idx, lam = mesh.locate_point(x)
-            assert np.all(lam >= -1e-12)
-            back = lam @ mesh.nodes[mesh.tris[idx]]
-            np.testing.assert_allclose(back, x, atol=1e-12)
-
-    def test_outside_hull(self, mesh):
-        with pytest.raises(PointNotFound):
-            mesh.locate_point(np.array([2.0, 2.0]))
 
 
 class TestAsciiIO:

@@ -4,7 +4,7 @@ import pytest
 from magtopt.fem import SourceSpec, solve_state
 from magtopt.mesh import (Boundary, Region, TriMesh, generate_square_benchmark,
                           MINI_MOTOR_RADII, MINI_MOTOR_PROBE_RADIUS)
-from magtopt.problem_setup import (ConfigurationError, assemble_adjoint_rhs,
+from magtopt.problem_setup import (ConfigurationError, _edge_elements, assemble_adjoint_rhs,
                                    build_benchmark_problem, default_levelset,
                                    eval_objective, gap_flux, load_target_csv,
                                    make_objective)
@@ -169,6 +169,32 @@ class TestBenchmarks:
         with pytest.raises(ConfigurationError) as exc:
             load_target_csv(p)
         assert str(exc.value).startswith(f"{p}: ")
+
+
+class TestEdgeElements:
+    @pytest.mark.parametrize("kind, resolution", [("square", 16), ("mini_motor", 24)])
+    def test_chosen_element_holds_edge_on_its_left(self, kind, resolution):
+        mesh = build_benchmark_problem(kind, resolution).mesh
+        edges = mesh.gap_probe_edges()
+        chosen = _edge_elements(mesh, edges)
+        tris = mesh.tris[chosen]
+        assert np.all((tris == edges[:, :1]).any(1) & (tris == edges[:, 1:]).any(1))
+        a, b = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+        tau, d = b - a, mesh.centroids[chosen] - 0.5 * (a + b)
+        assert np.all(tau[:, 0] * d[:, 1] - tau[:, 1] * d[:, 0] > 0)
+
+    def test_design_neighbour_names_edge(self):
+        mesh = generate_square_benchmark(16)
+        edges = mesh.gap_probe_edges()
+        i, j = edges[3]
+        incident = np.flatnonzero((mesh.tris == i).any(1) & (mesh.tris == j).any(1))
+        right, = np.setdiff1d(incident, _edge_elements(mesh, edges))
+        region = mesh.region.copy()
+        region[right] = Region.DESIGN
+        tampered = TriMesh(mesh.nodes, mesh.tris, region, mesh.bedges, mesh.btags)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^gap edge \({i},{j}\) adjacent to a DESIGN element$"):
+            _edge_elements(tampered, edges)
 
 
 class TestDefaultLevelset:
