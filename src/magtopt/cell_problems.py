@@ -90,7 +90,7 @@ def factorize_jacobian0(curve, grad_u, case: PerturbationCase,
 
 
 def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
-                           max_iter: int = 50, lu0=None) -> np.ndarray:
+                           lu0=None) -> np.ndarray:
     """The nonlinear transmission problem for the variation H of the direct
     state: fem.solve_quasilinear with offset w = grad_u on the nonlinear side,
     to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2; nodal values (n,). A zero
@@ -104,8 +104,8 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
     f_el = np.zeros((disc.n_tris, 2))
     f_el[inclusion] = sign * (curve.nu_air - nu_u0) * grad_u
     rhs = fem.assemble_flux_divergence(disc, f_el)
-    return fem.solve_quasilinear(disc, curve, nonlin, rhs, 1e-14, max_iter,
-                                 w=grad_u, jac0=lu0)[0]
+    return fem.solve_quasilinear(disc, curve, nonlin, rhs, 1e-14, w=grad_u,
+                                 jac0=lu0)[0]
 
 
 def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
@@ -234,10 +234,6 @@ class CorrectionTable:
         return values, int(np.count_nonzero(t > self.t[-1]))
 
 
-def default_t_grid(t_max: float = 3.0, n: int = 61) -> np.ndarray:
-    return np.linspace(0.0, t_max, n)
-
-
 def _quarter(disc: TriMesh) -> TriMesh:
     """The sector {x >= 0, y >= 0} of a disc mesh whose n_theta is a multiple
     of 4: its triangles and nodes, renumbered, with the outer arc and the
@@ -279,8 +275,8 @@ def _table_sample(curve, case, spec: DiscSpec, t: float):
                                     direct=direct, adjoint=adjoint), 0.0
 
 
-def build_correction_table(curve, case: PerturbationCase, t_grid=None,
-                   disc_spec: DiscSpec = None, workers: int = 1) -> CorrectionTable:
+def build_correction_table(curve, case: PerturbationCase, t_grid,
+                           disc_spec: DiscSpec, workers: int = 1) -> CorrectionTable:
     """Solve the cell problems for each grid value of t = |grad_u| and tabulate
     the two correction components. The t = 0 row is exact zeros by theory.
     Each sample is solved on the quarter disc (_table_sample), which needs
@@ -291,16 +287,15 @@ def build_correction_table(curve, case: PerturbationCase, t_grid=None,
     samples run in separate processes; results are gathered in grid order,
     so the output is schedule-independent.
     """
-    t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    spec = disc_spec or DiscSpec()
+    t_grid = np.asarray(t_grid, dtype=float)
     # the zero-valued table applies the grid rules before any solve
     zero = np.zeros(t_grid.shape)
-    table = CorrectionTable(case, t_grid, zero, zero, spec.radius, spec.h0,
-                            curve.cache_key())
-    if spec.n_theta % 4 != 0:
-        raise ValueError(f"n_theta = {spec.n_theta} is not a multiple of 4: the "
-                         "disc axes must be mesh lines for the quarter-disc solve")
-    sample = functools.partial(_table_sample, curve, case, spec)
+    table = CorrectionTable(case, t_grid, zero, zero, disc_spec.radius,
+                            disc_spec.h0, curve.cache_key())
+    if disc_spec.n_theta % 4 != 0:
+        raise ValueError(f"n_theta = {disc_spec.n_theta} is not a multiple of 4: "
+                         "the disc axes must be mesh lines for the quarter-disc solve")
+    sample = functools.partial(_table_sample, curve, case, disc_spec)
     ts = t_grid.tolist()
     vals = np.zeros((len(ts), 2))
     with (cf.ProcessPoolExecutor(max_workers=workers) if workers > 1

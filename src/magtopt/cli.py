@@ -157,10 +157,16 @@ def cmd_build_tables(cfg, args) -> int:
 
 
 def _load_or_build_tables(cfg, curve, out: Path):
-    """Tables from the configured paths if both exist, else freshly built.
+    """Tables from the configured paths if both exist, else freshly built;
+    if only one exists, ConfigError, since a build would overwrite it.
     A loaded table must match the curve and its slot's case."""
     paths = _table_paths(cfg, out)
-    if not all(p.exists() for p in paths):
+    missing = [p for p in paths if not p.exists()]
+    if len(missing) == 1:
+        present, = set(paths) - set(missing)
+        raise ConfigError(f"correction table {missing[0]} does not exist, but "
+                          f"{present} does; building the pair would overwrite it")
+    if missing:
         log.info("correction tables missing; building them first")
         return _build_tables(cfg, curve, out)
     log.info("loading correction tables from %s, %s", *paths)

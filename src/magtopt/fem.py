@@ -25,6 +25,8 @@ from .mesh import Region, TriMesh
 #: state Newton converges when ||r||_2 <= TOL_ABS + TOL_REL ||F||_2
 TOL_ABS = 1e-10
 TOL_REL = 1e-10
+#: Newton steps of one quasilinear solve before it counts as not converged
+MAX_NEWTON = 50
 #: line-search halvings of one Newton step before it counts as stalled
 MAX_HALVINGS = 20
 
@@ -199,7 +201,7 @@ def assemble_jacobian(mesh: TriMesh, curve, mask: np.ndarray,
 
 
 def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
-                      tol_abs: float, max_iter: int, w: np.ndarray = None,
+                      tol_abs: float, w: np.ndarray = None,
                       x0: np.ndarray = None, jac0=None):
     """Damped Newton for x (zero on the Dirichlet boundary) with
 
@@ -208,10 +210,10 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     on the free DOFs of `mesh`, T_e the material law of `curve` on the
     `mask`ed elements and nu_air elsewhere, w a constant offset 2-vector
     (None: no offset) and F = rhs. Converged when ||r[free]||_2 <= tol_abs
-    + TOL_REL ||F[free]||_2; each Newton step is halved (up to MAX_HALVINGS
-    times) until the residual norm strictly decreases. x0 (zero by default)
-    is the start on the free DOFs; jac0, if given, is the factorization of
-    the Jacobian at x0 and serves the first step.
+    + TOL_REL ||F[free]||_2 within MAX_NEWTON steps; each step is halved (up
+    to MAX_HALVINGS times) until the residual norm strictly decreases. x0
+    (zero by default) is the start on the free DOFs; jac0, if given, is the
+    factorization of the Jacobian at x0 and serves the first step.
     Returns (x, iterations, residual_norm).
     """
     free, _ = _free_block(mesh)
@@ -228,10 +230,10 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     if x0 is not None:
         x[free] = np.asarray(x0, dtype=float)[free]
     g, r, rnorm = residual(x)
-    for it in range(max_iter + 1):
+    for it in range(MAX_NEWTON + 1):
         if rnorm <= tol:
             return x, it, rnorm
-        if it == max_iter:
+        if it == MAX_NEWTON:
             break
         lu = jac0 if it == 0 and jac0 is not None \
             else factorize(assemble_jacobian(mesh, curve, mask, g))
@@ -247,7 +249,7 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
             raise SolverError("Newton line search stalled", residual_norm=rnorm)
         x = x + step * dx
         g, r, rnorm = g_try, r_try, rn_try
-    raise SolverError(f"Newton did not converge in {max_iter} iterations",
+    raise SolverError(f"Newton did not converge in {MAX_NEWTON} iterations",
                       residual_norm=rnorm)
 
 
@@ -266,8 +268,8 @@ class StateResult:
 
 
 def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
-                rhs: np.ndarray = None, max_iter: int = 50,
-                ferro_mask: np.ndarray = None, x0: np.ndarray = None) -> StateResult:
+                rhs: np.ndarray = None, ferro_mask: np.ndarray = None,
+                x0: np.ndarray = None) -> StateResult:
     """solve_quasilinear without offset, to ||r||_2 <= TOL_ABS + TOL_REL
     ||F||_2, with the material law on the ferro elements.
 
@@ -284,7 +286,7 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
     ferro = ferro_element_mask(mesh, levelset) if ferro_mask is None \
         else np.asarray(ferro_mask, dtype=bool)
     u, iterations, rnorm = solve_quasilinear(mesh, curve, ferro, rhs, TOL_ABS,
-                                             max_iter, x0=x0)
+                                             x0=x0)
     return StateResult(mesh, u, iterations, rnorm, ferro, curve)
 
 

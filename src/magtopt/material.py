@@ -43,7 +43,7 @@ class MarroccoCurve:
     alpha: float = 4.0
     c: float = 0.0039
     tau: float = 1.52e6
-    nu_air: float = NU0
+    nu_air = NU0   # a class constant, not a field: every law saturates to air
 
     def __post_init__(self):
         if not (0.0 < self.c < 1.0 and self.tau > 0.0 and 2 * self.alpha >= 2):
@@ -91,7 +91,7 @@ class MarroccoCurve:
 class LinearCurve:
     """Constant reluctivity nu(s) = nu_const: the linear stub."""
     nu_const: float = 1000.0
-    nu_air: float = NU0
+    nu_air = NU0
 
     def __post_init__(self):
         if self.nu_const <= 0:
@@ -127,7 +127,7 @@ class SplineCurve:
     """
     s: np.ndarray
     values: np.ndarray
-    nu_air: float = NU0
+    nu_air = NU0
     _spline: CubicSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -186,7 +186,7 @@ class SplineCurve:
         return hashlib.sha256(raw).hexdigest()[:12]
 
     @classmethod
-    def from_csv(cls, path, nu_air: float = NU0) -> "SplineCurve":
+    def from_csv(cls, path) -> "SplineCurve":
         """Load two-column CSV `s,nu` (header required, >= 4 rows)."""
         with open(path, newline="") as f:
             reader = csv.reader(f)
@@ -204,7 +204,7 @@ class SplineCurve:
             except (ValueError, IndexError) as exc:
                 raise MaterialError(f"{path}: line {ln}: bad row {r!r}") from exc
         try:
-            return cls(np.asarray(s), np.asarray(v), nu_air=nu_air)
+            return cls(np.asarray(s), np.asarray(v))
         except MaterialError as exc:
             raise MaterialError(f"{path}: {exc}") from exc
 
@@ -317,19 +317,17 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def default_sample_grid(s_max: float = 1.0e4, n: int = 10000) -> np.ndarray:
-    """Log-spaced sample grid on [1e-6, s_max] including 0."""
-    return np.concatenate([[0.0], np.geomspace(1.0e-6, s_max, n)])
-
-
 def validate_assumptions(curve, sample_grid=None) -> AssumptionReport:
     """Sampled check of the physical and smoothness assumptions on the law.
 
     The checks are infima over all s > 0 in the continuum; sampling on a
     log grid is the generic test. Admissibility violations (delta_nu at or
-    below the thresholds) produce a warning and a False flag only.
+    below the thresholds) produce a warning and a False flag only. The
+    default grid is 0 and 10^4 log-spaced points on [1e-6, 1e4].
     """
-    grid = default_sample_grid() if sample_grid is None else np.asarray(sample_grid, float)
+    if sample_grid is None:
+        sample_grid = np.concatenate([[0.0], np.geomspace(1.0e-6, 1.0e4, 10000)])
+    grid = np.asarray(sample_grid, float)
     if grid.size == 0:
         raise ValueError("sample grid must be non-empty")
     if np.any(np.diff(grid) <= 0):

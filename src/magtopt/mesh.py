@@ -118,8 +118,8 @@ class TriMesh:
 # ---------------------------------------------------------------------------
 # generators
 
-def unit_square_mesh(n: int, region: Region = Region.AIR_FIXED) -> TriMesh:
-    """Uniform crossed-diagonal triangulation of [0,1]^2, one region tag.
+def unit_square_mesh(n: int) -> TriMesh:
+    """Uniform crossed-diagonal triangulation of [0,1]^2, all AIR_FIXED.
 
     (n+1)^2 nodes, 2 n^2 triangles; diagonals alternate by cell parity so the
     mesh is symmetric under the square's reflections.
@@ -153,7 +153,7 @@ def unit_square_mesh(n: int, region: Region = Region.AIR_FIXED) -> TriMesh:
                    [nid(0, i), nid(0, i + 1)], [nid(n, i), nid(n, i + 1)]]
     bedges = np.asarray(bedges, dtype=np.int64)
     btags = np.full(len(bedges), Boundary.DIRICHLET_OUTER, dtype=np.int8)
-    reg = np.full(len(tris), int(region), dtype=np.int8)
+    reg = np.full(len(tris), int(Region.AIR_FIXED), dtype=np.int8)
     return TriMesh(nodes, tris, reg, bedges, btags)
 
 
@@ -231,9 +231,9 @@ def _ring_radii(inclusion_radius: float, radius: float, h0: float,
     return np.asarray(radii)
 
 
-def _polar_mesh(radii: np.ndarray, n_theta: int, theta0: float = 0.0):
+def _polar_mesh(radii: np.ndarray, n_theta: int):
     """Structured polar mesh: center node + rings, union-jack diagonals."""
-    th = theta0 + np.arange(n_theta) * (2.0 * np.pi / n_theta)
+    th = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     nodes = [np.zeros((1, 2))]
     for r in radii:
         nodes.append(np.column_stack([r * np.cos(th), r * np.sin(th)]))

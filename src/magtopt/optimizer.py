@@ -22,6 +22,9 @@ from .problem_setup import Problem
 
 log = logging.getLogger("magtopt.optimizer")
 
+#: smallest kappa tried before a step counts as stalled
+KAPPA_MIN = 2.0 ** -20
+
 
 class DesignSpaceError(Exception):
     pass
@@ -52,28 +55,22 @@ class DesignSpace:
         m = self.nodes.size
         self.mass = sp.csr_matrix((data.ravel(), (rows, cols)), shape=(m, m))
 
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        return np.asarray(full, dtype=float)[self.nodes]
-
 
 @dataclass
 class LevelSetField:
-    """Nodal level-set values over the design nodes, with cached L2 norm."""
+    """Nodal level-set values over the design nodes."""
     space: DesignSpace
     values: np.ndarray
-    _norm: float = field(default=None, repr=False)
 
     def norm(self) -> float:
-        if self._norm is None:
-            v = self.values
-            self._norm = float(np.sqrt(v @ (self.space.mass @ v)))
-        return self._norm
+        v = self.values
+        return float(np.sqrt(v @ (self.space.mass @ v)))
 
     def normalized(self) -> "LevelSetField":
         n = self.norm()
         if n == 0.0:
             raise DesignSpaceError("cannot normalize the zero level set")
-        return LevelSetField(self.space, self.values / n, 1.0)
+        return LevelSetField(self.space, self.values / n)
 
     def expand(self) -> np.ndarray:
         """Full-length nodal vector (zeros outside the design node set)."""
@@ -82,11 +79,11 @@ class LevelSetField:
         return out
 
 
-def l2_inner(mesh: TriMesh, a: LevelSetField, b: LevelSetField) -> float:
+def l2_inner(a: LevelSetField, b: LevelSetField) -> float:
     """L2 inner product over the design region; symmetric under swap exactly
     (evaluated in symmetrized form)."""
-    if a.space.mesh is not mesh or b.space.mesh is not mesh or a.space is not b.space:
-        raise ValueError("fields must share the same design space on this mesh")
+    if a.space is not b.space:
+        raise ValueError("fields must share the same design space")
     m = a.space.mass
     return 0.5 * (float(a.values @ (m @ b.values))
                   + float(b.values @ (m @ a.values)))
@@ -113,7 +110,6 @@ def ferro_fraction(space: DesignSpace, ferro_mask: np.ndarray) -> float:
 @dataclass
 class OptimizerOptions:
     kappa_start: float = 0.1          # paper practice; Algorithm default is 1
-    kappa_min: float = 2.0 ** -20
     theta_tol_deg: float = 1.0
     max_iter: int = 400
 
@@ -173,7 +169,7 @@ class Driver:
                                                   self.problem.objective)
         p = fem.solve_adjoint(state, -gvec)
         td = topo_derivative.assemble_generalized_td(state, p, *self.tables)
-        return (LevelSetField(self.space, self.space.restrict(td.nodal)),
+        return (LevelSetField(self.space, td.nodal[self.space.nodes]),
                 td.n_clamped)
 
 
@@ -208,7 +204,7 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
         state.status = "converged"
         return state
     g = descent.normalized()
-    cos_t = float(np.clip(l2_inner(driver.problem.mesh, state.psi, g), -1.0, 1.0))
+    cos_t = float(np.clip(l2_inner(state.psi, g), -1.0, 1.0))
     theta = float(np.arccos(cos_t))
     if np.degrees(theta) < options.theta_tol_deg:
         state.status = "converged"
@@ -216,7 +212,7 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
 
     u0 = state.solution.field
     kappa = options.kappa_start
-    while kappa >= options.kappa_min:
+    while kappa >= KAPPA_MIN:
         trial = slerp(state.psi, g, theta, kappa)
         try:
             res, j_try = _solve_trial(driver, trial, u0, kappa, state.k + 1)
@@ -255,7 +251,7 @@ def run(problem: Problem, curve, table_air_in_ferro: CorrectionTable,
     driver = Driver(problem, curve, table_air_in_ferro, table_ferro_in_air)
     seed = problem_setup.default_levelset(problem.mesh) if levelset0 is None \
         else np.asarray(levelset0, dtype=float)
-    psi = LevelSetField(driver.space, driver.space.restrict(seed)).normalized()
+    psi = LevelSetField(driver.space, seed[driver.space.nodes]).normalized()
 
     res, j0 = driver.solve(psi)
     state = OptState(psi, j0, solution=res)

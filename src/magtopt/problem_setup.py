@@ -128,21 +128,19 @@ MOTOR_MAGNETIZATION = 3.0e6
 B_TARGET_AMPLITUDE = 0.6
 
 
-def square_target(mid: np.ndarray, amplitude: float = B_TARGET_AMPLITUDE,
-                  smoothing: float = 0.03) -> np.ndarray:
+def square_target(mid: np.ndarray) -> np.ndarray:
     """Smoothed rectangular bump over an off-center window of the gap
-    segment. The asymmetry forces the design to redirect the flux column,
-    giving the descent a long, nontrivial path."""
+    segment, edge width 0.03. The asymmetry forces the design to redirect
+    the flux column, giving the descent a long, nontrivial path."""
     x = mid[:, 0]
-    return amplitude * 0.5 * (np.tanh((x - 0.55) / smoothing)
-                              - np.tanh((x - 0.72) / smoothing))
+    return B_TARGET_AMPLITUDE * 0.5 * (np.tanh((x - 0.55) / 0.03)
+                                       - np.tanh((x - 0.72) / 0.03))
 
 
-def motor_target(mid: np.ndarray, amplitude: float = B_TARGET_AMPLITUDE,
-                 smoothing: float = 0.25) -> np.ndarray:
-    """Smoothed rectangular wave in angle, one pole pair."""
+def motor_target(mid: np.ndarray) -> np.ndarray:
+    """Smoothed rectangular wave in angle, one pole pair, edge width 0.25."""
     th = np.arctan2(mid[:, 1], mid[:, 0])
-    return amplitude * np.tanh(np.sin(2.0 * (th - np.pi / 6.0)) / smoothing)
+    return B_TARGET_AMPLITUDE * np.tanh(np.sin(2.0 * (th - np.pi / 6.0)) / 0.25)
 
 
 @dataclass

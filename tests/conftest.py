@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magtopt.cell_problems import DiscSpec, PerturbationCase, build_correction_table, disc_mesh
+from magtopt.cli import DEFAULTS
 from magtopt.material import LinearCurve, MarroccoCurve
 
 
@@ -34,8 +35,10 @@ def disc_default():
 
 @pytest.fixture(scope="session")
 def table1_default(marrocco):
-    """Case-I table on the spec default grid (61 points to 3 T)."""
-    return build_correction_table(marrocco, PerturbationCase.AIR_IN_FERRO)
+    """Case-I table on the CLI's default grid (61 points to 3 T) and disc."""
+    grid = np.linspace(0.0, float(DEFAULTS["t_max"]), int(DEFAULTS["n_samples"]))
+    return build_correction_table(marrocco, PerturbationCase.AIR_IN_FERRO, grid,
+                                  DEFAULT_SPEC)
 
 
 @pytest.fixture(scope="session")

@@ -45,8 +45,8 @@ def run_tables(marrocco):
     """Both correction tables for the end-to-end run: 21-point grid to 2.5 T
     at the default disc resolution."""
     grid = np.linspace(0.0, 2.5, 21)
-    t1 = build_correction_table(marrocco, CASE_I, grid)
-    t2 = build_correction_table(marrocco, CASE_II, grid)
+    t1 = build_correction_table(marrocco, CASE_I, grid, DiscSpec())
+    t2 = build_correction_table(marrocco, CASE_II, grid, DiscSpec())
     return t1, t2
 
 

@@ -261,6 +261,26 @@ class TestTableGuards:
         assert f"{nan_row}: table j2 values must be finite" in caplog.text
         assert not (out / "iterations.csv").exists()
 
+    def test_one_missing_table_keeps_the_other(self, tmp_path, caplog):
+        tables = tmp_path / "tables"
+        cfg = write_config(tmp_path, t_max="2", n_samples="3")
+        assert cli.main(["build-tables", "--config", str(cfg),
+                         "--out", str(tables)]) == 0
+        kept = tables / "j2_case1.csv"
+        before = kept.read_bytes()
+        missing = tmp_path / "missing.csv"
+        # a rebuild on this run's grid would replace the kept table
+        run = write_config(tmp_path, name="run2.cfg", t_max="1", n_samples="2",
+                           table_case1=str(kept), table_case2=str(missing))
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(run), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert (f"correction table {missing} does not exist, but {kept} does"
+                in caplog.text)
+        assert not (out / "iterations.csv").exists()
+        assert not missing.exists()
+        assert kept.read_bytes() == before
+
 
 class TestOtherCommands:
     def test_solve_writes_vtk(self, tmp_path):

@@ -76,9 +76,11 @@ class TestStateSolve:
         assert res.iterations >= 2
         assert len(calls) == res.iterations
 
-    def test_nonconvergence_raises_with_residual(self, bench, marrocco):
+    def test_nonconvergence_raises_with_residual(self, bench, marrocco,
+                                                 monkeypatch):
+        monkeypatch.setattr(fem, "MAX_NEWTON", 1)
         with pytest.raises(SolverError) as exc:
-            solve_state(bench, marrocco, max_iter=1,
+            solve_state(bench, marrocco,
                         sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
         assert exc.value.residual_norm is not None
         assert exc.value.residual_norm > 0

@@ -293,3 +293,13 @@ class TestCurveValidation:
         keys = {marrocco.cache_key(), linear_stub.cache_key(),
                 MarroccoCurve(alpha=3.0).cache_key()}
         assert len(keys) == 3
+
+    def test_cache_keys_pinned(self):
+        # every saved table records its curve's key and is checked against it
+        # on load, so a changed key would reject every table built before
+        curves = {"f3188233973e": MarroccoCurve(),
+                  "00c69be38bdc": LinearCurve(),
+                  "08f0bdc04093": SplineCurve([0, 1, 2, 3], [100, 200, 300, 400])}
+        for key, curve in curves.items():
+            assert curve.cache_key() == key
+            assert curve.nu_air == NU0
