@@ -95,7 +95,8 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
     state: fem.solve_quasilinear with offset w = grad_u on the nonlinear side,
     to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2; nodal values (n,). A zero
     state gradient gives the trivial solution without solving. `lu0`
-    (factorize_jacobian0) replaces the first Newton step's factorization."""
+    (factorize_jacobian0) replaces the first Newton step's factorization and
+    preconditions the later steps until one of them factorizes."""
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
     if np.hypot(grad_u[0], grad_u[1]) == 0.0:

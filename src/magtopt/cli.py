@@ -70,7 +70,9 @@ def load_config(path) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
+    """Short hash of the settings that can change a result; `workers` only
+    schedules the table build, whose output it leaves bit-identical."""
+    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "workers")
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 

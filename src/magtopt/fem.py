@@ -27,6 +27,11 @@ TOL_ABS = 1e-10
 TOL_REL = 1e-10
 #: Newton steps of one quasilinear solve before it counts as not converged
 MAX_NEWTON = 50
+#: a Newton step after the first solves J dx = -r by CG preconditioned with
+#: the solve's held factorization, to ||-r - J dx||_2 <= LAGGED_CG_TOL ||r||_2
+#: within LAGGED_CG_MAX iterations; failing that, J is factorized and held
+LAGGED_CG_MAX = 12
+LAGGED_CG_TOL = 1e-12
 #: line-search halvings of one Newton step before it counts as stalled
 MAX_HALVINGS = 20
 
@@ -200,6 +205,34 @@ def assemble_jacobian(mesh: TriMesh, curve, mask: np.ndarray,
     return assemble_stiffness(mesh, coeff)
 
 
+def _lagged_cg(A: sp.csc_matrix, lu, b: np.ndarray):
+    """x with ||b - A x||_2 <= LAGGED_CG_TOL ||b||_2 by conjugate gradients
+    on the free block A, preconditioned with `lu`, the factorization of a
+    nearby matrix, and started at lu.solve(b). None when LAGGED_CG_MAX
+    iterations do not get there, or when A shows itself not positive
+    definite (p.Ap <= 0) or a value turns non-finite."""
+    x = lu.solve(b)
+    r = b - A @ x
+    tol = LAGGED_CG_TOL * np.linalg.norm(b)
+    p = rz = None
+    for k in range(LAGGED_CG_MAX + 1):
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol:
+            return x
+        if k == LAGGED_CG_MAX or not np.isfinite(rnorm):
+            return None
+        z = lu.solve(r)
+        rz, rz_old = r @ z, rz
+        p = z if p is None else z + (rz / rz_old) * p
+        Ap = A @ p
+        pAp = p @ Ap
+        if not pAp > 0.0:
+            return None
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+
+
 def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
                       tol_abs: float, w: np.ndarray = None,
                       x0: np.ndarray = None, jac0=None):
@@ -213,8 +246,11 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     + TOL_REL ||F[free]||_2 within MAX_NEWTON steps; each step is halved (up
     to MAX_HALVINGS times) until the residual norm strictly decreases. x0
     (zero by default) is the start on the free DOFs; jac0, if given, is the
-    factorization of the Jacobian at x0 and serves the first step.
-    Returns (x, iterations, residual_norm).
+    factorization of the Jacobian at x0 and serves the first step, which
+    otherwise factorizes its Jacobian. The solve holds one factorization:
+    each later step solves with its Jacobian by _lagged_cg preconditioned
+    with it, and factorizes that Jacobian in its place where _lagged_cg
+    fails. Returns (x, iterations, residual_norm).
     """
     free, _ = _free_block(mesh)
     tol = tol_abs + TOL_REL * np.linalg.norm(rhs[free])
@@ -230,15 +266,24 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     if x0 is not None:
         x[free] = np.asarray(x0, dtype=float)[free]
     g, r, rnorm = residual(x)
+    lu = jac0
     for it in range(MAX_NEWTON + 1):
         if rnorm <= tol:
             return x, it, rnorm
         if it == MAX_NEWTON:
             break
-        lu = jac0 if it == 0 and jac0 is not None \
-            else factorize(assemble_jacobian(mesh, curve, mask, g))
-        dx = solve_free(lu, -r, mesh)
-        del lu   # holding the factors through the line search raises peak memory
+        b = -r[free]
+        if it == 0 and lu is not None:
+            d = lu.solve(b)
+        else:
+            jac = assemble_jacobian(mesh, curve, mask, g)
+            d = None if lu is None else _lagged_cg(jac, lu, b)
+            if d is None:
+                lu = None   # the old factors go before the new ones are made
+                lu = factorize(jac)
+                d = lu.solve(b)
+        dx = np.zeros(mesh.n_nodes)
+        dx[free] = d
         step = 1.0
         for _ in range(MAX_HALVINGS):
             g_try, r_try, rn_try = residual(x + step * dx)

@@ -53,6 +53,14 @@ class TestConfig:
         p2 = write_config(tmp_path, name="other.cfg", resolution="32")
         assert cli.config_hash(cli.load_config(p2)) != c1
 
+    def test_hash_ignores_workers_only(self):
+        base = cli.load_config(None)
+        h = cli.config_hash(base)
+        assert cli.config_hash(dict(base, workers="2")) == h
+        for k in base:
+            if k != "workers":
+                assert cli.config_hash(dict(base, **{k: base[k] + "1"})) != h, k
+
 
 class TestValidateMaterial:
     def test_linear_ok(self, tmp_path):

@@ -10,6 +10,7 @@ from magtopt.fem import (SolverError, SourceSpec, assemble_rhs,
                          solve_adjoint, solve_state)
 from magtopt.material import NU0, LinearCurve
 from magtopt.mesh import Region, generate_square_benchmark, unit_square_mesh
+from magtopt.problem_setup import build_benchmark_problem, default_levelset
 
 RNG = np.random.default_rng(5)
 
@@ -149,6 +150,94 @@ class TestWarmStart:
         assert warm.residual_norm <= tol and cold.residual_norm <= tol
         np.testing.assert_allclose(warm.field, cold.field, rtol=0,
                                    atol=1e-8 * np.abs(cold.field).max())
+
+
+class TestLaggedFactorization:
+    """Newton steps after the first solve by CG preconditioned with the
+    solve's held factorization, and factorize only where that CG fails."""
+
+    @pytest.fixture(scope="class")
+    def square32(self):
+        prob = build_benchmark_problem("square", 32)
+        return prob, default_levelset(prob.mesh)
+
+    @staticmethod
+    def counted_solve(square32, curve, monkeypatch):
+        prob, psi = square32
+        calls = []
+        factorize = fem.factorize
+
+        def counted(A):
+            calls.append(A)
+            return factorize(A)
+
+        monkeypatch.setattr(fem, "factorize", counted)
+        res = solve_state(prob.mesh, curve, levelset=psi, sources=prob.sources)
+        return res, len(calls)
+
+    def test_fewer_factorizations_than_newton_steps(self, square32, marrocco,
+                                                    monkeypatch):
+        res, n_factorized = self.counted_solve(square32, marrocco, monkeypatch)
+        assert res.iterations >= 3
+        assert 1 <= n_factorized < res.iterations
+
+    def test_without_cg_every_step_factorizes(self, square32, marrocco,
+                                              monkeypatch):
+        prob, psi = square32
+        lagged = solve_state(prob.mesh, marrocco, levelset=psi,
+                             sources=prob.sources)
+        monkeypatch.setattr(fem, "LAGGED_CG_MAX", 0)
+        res, n_factorized = self.counted_solve(square32, marrocco, monkeypatch)
+        assert n_factorized == res.iterations == lagged.iterations
+        assert np.abs(res.field - lagged.field).max() <= \
+            1e-10 * np.abs(lagged.field).max()
+
+    @pytest.fixture(scope="class")
+    def air_block(self, bench):
+        """Stiffness block of the all-air bench, its factorization and a
+        right-hand side."""
+        block = fem.assemble_stiffness(
+            bench, np.broadcast_to(NU0 * np.eye(2), (bench.n_tris, 2, 2)))
+        b = np.random.default_rng(3).standard_normal(block.shape[0])
+        return block, fem.factorize(block), b
+
+    def test_cg_meets_tolerance_with_a_nearby_factorization(self, bench,
+                                                            air_block):
+        block, lu, b = air_block
+        # every element's coefficient off the preconditioner's by up to 10%
+        coeff = np.broadcast_to(NU0 * np.eye(2), (bench.n_tris, 2, 2)) * (
+            1.0 + 0.1 * np.random.default_rng(4).uniform(size=bench.n_tris)
+        )[:, None, None]
+        near = fem.assemble_stiffness(bench, coeff)
+        x = fem._lagged_cg(near, lu, b)
+        assert x is not None
+        # CG stops on its recurred residual, which differs from b - A x by
+        # round-off
+        assert np.linalg.norm(b - near @ x) <= \
+            2 * fem.LAGGED_CG_TOL * np.linalg.norm(b)
+
+    def test_cg_falls_back_on_an_indefinite_matrix(self, air_block):
+        # preconditioned operator with eigenvalues +1 and -1: CG meets
+        # p.Ap < 0 in its first iteration
+        block, _, b = air_block
+        A = sp.block_diag([block, -block], format="csc")
+        lu = fem.factorize(sp.block_diag([block, block], format="csc"))
+        assert fem._lagged_cg(A, lu, np.concatenate([b, b])) is None
+
+    def test_cg_falls_back_on_a_far_off_factorization(self, bench, air_block,
+                                                      monkeypatch):
+        # design elements 5000 times softer than the air the preconditioner
+        # was factorized for: CG needs more than LAGGED_CG_MAX iterations
+        block, lu, b = air_block
+        coeff = np.broadcast_to(NU0 * np.eye(2), (bench.n_tris, 2, 2)).copy()
+        coeff[bench.region == Region.DESIGN] /= 5000.0
+        A = fem.assemble_stiffness(bench, coeff)
+        assert fem._lagged_cg(A, lu, b) is None
+        monkeypatch.setattr(fem, "LAGGED_CG_MAX", 10 * A.shape[0])
+        x = fem._lagged_cg(A, lu, b)
+        assert x is not None
+        exact = fem.factorize(A).solve(b)
+        assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
 class TestFreeBlock:
