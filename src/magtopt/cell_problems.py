@@ -153,20 +153,18 @@ def analytic_adjoint_variation(curve, grad_u, grad_p, x):
 
 
 def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
-                       disc: TriMesh, direct: np.ndarray = None,
-                       adjoint: np.ndarray = None):
+                       disc: TriMesh):
     """Correction term: the material nonlinearity evaluated at the direct
     variation, integrated against the adjoint data over the nonlinear side
     (exterior for air-in-ferro, inclusion for ferro-in-air), by centroid
-    quadrature. Solves both cell problems (nodal values) internally unless
-    supplied.
+    quadrature. Solves both cell problems (nodal values), which share one
+    factorization of the h = 0 Jacobian.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
-    if direct is None:
-        direct = solve_direct_variation(curve, grad_u, case, disc)
-    if adjoint is None:
-        adjoint = solve_adjoint_variation(curve, grad_u, grad_p, case, disc)
+    lu0 = factorize_jacobian0(curve, grad_u, case, disc)
+    direct = solve_direct_variation(curve, grad_u, case, disc, lu0=lu0)
+    adjoint = solve_adjoint_variation(curve, grad_u, grad_p, case, disc, lu0=lu0)
     _, nonlin, _ = _sides(disc, case)
     gh = disc.element_gradients(direct)[nonlin]
     gk = disc.element_gradients(adjoint)[nonlin]
@@ -269,11 +267,7 @@ def _table_sample(curve, case, spec: DiscSpec, t: float):
         return 0.0, 0.0
     quarter = _quarter(disc_mesh(spec))
     grad_u, e1 = np.array([t, 0.0]), np.array([1.0, 0.0])
-    lu0 = factorize_jacobian0(curve, grad_u, case, quarter)
-    direct = solve_direct_variation(curve, grad_u, case, quarter, lu0=lu0)
-    adjoint = solve_adjoint_variation(curve, grad_u, e1, case, quarter, lu0=lu0)
-    return 4.0 * compute_correction(curve, grad_u, e1, case, quarter,
-                                    direct=direct, adjoint=adjoint), 0.0
+    return 4.0 * compute_correction(curve, grad_u, e1, case, quarter), 0.0
 
 
 def build_correction_table(curve, case: PerturbationCase, t_grid,

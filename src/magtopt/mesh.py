@@ -118,40 +118,38 @@ class TriMesh:
 # ---------------------------------------------------------------------------
 # generators
 
+def _grid_tris(ids: np.ndarray, odd_second: tuple) -> np.ndarray:
+    """Two triangles per cell of the node-id grid `ids`, in row-major cell
+    order. Cell (i, j) has the corners (a, b, c, d) = ids at (i, j), (i+1, j),
+    (i+1, j+1), (i, j+1); an even cell (i + j even) is split into (a, b, c)
+    and (a, c, d), an odd one into (a, b, d) and the corners `odd_second`."""
+    corners = np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]],
+                       axis=-1)
+    i, j = np.indices(corners.shape[:2])
+    odd = ((i + j) % 2 == 1)[..., None, None]
+    tris = np.where(odd, corners[..., [(0, 1, 3), odd_second]],
+                    corners[..., [(0, 1, 2), (0, 2, 3)]])
+    return tris.reshape(-1, 3)
+
+
 def unit_square_mesh(n: int) -> TriMesh:
     """Uniform crossed-diagonal triangulation of [0,1]^2, all AIR_FIXED.
 
     (n+1)^2 nodes, 2 n^2 triangles; diagonals alternate by cell parity so the
-    mesh is symmetric under the square's reflections.
+    mesh is symmetric under the square's reflections. Node (i, j) sits at
+    (i/n, j/n) and has the id i (n+1) + j.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a = nid(i, j)
-            b = nid(i + 1, j)
-            c = nid(i + 1, j + 1)
-            d = nid(i, j + 1)
-            if (i + j) % 2 == 0:
-                tris += [[a, b, c], [a, c, d]]
-            else:
-                tris += [[a, b, d], [b, c, d]]
-    tris = np.asarray(tris, dtype=np.int64)
-
-    # outer boundary edges
-    bedges = []
-    for i in range(n):
-        bedges += [[nid(i, 0), nid(i + 1, 0)], [nid(i, n), nid(i + 1, n)],
-                   [nid(0, i), nid(0, i + 1)], [nid(n, i), nid(n, i + 1)]]
-    bedges = np.asarray(bedges, dtype=np.int64)
+    ids = np.arange((n + 1) ** 2, dtype=np.int64).reshape(n + 1, n + 1)
+    tris = _grid_tris(ids, (1, 2, 3))
+    # outer boundary edges, four per i: x = 0, x = 1, y = 0, y = 1
+    bedges = np.stack([ids[:-1, 0], ids[1:, 0], ids[:-1, n], ids[1:, n],
+                       ids[0, :-1], ids[0, 1:], ids[n, :-1], ids[n, 1:]],
+                      axis=1).reshape(-1, 2)
     btags = np.full(len(bedges), Boundary.DIRICHLET_OUTER, dtype=np.int8)
     reg = np.full(len(tris), int(Region.AIR_FIXED), dtype=np.int8)
     return TriMesh(nodes, tris, reg, bedges, btags)
@@ -209,11 +207,8 @@ def generate_square_benchmark(n: int) -> TriMesh:
     reg[in_x & (cy > y_gap - h) & (cy < y_gap + h)] = Region.AIRGAP
 
     # probe-curve edges on the line y = y_gap, ordered right-to-left
-    def nid(i, j):
-        return i * (n + 1) + j
-
-    g_edges = [[nid(i + 1, j_gap), nid(i, j_gap)] for i in range(i_hi - 1, i_lo - 1, -1)]
-    g_edges = np.asarray(g_edges, dtype=np.int64)
+    i = np.arange(i_hi - 1, i_lo - 1, -1, dtype=np.int64)
+    g_edges = np.column_stack([i + 1, i]) * (n + 1) + j_gap
     bedges = np.vstack([mesh.bedges, g_edges])
     btags = np.concatenate([mesh.btags,
                             np.full(len(g_edges), Boundary.GAP_PROBE, dtype=np.int8)])
@@ -232,28 +227,24 @@ def _ring_radii(inclusion_radius: float, radius: float, h0: float,
 
 
 def _polar_mesh(radii: np.ndarray, n_theta: int):
-    """Structured polar mesh: center node + rings, union-jack diagonals."""
+    """Structured polar mesh: center node + rings, union-jack diagonals.
+    Returns the nodes, the triangles and the ring ids (len(radii), n_theta):
+    ring[i, j] is the node at radii[i] and angle 2 pi j / n_theta."""
     th = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    nodes = [np.zeros((1, 2))]
-    for r in radii:
-        nodes.append(np.column_stack([r * np.cos(th), r * np.sin(th)]))
-    nodes = np.vstack(nodes)
+    r = radii[:, None]
+    nodes = np.vstack([np.zeros((1, 2)),
+                       np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+                       .reshape(-1, 2)])
+    ring = 1 + np.arange(len(radii) * n_theta, dtype=np.int64).reshape(-1, n_theta)
+    fan = np.column_stack([np.zeros(n_theta, dtype=np.int64), ring[0],
+                           np.roll(ring[0], -1)])
+    grid = _grid_tris(np.hstack([ring, ring[:, :1]]), (3, 1, 2))
+    return nodes, np.vstack([fan, grid]), ring
 
-    def nid(i, j):
-        return 1 + i * n_theta + (j % n_theta)
 
-    tris = []
-    for j in range(n_theta):
-        tris.append([0, nid(0, j), nid(0, j + 1)])
-    for i in range(len(radii) - 1):
-        for j in range(n_theta):
-            a0, a1 = nid(i, j), nid(i, j + 1)
-            b0, b1 = nid(i + 1, j), nid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris += [[a0, b0, b1], [a0, b1, a1]]
-            else:
-                tris += [[a0, b0, a1], [a1, b0, b1]]
-    return nodes, np.asarray(tris, dtype=np.int64), nid
+def _ring_edges(ring: np.ndarray) -> np.ndarray:
+    """Edges closing one ring of node ids, counter-clockwise."""
+    return np.column_stack([ring, np.roll(ring, -1)])
 
 
 def generate_disc_mesh(radius: float, inclusion_radius: float = 1.0,
@@ -272,14 +263,12 @@ def generate_disc_mesh(radius: float, inclusion_radius: float = 1.0,
     if grading < 1.0:
         raise ValueError("grading must be >= 1")
     radii = _ring_radii(inclusion_radius, radius, h0, grading)
-    nodes, tris, nid = _polar_mesh(radii, n_theta)
+    nodes, tris, ring = _polar_mesh(radii, n_theta)
     cen = nodes[tris].mean(axis=1)
     rc = np.hypot(cen[:, 0], cen[:, 1])
     reg = np.where(rc < inclusion_radius, int(Region.DESIGN),
                    int(Region.AIR_FIXED)).astype(np.int8)
-    i_out = len(radii) - 1
-    bedges = np.asarray([[nid(i_out, j), nid(i_out, j + 1)]
-                         for j in range(n_theta)], dtype=np.int64)
+    bedges = _ring_edges(ring[-1])
     btags = np.full(n_theta, Boundary.DIRICHLET_OUTER, dtype=np.int8)
     return TriMesh(nodes, tris, reg, bedges, btags)
 
@@ -316,7 +305,7 @@ def generate_mini_motor(resolution: int = 96) -> TriMesh:
         k = max(2, int(round((r1 - r0) / h0)))
         radii += list(np.linspace(r0, r1, k + 1)[1:])
     radii = np.asarray(radii)
-    nodes, tris, nid = _polar_mesh(radii, resolution)
+    nodes, tris, ring = _polar_mesh(radii, resolution)
 
     cen = nodes[tris].mean(axis=1)
     rc = np.hypot(cen[:, 0], cen[:, 1])
@@ -335,10 +324,7 @@ def generate_mini_motor(resolution: int = 96) -> TriMesh:
     reg[(rc > rr["design_outer"]) & (rc < rr["stator_outer"])] = Region.FERRO_FIXED
 
     i_gam = int(np.argmin(np.abs(radii - MINI_MOTOR_PROBE_RADIUS)))
-    i_out = len(radii) - 1
-    g_edges = [[nid(i_gam, j), nid(i_gam, j + 1)] for j in range(resolution)]
-    d_edges = [[nid(i_out, j), nid(i_out, j + 1)] for j in range(resolution)]
-    bedges = np.asarray(d_edges + g_edges, dtype=np.int64)
+    bedges = np.vstack([_ring_edges(ring[-1]), _ring_edges(ring[i_gam])])
     btags = np.concatenate([
         np.full(resolution, Boundary.DIRICHLET_OUTER, dtype=np.int8),
         np.full(resolution, Boundary.GAP_PROBE, dtype=np.int8)])
@@ -350,37 +336,43 @@ def generate_mini_motor(resolution: int = 96) -> TriMesh:
 
 def save_mesh(path, mesh: TriMesh) -> None:
     with open(path, "w") as f:
-        f.write("meshv1\n")
-        f.write(f"nodes {mesh.n_nodes}\n")
-        for x, y in mesh.nodes:
-            f.write(f"{x:.17g} {y:.17g}\n")
+        f.write(f"meshv1\nnodes {mesh.n_nodes}\n")
+        np.savetxt(f, mesh.nodes, fmt="%.17g")
         f.write(f"tris {mesh.n_tris}\n")
-        for (i, j, k), r in zip(mesh.tris, mesh.region):
-            f.write(f"{i} {j} {k} {int(r)}\n")
+        np.savetxt(f, np.column_stack([mesh.tris, mesh.region]), fmt="%d")
         f.write(f"bedges {len(mesh.bedges)}\n")
-        for (i, j), t in zip(mesh.bedges, mesh.btags):
-            f.write(f"{i} {j} {int(t)}\n")
+        np.savetxt(f, np.column_stack([mesh.bedges, mesh.btags]), fmt="%d")
+
+
+def _section(path, tokens: np.ndarray, pos: int, name: str, cols: int, dtype):
+    """The section `name` at tokens[pos] as a (count, cols) array, and the
+    position after it."""
+    head = tokens[pos:pos + 2].tolist()
+    if len(head) < 2 or head[0] != name or not head[1].isdigit():
+        raise MeshError(f"{path}: expected '{name} <count>'")
+    end = pos + 2 + int(head[1]) * cols
+    if end > len(tokens):
+        raise MeshError(f"{path}: section '{name}' is truncated")
+    try:
+        return tokens[pos + 2:end].astype(dtype).reshape(-1, cols), end
+    except ValueError as exc:
+        raise MeshError(f"{path}: section '{name}': {exc}") from exc
 
 
 def load_mesh(path) -> TriMesh:
+    """Mesh from save_mesh's file; MeshError naming the file and section if
+    a section is missing, truncated or non-numeric, or if it refers to a
+    node that does not exist."""
     with open(path) as f:
-        tokens = f.read().split()
-    it = iter(tokens)
-    if next(it) != "meshv1":
-        raise MeshError("not a meshv1 file")
-    if next(it) != "nodes":
-        raise MeshError("expected 'nodes'")
-    n = int(next(it))
-    nodes = np.array([[float(next(it)), float(next(it))] for _ in range(n)])
-    if next(it) != "tris":
-        raise MeshError("expected 'tris'")
-    m = int(next(it))
-    rows = [[int(next(it)) for _ in range(4)] for _ in range(m)]
-    rows = np.asarray(rows, dtype=np.int64)
-    if next(it) != "bedges":
-        raise MeshError("expected 'bedges'")
-    k = int(next(it))
-    be = [[int(next(it)) for _ in range(3)] for _ in range(k)]
-    be = np.asarray(be, dtype=np.int64).reshape(k, 3)
+        tokens = np.array(f.read().split())
+    if tokens[:1].tolist() != ["meshv1"]:
+        raise MeshError(f"{path}: not a meshv1 file")
+    nodes, pos = _section(path, tokens, 1, "nodes", 2, np.float64)
+    rows, pos = _section(path, tokens, pos, "tris", 4, np.int64)
+    be, _ = _section(path, tokens, pos, "bedges", 3, np.int64)
+    for name, idx in (("tris", rows[:, :3]), ("bedges", be[:, :2])):
+        if np.any((idx < 0) | (idx >= len(nodes))):
+            raise MeshError(f"{path}: section '{name}' refers to a node "
+                            f"outside 0..{len(nodes) - 1}")
     return TriMesh(nodes, rows[:, :3], rows[:, 3].astype(np.int8),
                    be[:, :2], be[:, 2].astype(np.int8))

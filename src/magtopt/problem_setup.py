@@ -109,11 +109,10 @@ def assemble_adjoint_rhs(mesh: TriMesh, u, spec: ObjectiveSpec) -> np.ndarray:
     """
     mis = gap_flux(mesh, u, spec) - spec.b_target
     coef = 2.0 * spec.lengths * mis
-    out = np.zeros(mesh.n_nodes)
     gphi = mesh.grads[spec.elements]                       # (k, 3, 2)
     contrib = coef[:, None] * np.einsum("kli,ki->kl", gphi, spec.tangents)
-    np.add.at(out, mesh.tris[spec.elements].ravel(), contrib.ravel())
-    return out
+    return np.bincount(mesh.tris[spec.elements].ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,11 @@ def assemble_generalized_td(state: StateResult, p: np.ndarray,
                              + corr)
         n_clamped += clamped
 
-    nodal = np.zeros(mesh.n_nodes)
-    wsum = np.zeros(mesh.n_nodes)
-    tr = mesh.tris[design]
+    tr = mesh.tris[design].ravel()
     w = np.repeat(mesh.areas[design], 3)
-    np.add.at(nodal, tr.ravel(), w * np.repeat(vals, 3))
-    np.add.at(wsum, tr.ravel(), w)
+    nodal = np.bincount(tr, weights=w * np.repeat(vals, 3),
+                        minlength=mesh.n_nodes)
+    wsum = np.bincount(tr, weights=w, minlength=mesh.n_nodes)
     nz = wsum > 0
     nodal[nz] /= wsum[nz]
     return TopoDerivField(vals, nodal, n_clamped)

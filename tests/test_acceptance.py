@@ -213,9 +213,8 @@ def test_criterion_07_correction_term_properties(marrocco, linear_stub,
                            CASE_I, disc_default)
             worst_rot = max(worst_rot, abs(j - base) / abs(base))
     gu_pt = np.array([1.5, 0.0])
-    H = solve_direct_variation(marrocco, gu_pt, CASE_I, disc_default)
-    j_a = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_default, direct=H)
-    j_b = compute_correction(marrocco, gu_pt, 2.0 * gp_pt, CASE_I, disc_default, direct=H)
+    j_a = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_default)
+    j_b = compute_correction(marrocco, gu_pt, 2.0 * gp_pt, CASE_I, disc_default)
     lin_err = abs(j_b - 2.0 * j_a) / abs(2.0 * j_a)
     stub = abs(compute_correction(linear_stub, gu_pt, gp_pt, CASE_I, disc_default))
     H0 = solve_direct_variation(marrocco, np.zeros(2), CASE_I, disc_default)

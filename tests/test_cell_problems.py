@@ -149,9 +149,8 @@ class TestComputeJ2:
     def test_scaling_in_v0(self, marrocco, disc_coarse):
         gu_pt = np.array([1.5, 0.0])
         gp_pt = np.array([0.6, 0.4])
-        H = solve_direct_variation(marrocco, gu_pt, CASE_I, disc_coarse)
-        j1 = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_coarse, direct=H)
-        j2 = compute_correction(marrocco, gu_pt, 2.0 * gp_pt, CASE_I, disc_coarse, direct=H)
+        j1 = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_coarse)
+        j2 = compute_correction(marrocco, gu_pt, 2.0 * gp_pt, CASE_I, disc_coarse)
         assert j2 == pytest.approx(2.0 * j1, rel=1e-8)
 
     def test_angle_difference_only(self, marrocco, disc_coarse):
@@ -339,8 +338,12 @@ class TestTableSample:
         direct = solve_direct_variation(marrocco, grad_u, CASE_I, quarter)
         n_direct = len(calls)
         adjoint = solve_adjoint_variation(marrocco, grad_u, e1, CASE_I, quarter)
-        separate = (4.0 * compute_correction(marrocco, grad_u, e1, CASE_I, quarter,
-                                             direct=direct, adjoint=adjoint), 0.0)
+        _, nonlin, _ = cell_problems._sides(quarter, CASE_I)
+        gh = quarter.element_gradients(direct)[nonlin]
+        gk = quarter.element_gradients(adjoint)[nonlin]
+        s_el = material.nonlinearity(marrocco, np.broadcast_to(grad_u, gh.shape), gh)
+        separate = (4.0 * float(np.einsum("e,ei,ei->", quarter.areas[nonlin],
+                                          s_el, e1 + gk)), 0.0)
         calls.clear()
         shared = cell_problems._table_sample(marrocco, CASE_I, spec, 1.5)
         assert n_direct >= 2

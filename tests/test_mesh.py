@@ -1,6 +1,10 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
+from magtopt.cell_problems import DiscSpec
 from magtopt.mesh import (Boundary, MeshError, Region, TriMesh,
                           generate_disc_mesh, generate_mini_motor,
                           generate_square_benchmark, load_mesh, save_mesh,
@@ -137,6 +141,23 @@ class TestAsciiIO:
         with pytest.raises(MeshError):
             load_mesh(p)
 
+    @pytest.mark.parametrize("defect, section", [
+        ("truncated", "bedges"), ("non-numeric", "nodes"), ("bad index", "tris")])
+    def test_malformed_rejected(self, tmp_path, defect, section):
+        p = tmp_path / "mesh.txt"
+        save_mesh(p, generate_square_benchmark(8))
+        lines = p.read_text().splitlines()
+        if defect == "truncated":
+            lines = lines[:-1]
+        elif defect == "non-numeric":
+            lines[2] = "0 zero"
+        else:
+            # 81 nodes, so node 81 does not exist
+            lines[lines.index("tris 128") + 1] = "0 1 81 2"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=f"{re.escape(str(p))}: section '{section}'"):
+            load_mesh(p)
+
 
 class TestMiniMotor:
     @pytest.fixture()
@@ -172,3 +193,49 @@ class TestDegenerateGeometry:
                     np.empty((0, 2), np.int64), np.empty(0, np.int8))
         with pytest.raises(MeshError):
             m.areas
+
+
+def _digest(a):
+    """sha256 prefix of an array's dtype, shape and bytes."""
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestLayoutPinned:
+    """Index arrays of the shipped meshes, pinned byte for byte: a change of
+    vertex order moves every result by round-off. Polar node coordinates are
+    not pinned, since SIMD sin/cos may differ in the last bit across CPUs."""
+
+    LAYOUTS = {  # tris, region, bedges, btags
+        "square/8": ("d0053571e5c55855", "32d7423f0b7068ec",
+                     "0cd60ffd91edcc40", "9b6eaadb575d258a"),
+        "square/64": ("47d3efeb633cb7bd", "6373731607a637fa",
+                      "cc350a5a0c467754", "38975fe14dbd6f8f"),
+        "mini_motor/24": ("2a90e3e67776d29e", "218ea23cbdf693b5",
+                          "c5d1928e33eae3ae", "fd5e4b28b358d5da"),
+        "mini_motor/96": ("ca7b1a8c53963762", "722451ed43c75ae2",
+                          "158bd1aefbc7caba", "46cc0803caf20371"),
+        "disc/default": ("733ed74cda2c7e5e", "25031a6753938b93",
+                         "6aa239500afa5dd9", "58375a5d0690baf9"),
+    }
+    BUILD = {
+        "square/8": lambda: generate_square_benchmark(8),
+        "square/64": lambda: generate_square_benchmark(64),
+        "mini_motor/24": lambda: generate_mini_motor(24),
+        "mini_motor/96": lambda: generate_mini_motor(96),
+        "disc/default": lambda: DiscSpec().build(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_index_arrays(self, name):
+        mesh = self.BUILD[name]()
+        got = tuple(_digest(getattr(mesh, a))
+                    for a in ("tris", "region", "bedges", "btags"))
+        assert got == self.LAYOUTS[name]
+
+    def test_saved_square_bytes(self, tmp_path):
+        # square/8 coordinates are exact binary fractions
+        p = tmp_path / "mesh.txt"
+        save_mesh(p, generate_square_benchmark(8))
+        assert hashlib.sha256(p.read_bytes()).hexdigest()[:16] == "d06e950a9ae94410"
