@@ -69,10 +69,21 @@ def load_config(path) -> dict:
     return cfg
 
 
+#: keys that name an input file
+_FILE_KEYS = ("spline_csv", "target_csv", "table_case1", "table_case2")
+
+
 def config_hash(cfg: dict) -> str:
-    """Short hash of the settings that can change a result; `workers` only
-    schedules the table build, whose output it leaves bit-identical."""
-    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "workers")
+    """Short hash of the settings that can change a result. An input-file key
+    that names an existing file counts by the file's bytes, not its path;
+    `workers` only schedules the table build, whose output it leaves
+    bit-identical."""
+    def value(k):
+        if k in _FILE_KEYS and Path(cfg[k]).is_file():
+            return "sha256:" + hashlib.sha256(Path(cfg[k]).read_bytes()).hexdigest()
+        return cfg[k]
+
+    canon = "\n".join(f"{k}={value(k)}" for k in sorted(cfg) if k != "workers")
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -139,7 +150,8 @@ def _build_tables(cfg, curve, out: Path):
     if t_max > 0 and n < 2:
         raise ConfigError(f"n_samples = {n} must be at least 2 when t_max > 0")
     grid = np.linspace(0.0, t_max, n) if t_max > 0 else np.array([0.0])
-    h = config_hash(cfg)
+    # the table paths name this build's outputs, not inputs
+    h = config_hash(dict(cfg, table_case1="", table_case2=""))
     tables = []
     for case, path in zip(PerturbationCase, _table_paths(cfg, out)):
         log.info("building correction table %s -> %s", case.value, path)

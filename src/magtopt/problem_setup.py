@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .mesh import Region, TriMesh, generate_mini_motor, generate_square_benchmark
@@ -23,22 +24,20 @@ class ConfigurationError(Exception):
 
 @dataclass
 class ObjectiveSpec:
-    """Gap-curve tracking data: ordered edges, fixed-side elements, target."""
+    """Gap-curve tracking data: ordered edges, fixed-side elements, trace, target."""
     edges: np.ndarray        # (k, 2) node indices, ordered along the curve
     elements: np.ndarray     # (k,) adjacent element on the fixed side
-    tangents: np.ndarray     # (k, 2) unit tangents (edge direction)
+    trace: sp.csr_matrix     # (k, n): row k holds tau_k . grad(phi_j) on elements[k]
     lengths: np.ndarray      # (k,) edge lengths (quadrature weights)
     midpoints: np.ndarray    # (k, 2)
     b_target: np.ndarray     # (k,) target flux density at midpoints [T]
 
-    @property
-    def total_length(self) -> float:
-        return float(self.lengths.sum())
-
 
 def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
-    """Fixed-side element per edge: the incident element whose centroid lies
-    left of the directed edge. Errors if any incident element is DESIGN."""
+    """Fixed-side element per edge: the first incident element (in index
+    order) whose centroid lies left of the directed edge, else the first
+    incident one. Refuses the first edge that is not in the mesh or has a
+    DESIGN or non-air neighbour, naming its first such neighbour."""
     n = mesh.n_nodes
     a, b = mesh.tris, np.roll(mesh.tris, -1, axis=1)   # sides (0,1), (1,2), (2,0)
     keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
@@ -46,26 +45,28 @@ def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
     keys, owner = keys[order], order // 3
     query = edges.min(axis=1) * n + edges.max(axis=1)
     lo = np.searchsorted(keys, query)
-    hi = np.searchsorted(keys, query, side="right")
-    air = {int(Region.AIR_FIXED), int(Region.AIRGAP),
-           int(Region.COIL), int(Region.MAGNET)}
-    out = np.empty(len(edges), dtype=np.int64)
-    for k, (i, j) in enumerate(edges):
-        elems = owner[lo[k]:hi[k]]
-        if elems.size == 0:
+    count = np.searchsorted(keys, query, side="right") - lo
+    # all (edge, incident element) pairs, in edge order, then index order
+    start = np.cumsum(count) - count
+    edge_of = np.repeat(np.arange(len(edges)), count)
+    pairs = np.arange(edge_of.size)
+    elems = owner[lo[edge_of] + pairs - start[edge_of]]
+    air = [Region.AIR_FIXED, Region.AIRGAP, Region.COIL, Region.MAGNET]
+    bad = np.flatnonzero(~np.isin(mesh.region[elems], air))
+    fails = np.union1d(edge_of[bad], np.flatnonzero(count == 0))
+    if fails.size:
+        i, j = edges[fails[0]]
+        if count[fails[0]] == 0:
             raise ConfigurationError(f"gap edge ({i},{j}) not in the mesh")
-        for region in mesh.region[elems].tolist():
-            if region == Region.DESIGN:
-                raise ConfigurationError(
-                    f"gap edge ({i},{j}) adjacent to a DESIGN element")
-            if region not in air:
-                raise ConfigurationError(
-                    f"gap edge ({i},{j}) adjacent to non-air element")
-        tau = mesh.nodes[j] - mesh.nodes[i]
-        d = mesh.centroids[elems] - 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-        left = np.flatnonzero(tau[0] * d[:, 1] - tau[1] * d[:, 0] > 0)
-        out[k] = elems[left[0] if left.size else 0]
-    return out
+        if mesh.region[elems[bad[0]]] == Region.DESIGN:
+            raise ConfigurationError(f"gap edge ({i},{j}) adjacent to a DESIGN element")
+        raise ConfigurationError(f"gap edge ({i},{j}) adjacent to non-air element")
+    p = mesh.nodes[edges[edge_of]]
+    tau, d = p[:, 1] - p[:, 0], mesh.centroids[elems] - 0.5 * (p[:, 0] + p[:, 1])
+    left = tau[:, 0] * d[:, 1] - tau[:, 1] * d[:, 0] > 0
+    # per edge, the least of pair + size * (not left): its first left pair,
+    # or (modulo size) its first pair when none is left
+    return elems[np.minimum.reduceat(pairs + pairs.size * ~left, start) % pairs.size]
 
 
 def make_objective(mesh: TriMesh, b_target) -> ObjectiveSpec:
@@ -76,22 +77,23 @@ def make_objective(mesh: TriMesh, b_target) -> ObjectiveSpec:
     edges = mesh.gap_probe_edges()
     if len(edges) == 0:
         raise ConfigurationError("mesh has no GAP_PROBE edges")
-    p = mesh.nodes
+    p, k = mesh.nodes, len(edges)
     vec = p[edges[:, 1]] - p[edges[:, 0]]
     lengths = np.hypot(vec[:, 0], vec[:, 1])
-    tangents = vec / lengths[:, None]
     mid = 0.5 * (p[edges[:, 0]] + p[edges[:, 1]])
     elements = _edge_elements(mesh, edges)
+    weights = np.einsum("kji,ki->kj", mesh.grads[elements], vec / lengths[:, None])
+    trace = sp.csr_matrix((weights.ravel(), mesh.tris[elements].ravel(),
+                           np.arange(0, 3 * k + 1, 3)), shape=(k, mesh.n_nodes))
     bt = np.asarray(b_target(mid) if callable(b_target) else b_target, dtype=float)
-    if bt.shape != (len(edges),):
+    if bt.shape != (k,):
         raise ConfigurationError("target sample count must equal edge count")
-    return ObjectiveSpec(edges, elements, tangents, lengths, mid, bt)
+    return ObjectiveSpec(edges, elements, trace, lengths, mid, bt)
 
 
 def gap_flux(mesh: TriMesh, u, spec: ObjectiveSpec) -> np.ndarray:
     """grad(u).tau at the edge midpoints, from the fixed-side elements."""
-    gu = mesh.element_gradients(np.asarray(u, float))[spec.elements]
-    return np.einsum("ki,ki->k", gu, spec.tangents)
+    return spec.trace @ np.asarray(u, float)
 
 
 def eval_objective(mesh: TriMesh, u, spec: ObjectiveSpec) -> float:
@@ -108,11 +110,7 @@ def assemble_adjoint_rhs(mesh: TriMesh, u, spec: ObjectiveSpec) -> np.ndarray:
     The adjoint equation is solved with the negative of this vector.
     """
     mis = gap_flux(mesh, u, spec) - spec.b_target
-    coef = 2.0 * spec.lengths * mis
-    gphi = mesh.grads[spec.elements]                       # (k, 3, 2)
-    contrib = coef[:, None] * np.einsum("kli,ki->kl", gphi, spec.tangents)
-    return np.bincount(mesh.tris[spec.elements].ravel(), weights=contrib.ravel(),
-                       minlength=mesh.n_nodes)
+    return spec.trace.T @ (2.0 * spec.lengths * mis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,30 @@
+"""Closed-form oracles that tests compare the library's numerical solves
+against; no library code needs them."""
+import numpy as np
+
+from magtopt import polarization
+
+
+def analytic_adjoint_variation(curve, grad_u, grad_p, x):
+    """Closed-form adjoint variation for the ferro-in-air arrangement.
+
+    In the frame aligned with the state gradient the solution separates per
+    direction into a_i x_i inside the unit disk and a_i x_i/|x|^2 outside,
+    the single coefficient per direction fixed by continuity plus the
+    flux-jump condition: a_1 = (nu0-lam2)/(nu0+lam2),
+    a_2 = (nu0-lam1)/(nu0+lam1). Accepts one point or an (n, 2) array.
+    """
+    grad_p = np.asarray(grad_p, dtype=float)
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    lam1, lam2, e1 = polarization._aligned_frame(curve, grad_u)
+    nu0 = curve.nu_air
+    e2 = np.array([-e1[1], e1[0]])
+    a1 = (nu0 - lam2) / (nu0 + lam2)
+    a2 = (nu0 - lam1) / (nu0 + lam1)
+    v1, v2 = float(grad_p @ e1), float(grad_p @ e2)
+    x1, x2 = pts @ e1, pts @ e2
+    r2 = np.maximum(x1 * x1 + x2 * x2, 1e-300)
+    inside = r2 <= 1.0
+    vals = np.where(inside, v1 * a1 * x1 + v2 * a2 * x2,
+                    (v1 * a1 * x1 + v2 * a2 * x2) / r2)
+    return float(vals[0]) if np.ndim(x) == 1 else vals

@@ -9,8 +9,8 @@ import pytest
 
 from magtopt import optimizer as op
 from magtopt.cell_problems import (DiscSpec, CorrectionTable, PerturbationCase,
-                                   analytic_adjoint_variation, build_correction_table,
-                                   compute_correction, disc_mesh, eval_correction, solve_direct_variation,
+                                   build_correction_table, compute_correction,
+                                   disc_mesh, eval_correction, solve_direct_variation,
                                    solve_adjoint_variation)
 from magtopt.fem import solve_state
 from magtopt.material import (NU0, LinearCurve, MarroccoCurve, SplineCurve,
@@ -22,6 +22,7 @@ from magtopt.polarization import (matrix_air_in_ferro, polarization_disk,
 from magtopt.problem_setup import (assemble_adjoint_rhs, build_benchmark_problem,
                                    eval_objective)
 from magtopt import fem
+from oracles import analytic_adjoint_variation
 
 CASE_I = PerturbationCase.AIR_IN_FERRO
 CASE_II = PerturbationCase.FERRO_IN_AIR
@@ -176,8 +177,9 @@ def test_criterion_06_cell_oracle(marrocco, say):
     gu_pt = np.array([1.5, 0.0])
     gp_pt = np.array([0.3, 0.8])
     errs = []
-    for factor in (0.5, 1.0, 2.0):   # default resolution is the middle one
-        spec = DiscSpec().refined(factor)
+    # the default disc in the middle, h0 halved and n_theta doubled per step
+    for spec in (DiscSpec(h0=0.1, n_theta=64), DiscSpec(),
+                 DiscSpec(h0=0.025, n_theta=256)):
         mesh = disc_mesh(spec)
         K = solve_adjoint_variation(marrocco, gu_pt, gp_pt, CASE_II, mesh)
         exact = analytic_adjoint_variation(marrocco, gu_pt, gp_pt, mesh.nodes)

@@ -5,11 +5,12 @@ from scipy.spatial import cKDTree
 from magtopt import cell_problems, fem, material
 from magtopt.fem import SolverError
 from magtopt.cell_problems import (DiscSpec, CorrectionTable, PerturbationCase,
-                                   analytic_adjoint_variation, build_correction_table,
-                                   compute_correction, disc_mesh, eval_correction, load_table,
-                                   save_table, solve_direct_variation, solve_adjoint_variation)
+                                   build_correction_table, compute_correction,
+                                   disc_mesh, eval_correction, load_table, save_table,
+                                   solve_direct_variation, solve_adjoint_variation)
 from magtopt.material import NU0, LinearCurve
 from magtopt.mesh import Region
+from oracles import analytic_adjoint_variation
 
 CASE_I = PerturbationCase.AIR_IN_FERRO
 CASE_II = PerturbationCase.FERRO_IN_AIR
@@ -408,15 +409,6 @@ class TestWorkers:
         parallel = build_correction_table(marrocco, CASE_I, grid, spec, workers=2)
         np.testing.assert_array_equal(serial.j2_e1, parallel.j2_e1)
         np.testing.assert_array_equal(serial.j2_e2, parallel.j2_e2)
-
-
-class TestDiscSpecRefined:
-    def test_refinement_scales_parameters(self):
-        spec = DiscSpec()
-        fine = spec.refined(2.0)
-        assert fine.h0 == spec.h0 / 2.0
-        assert fine.n_theta == spec.n_theta * 2
-        assert fine.radius == spec.radius
 
 
 class TestMatrixTermCrossValidation:

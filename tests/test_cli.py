@@ -205,6 +205,35 @@ class TestOptimize:
         header = (out / "iterations.csv").read_text().splitlines()[0]
         assert header == f"# config={cli.config_hash(ran)}"
 
+    def _stamp_of_run(self, tmp_path, tables, name):
+        cfg = write_config(tmp_path, name=f"{name}.cfg",
+                           table_case1=str(tables / "j2_case1.csv"),
+                           table_case2=str(tables / "j2_case2.csv"))
+        out = tmp_path / name
+        assert cli.main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        return (out / "iterations.csv").read_text().splitlines()[0]
+
+    def test_stamp_same_for_identical_tables_at_two_paths(self, tmp_path):
+        tables, copy = tmp_path / "tables", tmp_path / "copy"
+        assert cli.main(["build-tables", "--config", str(write_config(tmp_path)),
+                         "--out", str(tables)]) == 0
+        copy.mkdir()
+        for name in ("j2_case1.csv", "j2_case2.csv"):
+            (copy / name).write_bytes((tables / name).read_bytes())
+        assert (self._stamp_of_run(tmp_path, tables, "run1")
+                == self._stamp_of_run(tmp_path, copy, "run2"))
+
+    def test_stamp_moves_when_a_table_row_is_rewritten(self, tmp_path):
+        tables = tmp_path / "tables"
+        assert cli.main(["build-tables", "--config", str(write_config(tmp_path)),
+                         "--out", str(tables)]) == 0
+        before = self._stamp_of_run(tmp_path, tables, "run1")
+        path = tables / "j2_case1.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        t_last = lines[-1].split(",")[0]
+        path.write_text("".join(lines[:-1]) + f"{t_last},1e-9,0\n")
+        assert self._stamp_of_run(tmp_path, tables, "run2") != before
+
 
 class TestTableGuards:
     def test_tables_for_another_curve_rejected(self, tmp_path, caplog):

@@ -12,6 +12,20 @@ from magtopt.problem_setup import (ConfigurationError, _edge_elements, assemble_
 RNG = np.random.default_rng(17)
 
 
+def loop_edge_elements(mesh, edges):
+    """Per-edge reference of `_edge_elements`' choice: the first incident
+    element, in index order, whose centroid lies left of the directed edge,
+    else the first incident one."""
+    out = []
+    for i, j in edges:
+        elems = np.flatnonzero((mesh.tris == i).any(1) & (mesh.tris == j).any(1))
+        tau = mesh.nodes[j] - mesh.nodes[i]
+        d = mesh.centroids[elems] - 0.5 * (mesh.nodes[i] + mesh.nodes[j])
+        left = np.flatnonzero(tau[0] * d[:, 1] - tau[1] * d[:, 0] > 0)
+        out.append(elems[left[0] if left.size else 0])
+    return np.array(out, dtype=np.int64)
+
+
 @pytest.fixture(scope="module")
 def square():
     return build_benchmark_problem("square", 16)
@@ -35,7 +49,7 @@ class TestEvalObjective:
         spec = make_objective(mesh, np.ones(len(square.objective.edges)))
         u = np.zeros(mesh.n_nodes)
         assert eval_objective(mesh, u, spec) == pytest.approx(
-            spec.total_length, rel=1e-12)
+            spec.lengths.sum(), rel=1e-12)
 
     def test_quadratic_scaling(self, square, solved):
         mesh = square.mesh
@@ -89,7 +103,7 @@ class TestBenchmarks:
         g = np.unique(mesh.gap_probe_edges().ravel())
         assert np.ptp(mesh.nodes[g, 1]) == 0.0
         xext = np.ptp(mesh.nodes[g, 0])
-        assert square.objective.total_length == pytest.approx(xext, rel=1e-12)
+        assert square.objective.lengths.sum() == pytest.approx(xext, rel=1e-12)
 
     def test_square_sources(self, square):
         assert square.sources.jz == 0.0
@@ -183,6 +197,18 @@ class TestEdgeElements:
         tau, d = b - a, mesh.centroids[chosen] - 0.5 * (a + b)
         assert np.all(tau[:, 0] * d[:, 1] - tau[:, 1] * d[:, 0] > 0)
 
+    @pytest.mark.parametrize("kind, resolution", [("square", 16), ("mini_motor", 24)])
+    def test_matches_per_edge_loop(self, kind, resolution):
+        # gap edges in both directions, and outer edges next to air, whose
+        # one element lies right of one of the two directions (the fallback)
+        mesh = build_benchmark_problem(kind, resolution).mesh
+        outer = mesh.bedges[mesh.btags == Boundary.DIRICHLET_OUTER]
+        outer = outer[mesh.region[loop_edge_elements(mesh, outer)] == Region.AIR_FIXED]
+        gap = mesh.gap_probe_edges()
+        edges = np.concatenate([gap, gap[:, ::-1], outer, outer[:, ::-1]])
+        np.testing.assert_array_equal(_edge_elements(mesh, edges),
+                                      loop_edge_elements(mesh, edges))
+
     def test_design_neighbour_names_edge(self):
         mesh = generate_square_benchmark(16)
         edges = mesh.gap_probe_edges()
@@ -194,6 +220,36 @@ class TestEdgeElements:
         tampered = TriMesh(mesh.nodes, mesh.tris, region, mesh.bedges, mesh.btags)
         with pytest.raises(ConfigurationError,
                            match=rf"^gap edge \({i},{j}\) adjacent to a DESIGN element$"):
+            _edge_elements(tampered, edges)
+
+    @pytest.mark.parametrize("case, k, reason", [
+        ("no_shared_triangle", 4, "not in the mesh"),
+        ("ferro_neighbour", 3, "adjacent to non-air element"),
+        ("ferro_below_design", 3, "adjacent to non-air element"),
+        ("design_before_missing", 2, "adjacent to a DESIGN element"),
+    ], ids=["no_shared_triangle", "ferro_neighbour", "ferro_below_design",
+            "design_before_missing"])
+    def test_refusal_names_first_failing_edge(self, case, k, reason):
+        # the first failing edge in edge order is reported; within it, a
+        # missing edge first, then the first incident element in index order
+        # that is DESIGN or not air
+        mesh = generate_square_benchmark(16)
+        edges = mesh.gap_probe_edges().copy()
+        incident = [np.flatnonzero((mesh.tris == i).any(1) & (mesh.tris == j).any(1))
+                    for i, j in edges]
+        region = mesh.region.copy()
+        if case in ("no_shared_triangle", "design_before_missing"):
+            edges[4, 1] = edges[6, 1]       # two cells apart on the probe line
+        if case == "ferro_neighbour":
+            region[incident[3][1]] = Region.FERRO_FIXED
+        if case == "ferro_below_design":
+            region[incident[3]] = [Region.FERRO_FIXED, Region.DESIGN]
+        if case == "design_before_missing":
+            region[incident[2][1]] = Region.DESIGN
+        tampered = TriMesh(mesh.nodes, mesh.tris, region, mesh.bedges, mesh.btags)
+        i, j = edges[k]
+        with pytest.raises(ConfigurationError,
+                           match=rf"^gap edge \({i},{j}\) {reason}$"):
             _edge_elements(tampered, edges)
 
 
