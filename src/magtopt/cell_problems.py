@@ -89,14 +89,11 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
                            lu0=None) -> np.ndarray:
     """The nonlinear transmission problem for the variation H of the direct
     state: fem.solve_quasilinear with offset w = grad_u on the nonlinear side,
-    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2; nodal values (n,). A zero
-    state gradient gives the trivial solution without solving. `lu0`
+    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2; nodal values (n,). `lu0`
     (factorize_jacobian0) replaces the first Newton step's factorization and
     preconditions the later steps until one of them factorizes."""
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
-    if np.hypot(grad_u[0], grad_u[1]) == 0.0:
-        return np.zeros(disc.n_nodes)
     nu_u0 = float(curve.nu(np.hypot(grad_u[0], grad_u[1])))
     f_el = np.zeros((disc.n_tris, 2))
     f_el[inclusion] = sign * (curve.nu_air - nu_u0) * grad_u

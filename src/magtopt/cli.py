@@ -40,13 +40,8 @@ DEFAULTS = {
     "table_case1": "", "table_case2": "",
     "kappa_start": "0.1", "theta_tol_deg": "1.0", "max_iter": "400",
     "snapshot_every": "10",
-    "seed": "0",
     "workers": "1",
 }
-
-
-class ConfigError(Exception):
-    pass
 
 
 def load_config(path) -> dict:
@@ -55,16 +50,16 @@ def load_config(path) -> dict:
         try:
             text = Path(path).read_text()
         except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
+            raise ConfigurationError(f"cannot read config: {exc}") from exc
         for ln, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
+                raise ConfigurationError(f"{path}:{ln}: expected 'key = value'")
             k, v = (s.strip() for s in line.split("=", 1))
             if k not in DEFAULTS:
-                raise ConfigError(f"{path}:{ln}: unknown key {k!r}")
+                raise ConfigurationError(f"{path}:{ln}: unknown key {k!r}")
             cfg[k] = v
     return cfg
 
@@ -87,23 +82,32 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _parse(cfg: dict, key: str, kind=float):
+    """cfg[key] as a `kind`; ConfigurationError naming the key if it is not."""
+    try:
+        return kind(cfg[key])
+    except ValueError:
+        raise ConfigurationError(
+            f"{key} = {cfg[key]!r} is not a valid {kind.__name__}") from None
+
+
 def build_curve(cfg: dict):
     kind = cfg["curve"]
     if kind == "marrocco":
-        return material.MarroccoCurve(alpha=float(cfg["alpha"]),
-                                      c=float(cfg["c"]), tau=float(cfg["tau"]))
+        return material.MarroccoCurve(alpha=_parse(cfg, "alpha"),
+                                      c=_parse(cfg, "c"), tau=_parse(cfg, "tau"))
     if kind == "linear":
-        return material.LinearCurve(nu_const=float(cfg["nu_linear"]))
+        return material.LinearCurve(nu_const=_parse(cfg, "nu_linear"))
     if kind == "spline":
         if not cfg["spline_csv"]:
-            raise ConfigError("curve = spline requires spline_csv")
+            raise ConfigurationError("curve = spline requires spline_csv")
         return material.SplineCurve.from_csv(cfg["spline_csv"])
-    raise ConfigError(f"unknown curve kind {kind!r}")
+    raise ConfigurationError(f"unknown curve kind {kind!r}")
 
 
 def disc_spec(cfg: dict) -> DiscSpec:
-    return DiscSpec(radius=float(cfg["disc_radius"]), h0=float(cfg["h0"]),
-                    growth=float(cfg["growth"]), n_theta=int(cfg["n_theta"]))
+    return DiscSpec(radius=_parse(cfg, "disc_radius"), h0=_parse(cfg, "h0"),
+                    growth=_parse(cfg, "growth"), n_theta=_parse(cfg, "n_theta", int))
 
 
 def _prepare_out(out: str, force: bool) -> Path:
@@ -143,12 +147,12 @@ def _table_paths(cfg, out: Path):
 def _build_tables(cfg, curve, out: Path):
     """Build both correction tables on the configured grid and disc, save
     them to their configured paths, and return them (case I, case II)."""
-    spec = disc_spec(cfg)
-    t_max, n = float(cfg["t_max"]), int(cfg["n_samples"])
+    spec, workers = disc_spec(cfg), _parse(cfg, "workers", int)
+    t_max, n = _parse(cfg, "t_max"), _parse(cfg, "n_samples", int)
     if not (np.isfinite(t_max) and t_max >= 0.0):
-        raise ConfigError(f"t_max = {t_max:g} must be finite and non-negative")
+        raise ConfigurationError(f"t_max = {t_max:g} must be finite and non-negative")
     if t_max > 0 and n < 2:
-        raise ConfigError(f"n_samples = {n} must be at least 2 when t_max > 0")
+        raise ConfigurationError(f"n_samples = {n} must be at least 2 when t_max > 0")
     grid = np.linspace(0.0, t_max, n) if t_max > 0 else np.array([0.0])
     # the table paths name this build's outputs, not inputs
     h = config_hash(dict(cfg, table_case1="", table_case2=""))
@@ -156,7 +160,7 @@ def _build_tables(cfg, curve, out: Path):
     for case, path in zip(PerturbationCase, _table_paths(cfg, out)):
         log.info("building correction table %s -> %s", case.value, path)
         table = cell_problems.build_correction_table(curve, case, grid, spec,
-                                                     workers=int(cfg["workers"]))
+                                                     workers=workers)
         cell_problems.save_table(path, table, config_hash=h)
         tables.append(table)
     return tuple(tables)
@@ -172,14 +176,14 @@ def cmd_build_tables(cfg, args) -> int:
 
 def _load_or_build_tables(cfg, curve, out: Path):
     """Tables from the configured paths if both exist, else freshly built;
-    if only one exists, ConfigError, since a build would overwrite it.
+    if only one exists, ConfigurationError, since a build would overwrite it.
     A loaded table must match the curve and its slot's case."""
     paths = _table_paths(cfg, out)
     missing = [p for p in paths if not p.exists()]
     if len(missing) == 1:
         present, = set(paths) - set(missing)
-        raise ConfigError(f"correction table {missing[0]} does not exist, but "
-                          f"{present} does; building the pair would overwrite it")
+        raise ConfigurationError(f"correction table {missing[0]} does not exist, but "
+                                 f"{present} does; building the pair would overwrite it")
     if missing:
         log.info("correction tables missing; building them first")
         return _build_tables(cfg, curve, out)
@@ -200,7 +204,7 @@ def _build_problem(cfg):
     if cfg["target_csv"]:
         target = problem_setup.load_target_csv(cfg["target_csv"])
     return problem_setup.build_benchmark_problem(cfg["problem"],
-                                                 int(cfg["resolution"]),
+                                                 _parse(cfg, "resolution", int),
                                                  b_target=target)
 
 
@@ -224,15 +228,15 @@ def cmd_solve(cfg, args) -> int:
 
 def cmd_optimize(cfg, args) -> int:
     curve = build_curve(cfg)
-    out = _prepare_out(args.out, args.force)
-    t1, t2 = _load_or_build_tables(cfg, curve, out)
     prob = _build_problem(cfg)
     opts = optimizer.OptimizerOptions(
-        kappa_start=float(cfg["kappa_start"]),
-        theta_tol_deg=float(cfg["theta_tol_deg"]),
-        max_iter=int(cfg["max_iter"]))
+        kappa_start=_parse(cfg, "kappa_start"),
+        theta_tol_deg=_parse(cfg, "theta_tol_deg"),
+        max_iter=_parse(cfg, "max_iter", int))
+    every = _parse(cfg, "snapshot_every", int)
+    out = _prepare_out(args.out, args.force)
+    t1, t2 = _load_or_build_tables(cfg, curve, out)
     h = config_hash(cfg)
-    every = int(cfg["snapshot_every"])
 
     def snapshot(state):
         if every > 0 and state.k % every == 0:
@@ -274,8 +278,8 @@ def cmd_export(cfg, args) -> int:
 
 
 def cmd_selftest(cfg, args) -> int:
-    """Quick property sweep (seeded); exercises the core identities."""
-    rng = np.random.default_rng(int(cfg["seed"]))
+    """Quick property sweep (seed 0); exercises the core identities."""
+    rng = np.random.default_rng(0)
     curve = build_curve(cfg)
     failures = []
 
@@ -342,10 +346,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers for table builds")
-    parser.add_argument("--linear", action="store_true",
-                        help="same as curve = linear (also in the config hash)")
     args = parser.parse_args(argv)
 
     logging.basicConfig(
@@ -354,14 +354,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
 
     try:
-        cfg = load_config(args.config)
-        if args.workers is not None:
-            cfg["workers"] = str(args.workers)
-        if args.linear:
-            cfg["curve"] = "linear"
-        return COMMANDS[args.command](cfg, args)
-    except (ConfigError, ConfigurationError, material.MaterialError,
-            ValueError) as exc:
+        return COMMANDS[args.command](load_config(args.config), args)
+    except (ConfigurationError, material.MaterialError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
     except fem.SolverError as exc:

@@ -74,11 +74,8 @@ def assemble_rhs_elements(mesh: TriMesh, jz_el: np.ndarray,
 def assemble_rhs(mesh: TriMesh, sources: SourceSpec) -> np.ndarray:
     """Load vector from a tagged source specification."""
     jz_el = np.where(mesh.region == Region.COIL, sources.jz, 0.0)
-    m = np.asarray(sources.magnetization, dtype=float)
-    if m.ndim == 1:
-        m_el = np.tile(m, (mesh.n_tris, 1))
-    else:
-        m_el = m.copy()
+    m_el = np.broadcast_to(np.asarray(sources.magnetization, dtype=float),
+                           (mesh.n_tris, 2)).copy()
     m_el[mesh.region != Region.MAGNET] = 0.0
     return assemble_rhs_elements(mesh, jz_el, m_el)
 

@@ -135,6 +135,8 @@ class SplineCurve:
         v = np.asarray(self.values, dtype=float)
         if s.ndim != 1 or len(s) < 4:
             raise MaterialError("need at least 4 spline samples")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+            raise MaterialError("spline samples must be finite")
         if np.any(np.diff(s) <= 0):
             raise MaterialError("spline s-column must be strictly increasing")
         if s[0] < 0 or np.any(v <= 0):

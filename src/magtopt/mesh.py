@@ -361,8 +361,9 @@ def _section(path, tokens: np.ndarray, pos: int, name: str, cols: int, dtype):
 
 def load_mesh(path) -> TriMesh:
     """Mesh from save_mesh's file; MeshError naming the file and section if
-    a section is missing, truncated or non-numeric, or if it refers to a
-    node that does not exist."""
+    a section is missing, truncated or non-numeric, if it refers to a node
+    that does not exist, or if it holds a tag that is not a Region
+    (triangles) or Boundary (edges) value."""
     with open(path) as f:
         tokens = np.array(f.read().split())
     if tokens[:1].tolist() != ["meshv1"]:
@@ -370,9 +371,14 @@ def load_mesh(path) -> TriMesh:
     nodes, pos = _section(path, tokens, 1, "nodes", 2, np.float64)
     rows, pos = _section(path, tokens, pos, "tris", 4, np.int64)
     be, _ = _section(path, tokens, pos, "bedges", 3, np.int64)
-    for name, idx in (("tris", rows[:, :3]), ("bedges", be[:, :2])):
+    for name, sec, kind in (("tris", rows, Region), ("bedges", be, Boundary)):
+        idx, tags = sec[:, :-1], sec[:, -1]
         if np.any((idx < 0) | (idx >= len(nodes))):
             raise MeshError(f"{path}: section '{name}' refers to a node "
                             f"outside 0..{len(nodes) - 1}")
+        bad = ~np.isin(tags, list(kind))
+        if bad.any():
+            raise MeshError(f"{path}: section '{name}' has tag {tags[bad][0]}, "
+                            f"which is not a {kind.__name__} value")
     return TriMesh(nodes, rows[:, :3], rows[:, 3].astype(np.int8),
                    be[:, :2], be[:, 2].astype(np.int8))

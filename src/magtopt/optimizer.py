@@ -31,7 +31,8 @@ class DesignSpaceError(Exception):
 
 
 class DesignSpace:
-    """Design-region function space: node set and P1 mass matrix.
+    """Design-region function space: node set, P1 mass matrix and the
+    area-weighted node average of element values.
 
     The mass matrix integrates products of P1 functions over the DESIGN
     elements exactly (consistent element mass A/12 [[2,1,1],[1,2,1],[1,1,2]]).
@@ -54,6 +55,18 @@ class DesignSpace:
         cols = np.tile(tr, (1, 3)).ravel()
         m = self.nodes.size
         self.mass = sp.csr_matrix((data.ravel(), (rows, cols)), shape=(m, m))
+        self._corners = tr.ravel()
+        self._corner_areas = np.repeat(a, 3)
+        self._area_sums = np.bincount(self._corners, weights=self._corner_areas,
+                                      minlength=m)
+
+    def average(self, element_values: np.ndarray) -> "LevelSetField":
+        """P1 field whose value at each design node is the area-weighted mean
+        of element_values (one per DESIGN element) over its design
+        elements."""
+        w = self._corner_areas * np.repeat(element_values, 3)
+        sums = np.bincount(self._corners, weights=w, minlength=self.nodes.size)
+        return LevelSetField(self, sums / self._area_sums)
 
 
 @dataclass
@@ -169,8 +182,7 @@ class Driver:
                                                   self.problem.objective)
         p = fem.solve_adjoint(state, -gvec)
         td = topo_derivative.assemble_generalized_td(state, p, *self.tables)
-        return (LevelSetField(self.space, td.nodal[self.space.nodes]),
-                td.n_clamped)
+        return self.space.average(td.element_values), td.n_clamped
 
 
 def _solve_trial(driver: Driver, trial: LevelSetField, u0, kappa: float,

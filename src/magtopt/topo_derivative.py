@@ -1,5 +1,5 @@
 """Pointwise material-swap sensitivities and their assembly over the design
-region into the generalized descent field.
+region, one value per DESIGN element.
 
 Each sensitivity is a bilinear form in the local state and adjoint
 gradients: the closed-form matrix term plus the tabulated nonlinear
@@ -39,14 +39,12 @@ def g_air_to_ferro(curve, grad_u, grad_p,
 
 @dataclass
 class TopoDerivField:
-    """Generalized descent field over the design region.
+    """Generalized topological derivative over the design region.
 
     element_values holds one scalar per DESIGN element, in element order;
-    nodal is the area-weighted projection onto the nodes of design elements,
-    zero elsewhere; n_clamped counts the table lookups that clamped.
+    n_clamped counts the table lookups that clamped.
     """
     element_values: np.ndarray
-    nodal: np.ndarray
     n_clamped: int
 
 
@@ -58,9 +56,7 @@ def assemble_generalized_td(state: StateResult, p: np.ndarray,
     sensitivity elsewhere.
 
     The gradients entering the sensitivities are the element-constant P1
-    gradients of the state u (state.field) and the nodal adjoint p (n,). The
-    nodal projection averages incident design elements with area weights
-    (consumed by the level-set update).
+    gradients of the state u (state.field) and the nodal adjoint p (n,).
     """
     mesh, curve = state.mesh, state.curve
     design = np.flatnonzero(mesh.region == Region.DESIGN)
@@ -78,12 +74,4 @@ def assemble_generalized_td(state: StateResult, p: np.ndarray,
         vals[mask] = sign * (np.einsum("ei,eij,ej->e", gu[mask], M, gp[mask])
                              + corr)
         n_clamped += clamped
-
-    tr = mesh.tris[design].ravel()
-    w = np.repeat(mesh.areas[design], 3)
-    nodal = np.bincount(tr, weights=w * np.repeat(vals, 3),
-                        minlength=mesh.n_nodes)
-    wsum = np.bincount(tr, weights=w, minlength=mesh.n_nodes)
-    nz = wsum > 0
-    nodal[nz] /= wsum[nz]
-    return TopoDerivField(vals, nodal, n_clamped)
+    return TopoDerivField(vals, n_clamped)

@@ -1,10 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from magtopt import cli
 from magtopt.cell_problems import load_table
+from magtopt.problem_setup import ConfigurationError
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name="run.cfg", **overrides):
@@ -37,7 +41,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("volume_fraction = 0.5\n")
-        with pytest.raises(cli.ConfigError, match="unknown key"):
+        with pytest.raises(ConfigurationError, match="unknown key"):
             cli.load_config(p)
 
     def test_comments_and_blanks(self, tmp_path):
@@ -52,6 +56,17 @@ class TestConfig:
         assert c1 == c2
         p2 = write_config(tmp_path, name="other.cfg", resolution="32")
         assert cli.config_hash(cli.load_config(p2)) != c1
+
+    def test_readme_lists_the_defaults(self):
+        text = re.split(r"Keys and\s+defaults:", README.read_text())[1]
+        block = text.split("```", 2)[1]
+        documented = {}
+        for line in block.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line:
+                k, v = (s.strip() for s in line.split("=", 1))
+                documented[k] = v
+        assert documented == cli.DEFAULTS
 
     def test_hash_ignores_workers_only(self):
         base = cli.load_config(None)
@@ -172,6 +187,19 @@ class TestOptimize:
         assert rc == cli.EXIT_CONFIG
         assert f"{target}: theta,b_d values must be finite" in caplog.text
         assert not (out / "iterations.csv").exists()
+        assert not (out / "j2_case1.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("max_iter", "abc"),
+                                            ("kappa_start", "fast"),
+                                            ("snapshot_every", "1.5")])
+    def test_bad_setting_rejected_before_tables(self, tmp_path, caplog,
+                                                key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{key} = {value!r} is not a valid" in caplog.text
+        assert not (out / "j2_case1.csv").exists()
 
     def test_resume_guard(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -191,19 +219,16 @@ class TestOptimize:
         assert ((out1 / "iterations.csv").read_bytes()
                 == (out2 / "iterations.csv").read_bytes())
 
-    def test_linear_flag_overrides_curve(self, tmp_path):
-        cfg = write_config(tmp_path, curve="marrocco")
+    def test_linear_run_stamped_with_its_config(self, tmp_path):
+        cfg = write_config(tmp_path, curve="linear")
         out = tmp_path / "out"
-        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out),
-                       "--linear"])
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         table = load_table(out / "j2_case1.csv")
         assert np.abs(table.j2_e1).max() < 1e-9
         # the run is stamped with the hash of the configuration it ran
-        ran = cli.load_config(cfg)
-        ran["curve"] = "linear"
         header = (out / "iterations.csv").read_text().splitlines()[0]
-        assert header == f"# config={cli.config_hash(ran)}"
+        assert header == f"# config={cli.config_hash(cli.load_config(cfg))}"
 
     def _stamp_of_run(self, tmp_path, tables, name):
         cfg = write_config(tmp_path, name=f"{name}.cfg",

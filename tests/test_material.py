@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -261,6 +262,15 @@ class TestSplineCurve:
     def test_non_increasing_rejected(self, tmp_path):
         p = self.make_csv(tmp_path, ["0,1000", "1,2000", "1,2500", "3,4000"])
         with pytest.raises(MaterialError):
+            SplineCurve.from_csv(p)
+
+    @pytest.mark.parametrize("rows", [["0,1000", "1,nan", "2,3000", "3,4000"],
+                                      ["0,1000", "1,2000", "inf,3000", "3,4000"]],
+                             ids=["nan_nu", "inf_s"])
+    def test_non_finite_sample_rejected(self, tmp_path, rows):
+        p = self.make_csv(tmp_path, rows)
+        with pytest.raises(MaterialError,
+                           match=f"{re.escape(str(p))}: spline samples must be finite"):
             SplineCurve.from_csv(p)
 
     def test_tail_continuation_has_vacuum_slope(self):

@@ -142,7 +142,8 @@ class TestAsciiIO:
             load_mesh(p)
 
     @pytest.mark.parametrize("defect, section", [
-        ("truncated", "bedges"), ("non-numeric", "nodes"), ("bad index", "tris")])
+        ("truncated", "bedges"), ("non-numeric", "nodes"), ("bad index", "tris"),
+        ("region tag 300", "tris"), ("boundary tag 7", "bedges")])
     def test_malformed_rejected(self, tmp_path, defect, section):
         p = tmp_path / "mesh.txt"
         save_mesh(p, generate_square_benchmark(8))
@@ -151,9 +152,16 @@ class TestAsciiIO:
             lines = lines[:-1]
         elif defect == "non-numeric":
             lines[2] = "0 zero"
-        else:
+        elif defect == "bad index":
             # 81 nodes, so node 81 does not exist
             lines[lines.index("tris 128") + 1] = "0 1 81 2"
+        elif defect == "region tag 300":
+            # an int8 cast would load it as region 44
+            lines[lines.index("tris 128") + 1] = "0 1 10 300"
+        else:
+            # in int8 range, but no Boundary has the value
+            i = next(i for i, l in enumerate(lines) if l.startswith("bedges"))
+            lines[i + 1] = " ".join(lines[i + 1].split()[:2] + ["7"])
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(MeshError, match=f"{re.escape(str(p))}: section '{section}'"):
             load_mesh(p)

@@ -81,6 +81,24 @@ class TestSlerp:
             assert abs(out.norm() - 1.0) <= 1e-10
 
 
+class TestDesignSpace:
+    def test_average_is_area_weighted_node_mean(self, square16, space):
+        mesh = square16.mesh
+        vals = RNG.normal(size=space.elements.size)
+        avg = space.average(vals)
+        # reference: the same weighted sums over global node numbers
+        tr = mesh.tris[space.elements].ravel()
+        w = np.repeat(mesh.areas[space.elements], 3)
+        nodal = np.bincount(tr, weights=w * np.repeat(vals, 3),
+                            minlength=mesh.n_nodes)
+        wsum = np.bincount(tr, weights=w, minlength=mesh.n_nodes)
+        nz = wsum > 0
+        nodal[nz] /= wsum[nz]
+        assert np.array_equal(avg.expand(), nodal)
+        assert np.all(avg.values >= vals.min() - 1e-12)
+        assert np.all(avg.values <= vals.max() + 1e-12)
+
+
 class TestLevelSetField:
     def test_normalize(self, space):
         f = op.LevelSetField(space, 3.0 * np.ones(space.nodes.size))

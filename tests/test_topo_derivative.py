@@ -83,7 +83,6 @@ class TestAssembly:
         p0 = np.zeros(mesh.n_nodes)
         td = assemble_generalized_td(state, p0, *tables_coarse)
         assert np.all(td.element_values == 0.0)
-        assert np.all(td.nodal == 0.0)
 
     def test_bilinearity_in_adjoint(self, marrocco, solved_bench, tables_coarse):
         mesh, psi, state = solved_bench
@@ -92,20 +91,6 @@ class TestAssembly:
         td2 = assemble_generalized_td(state, 2.0 * p, *tables_coarse)
         np.testing.assert_allclose(td2.element_values, 2.0 * td1.element_values,
                                    rtol=1e-9)
-
-    def test_nodal_projection_is_area_weighted_average(self, marrocco,
-                                                       solved_bench, tables_coarse):
-        mesh, psi, state = solved_bench
-        p0 = RNG.normal(size=mesh.n_nodes)
-        td = assemble_generalized_td(state, p0, *tables_coarse)
-        lo = td.element_values.min()
-        hi = td.element_values.max()
-        design = np.flatnonzero(mesh.region == Region.DESIGN)
-        nz = td.nodal[np.unique(mesh.tris[design].ravel())]
-        assert np.all(nz >= lo - 1e-12) and np.all(nz <= hi + 1e-12)
-        off = np.setdiff1d(np.arange(mesh.n_nodes),
-                           np.unique(mesh.tris[design].ravel()))
-        assert np.all(td.nodal[off] == 0.0)
 
     def test_matches_pointwise_oracle(self, marrocco, tables_coarse):
         # the default design is all ferro: shift the level set so that both
