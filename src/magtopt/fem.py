@@ -27,11 +27,15 @@ TOL_ABS = 1e-10
 TOL_REL = 1e-10
 #: Newton steps of one quasilinear solve before it counts as not converged
 MAX_NEWTON = 50
-#: a Newton step after the first solves J dx = -r by CG preconditioned with
-#: the solve's held factorization, to ||-r - J dx||_2 <= LAGGED_CG_TOL ||r||_2
-#: within LAGGED_CG_MAX iterations; failing that, J is factorized and held
+#: a linear solve with a HeldLU runs CG preconditioned with the held
+#: factorization for at most LAGGED_CG_MAX iterations; failing that, its
+#: matrix is factorized and held instead. A Newton step solves J dx = -r only
+#: to ||-r - J dx||_2 <= NEWTON_FORCING ||r||_2 (inexact Newton: the exit
+#: test stays on the true residual); a linear solve, which has no outer
+#: correction, to LAGGED_CG_TOL relative
 LAGGED_CG_MAX = 12
 LAGGED_CG_TOL = 1e-12
+NEWTON_FORCING = 1e-4
 #: line-search halvings of one Newton step before it counts as stalled
 MAX_HALVINGS = 20
 
@@ -202,15 +206,15 @@ def assemble_jacobian(mesh: TriMesh, curve, mask: np.ndarray,
     return assemble_stiffness(mesh, coeff)
 
 
-def _lagged_cg(A: sp.csc_matrix, lu, b: np.ndarray):
-    """x with ||b - A x||_2 <= LAGGED_CG_TOL ||b||_2 by conjugate gradients
-    on the free block A, preconditioned with `lu`, the factorization of a
-    nearby matrix, and started at lu.solve(b). None when LAGGED_CG_MAX
-    iterations do not get there, or when A shows itself not positive
-    definite (p.Ap <= 0) or a value turns non-finite."""
+def _lagged_cg(A: sp.csc_matrix, lu, b: np.ndarray, rtol: float = LAGGED_CG_TOL):
+    """x with ||b - A x||_2 <= rtol ||b||_2 by conjugate gradients on the
+    free block A, preconditioned with `lu`, the factorization of a nearby
+    matrix, and started at lu.solve(b). None when LAGGED_CG_MAX iterations
+    do not get there, or when A shows itself not positive definite
+    (p.Ap <= 0) or a value turns non-finite."""
     x = lu.solve(b)
     r = b - A @ x
-    tol = LAGGED_CG_TOL * np.linalg.norm(b)
+    tol = rtol * np.linalg.norm(b)
     p = rz = None
     for k in range(LAGGED_CG_MAX + 1):
         rnorm = np.linalg.norm(r)
@@ -230,9 +234,30 @@ def _lagged_cg(A: sp.csc_matrix, lu, b: np.ndarray):
         r -= alpha * Ap
 
 
+class HeldLU:
+    """At most one factorization of a free block, held across solves whose
+    matrices are near each other: the Newton steps of one solve, or the
+    state and adjoint solves of one descent. A caller that passes none to a
+    solve gets a fresh, empty one for that call."""
+
+    def __init__(self):
+        self.lu = None
+
+    def solve(self, A: sp.csc_matrix, b: np.ndarray, rtol: float) -> np.ndarray:
+        """x with ||b - A x||_2 <= rtol ||b||_2: by _lagged_cg preconditioned
+        with the held LU, or else by a factorization of A, which is held in
+        its place. The old LU is dropped before the new one is made."""
+        x = None if self.lu is None else _lagged_cg(A, self.lu, b, rtol)
+        if x is None:
+            self.lu = None
+            self.lu = factorize(A)
+            x = self.lu.solve(b)
+        return x
+
+
 def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
                       tol_abs: float, w: np.ndarray = None,
-                      x0: np.ndarray = None, jac0=None):
+                      x0: np.ndarray = None, jac0=None, held: HeldLU = None):
     """Damped Newton for x (zero on the Dirichlet boundary) with
 
         r_i(x) = sum_e A_e (T_e(w + grad x) - T_e(w)) . grad(phi_i) - F_i = 0
@@ -242,15 +267,17 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     (None: no offset) and F = rhs. Converged when ||r[free]||_2 <= tol_abs
     + TOL_REL ||F[free]||_2 within MAX_NEWTON steps; each step is halved (up
     to MAX_HALVINGS times) until the residual norm strictly decreases. x0
-    (zero by default) is the start on the free DOFs; jac0, if given, is the
-    factorization of the Jacobian at x0 and serves the first step, which
-    otherwise factorizes its Jacobian. The solve holds one factorization:
-    each later step solves with its Jacobian by _lagged_cg preconditioned
-    with it, and factorizes that Jacobian in its place where _lagged_cg
-    fails. Returns (x, iterations, residual_norm).
+    (zero by default) is the start on the free DOFs. Each step solves with
+    its Jacobian through `held` (HeldLU.solve, to NEWTON_FORCING relative);
+    jac0, if given, is the factorization of the Jacobian at x0: it solves
+    the first step exactly and becomes the held LU. Returns (x, iterations,
+    residual_norm).
     """
     free, _ = _free_block(mesh)
     tol = tol_abs + TOL_REL * np.linalg.norm(rhs[free])
+    held = HeldLU() if held is None else held
+    if jac0 is not None:
+        held.lu = jac0
     t_w = 0.0 if w is None else material.flux_map(curve, w)
 
     def residual(x):
@@ -263,22 +290,17 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     if x0 is not None:
         x[free] = np.asarray(x0, dtype=float)[free]
     g, r, rnorm = residual(x)
-    lu = jac0
     for it in range(MAX_NEWTON + 1):
         if rnorm <= tol:
             return x, it, rnorm
         if it == MAX_NEWTON:
             break
         b = -r[free]
-        if it == 0 and lu is not None:
-            d = lu.solve(b)
+        if it == 0 and jac0 is not None:
+            d = jac0.solve(b)
         else:
-            jac = assemble_jacobian(mesh, curve, mask, g)
-            d = None if lu is None else _lagged_cg(jac, lu, b)
-            if d is None:
-                lu = None   # the old factors go before the new ones are made
-                lu = factorize(jac)
-                d = lu.solve(b)
+            d = held.solve(assemble_jacobian(mesh, curve, mask, g), b,
+                           NEWTON_FORCING)
         dx = np.zeros(mesh.n_nodes)
         dx[free] = d
         step = 1.0
@@ -311,9 +333,10 @@ class StateResult:
 
 def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
                 rhs: np.ndarray = None, ferro_mask: np.ndarray = None,
-                x0: np.ndarray = None) -> StateResult:
+                x0: np.ndarray = None, held: HeldLU = None) -> StateResult:
     """solve_quasilinear without offset, to ||r||_2 <= TOL_ABS + TOL_REL
-    ||F||_2, with the material law on the ferro elements.
+    ||F||_2, with the material law on the ferro elements, through `held`
+    (a fresh HeldLU by default).
 
     Either `sources` or a pre-assembled load vector `rhs` must be given.
     `ferro_mask` overrides the level-set material indicator with an explicit
@@ -328,13 +351,16 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
     ferro = ferro_element_mask(mesh, levelset) if ferro_mask is None \
         else np.asarray(ferro_mask, dtype=bool)
     u, iterations, rnorm = solve_quasilinear(mesh, curve, ferro, rhs, TOL_ABS,
-                                             x0=x0)
+                                             x0=x0, held=held)
     return StateResult(mesh, u, iterations, rnorm, ferro, curve)
 
 
-def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> np.ndarray:
+def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray,
+                  held: HeldLU = None) -> np.ndarray:
     """Linear adjoint solve: the system matrix is the state Jacobian,
-    assembled here at the converged state (only accepted designs need it).
+    assembled here at the converged state (only accepted designs need it),
+    solved through `held` (a fresh HeldLU by default) to LAGGED_CG_TOL
+    relative.
 
     `adjoint_rhs` is the literal right-hand-side vector of the linear system
     (for the tracking objective the caller passes the negated objective
@@ -347,4 +373,9 @@ def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray) -> np.ndarray:
     asym = abs(jac - jac.T).max()
     if asym > 1e-9 * abs(jac).max():
         raise SolverError(f"adjoint system matrix not symmetric (dev {asym:.3g})")
-    return solve_free(factorize(jac), adjoint_rhs, mesh)
+    held = HeldLU() if held is None else held
+    free, _ = _free_block(mesh)
+    p = np.zeros(mesh.n_nodes)
+    p[free] = held.solve(jac, np.asarray(adjoint_rhs, dtype=float)[free],
+                         LAGGED_CG_TOL)
+    return p

@@ -154,7 +154,9 @@ class OptState:
 
 class Driver:
     """Bundles the PDE pipeline for one problem: state/adjoint solves,
-    descent-field assembly, and objective evaluation per level set."""
+    descent-field assembly, and objective evaluation per level set. Its
+    state and adjoint solves share one fem.HeldLU, since consecutive
+    matrices differ only where a few elements flipped; it starts empty."""
 
     def __init__(self, problem: Problem, curve,
                  table_air_in_ferro: CorrectionTable,
@@ -164,13 +166,15 @@ class Driver:
         self.tables = (table_air_in_ferro, table_ferro_in_air)
         self.space = DesignSpace(problem.mesh)
         self.rhs = fem.assemble_rhs(problem.mesh, problem.sources)
+        self.held = fem.HeldLU()
 
     def solve(self, psi: LevelSetField,
               x0: np.ndarray = None) -> tuple[fem.StateResult, float]:
         """State solve and objective at psi; x0 is the Newton start (zero
         by default)."""
         res = fem.solve_state(self.problem.mesh, self.curve,
-                              levelset=psi.expand(), rhs=self.rhs, x0=x0)
+                              levelset=psi.expand(), rhs=self.rhs, x0=x0,
+                              held=self.held)
         j = problem_setup.eval_objective(self.problem.mesh, res.field,
                                          self.problem.objective)
         return res, j
@@ -180,7 +184,7 @@ class Driver:
         count of clamped table lookups."""
         gvec = problem_setup.assemble_adjoint_rhs(self.problem.mesh, state.field,
                                                   self.problem.objective)
-        p = fem.solve_adjoint(state, -gvec)
+        p = fem.solve_adjoint(state, -gvec, held=self.held)
         td = topo_derivative.assemble_generalized_td(state, p, *self.tables)
         return self.space.average(td.element_values), td.n_clamped
 

@@ -240,6 +240,105 @@ class TestLaggedFactorization:
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
+class TestHeldLU:
+    """Solves through a HeldLU that holds the factorization of a nearby
+    design's Jacobian, as the state and adjoint solves of a descent do:
+    Newton steps to the forcing term, the adjoint to LAGGED_CG_TOL."""
+
+    SOURCES = SourceSpec(magnetization=np.array([0.0, 3e6]))
+
+    @pytest.fixture(scope="class")
+    def designs(self, bench, marrocco):
+        """The load vector, a solved all-ferro design and its design
+        elements by distance from the region's centre."""
+        rhs = assemble_rhs(bench, self.SOURCES)
+        state = solve_state(bench, marrocco, rhs=rhs)
+        design = np.flatnonzero(bench.region == Region.DESIGN)
+        centre = bench.centroids[design].mean(axis=0)
+        near = np.argsort(np.linalg.norm(bench.centroids[design] - centre, axis=1))
+        return rhs, state, design[near]
+
+    @staticmethod
+    def swapped(state, elements):
+        """The state's ferro mask with `elements` swapped to air."""
+        mask = state.ferro_mask.copy()
+        mask[elements] = False
+        return mask
+
+    @staticmethod
+    def held_at(state):
+        """A HeldLU holding the factorization of the Jacobian at state."""
+        held = fem.HeldLU()
+        mesh = state.mesh
+        held.lu = fem.factorize(fem.assemble_jacobian(
+            mesh, state.curve, state.ferro_mask, mesh.element_gradients(state.field)))
+        return held
+
+    def trial(self, designs, marrocco):
+        """The state with four elements swapped, started from the design's
+        field and LU, as a kappa trial is."""
+        rhs, state, order = designs
+        return solve_state(state.mesh, marrocco, rhs=rhs,
+                           ferro_mask=self.swapped(state, order[:4]),
+                           x0=state.field, held=self.held_at(state))
+
+    def test_forcing_term_solve_meets_the_newton_tolerance(self, designs,
+                                                           marrocco):
+        rhs, state, _ = designs
+        trial = self.trial(designs, marrocco)
+        mesh = state.mesh
+        free, _ = fem._free_block(mesh)
+        # the residual recomputed from the returned field, not the one the
+        # solve reports
+        g = mesh.element_gradients(trial.field)
+        r = fem.assemble_flux_divergence(
+            mesh, fem._flux(marrocco, trial.ferro_mask, g, g, 0.0)) - rhs
+        assert trial.iterations >= 2
+        assert np.linalg.norm(r[free]) <= \
+            fem.TOL_ABS + fem.TOL_REL * np.linalg.norm(rhs[free])
+
+    def test_forcing_term_solve_matches_a_tight_solve(self, designs, marrocco,
+                                                      monkeypatch):
+        inexact = self.trial(designs, marrocco)
+        monkeypatch.setattr(fem, "NEWTON_FORCING", fem.LAGGED_CG_TOL)
+        tight = self.trial(designs, marrocco)
+        assert np.linalg.norm(inexact.field - tight.field) <= \
+            1e-8 * np.linalg.norm(tight.field)
+
+    def test_adjoint_with_a_nearby_lu_matches_a_fresh_factorization(
+            self, designs, marrocco, monkeypatch):
+        rhs, state, order = designs
+        trial = solve_state(state.mesh, marrocco, rhs=rhs,
+                            ferro_mask=self.swapped(state, order[:1]))
+        b = RNG.normal(size=state.mesh.n_nodes)
+        fresh = solve_adjoint(trial, b)
+        held = self.held_at(state)
+        calls = []
+        factorize = fem.factorize
+        monkeypatch.setattr(fem, "factorize",
+                            lambda A: calls.append(A) or factorize(A))
+        p = solve_adjoint(trial, b, held=held)
+        # solved by CG on the held LU
+        assert calls == []
+        assert np.linalg.norm(p - fresh) <= 1e-10 * np.linalg.norm(fresh)
+
+    def test_symmetry_check_with_a_held_lu(self, designs, monkeypatch):
+        _, state, _ = designs
+        held = self.held_at(state)
+        lu = held.lu
+        flux_jacobian = material.flux_jacobian
+
+        def skewed(curve, W):
+            out = flux_jacobian(curve, W)
+            out[..., 0, 1] += 0.1 * out[..., 0, 0]
+            return out
+
+        monkeypatch.setattr(material, "flux_jacobian", skewed)
+        with pytest.raises(SolverError, match="not symmetric"):
+            solve_adjoint(state, np.ones(state.mesh.n_nodes), held=held)
+        assert held.lu is lu
+
+
 class TestFreeBlock:
     """The free-DOF block assembled through the cached pattern, against an
     independent triplet sum; closed-form element matrices, bincount scatters

@@ -281,6 +281,78 @@ class TestWarmStart:
                                    cold.objective_history, rtol=1e-9, atol=0)
 
 
+class TestHeldLU:
+    """A descent's state and adjoint solves share the Driver's fem.HeldLU,
+    which holds at most one factorization."""
+
+    @staticmethod
+    def recorded_runs(marrocco, tables, n_runs):
+        """n_runs descents on square/32. Returns, per run, the HeldLU each
+        state solve was given and whether it was empty then; and, over all
+        runs, whether the running descent's HeldLU (the last one made) was
+        empty at each factorization, the state solves that took a Newton
+        step and the adjoint solves."""
+        prob = build_benchmark_problem("square", 32)
+        made, runs, empty_at_factorize = [], [], []
+        counts = {"stepping_state": 0, "adjoint": 0}
+        factorize = fem.factorize
+        solve_state, solve_adjoint = fem.solve_state, fem.solve_adjoint
+
+        class Recorded(fem.HeldLU):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        def counted_factorize(A):
+            empty_at_factorize.append(made[-1].lu is None)
+            return factorize(A)
+
+        def counted_state(*args, held=None, **kwargs):
+            runs[-1].append((held, held.lu is None))
+            res = solve_state(*args, held=held, **kwargs)
+            counts["stepping_state"] += res.iterations > 0
+            return res
+
+        def counted_adjoint(*args, **kwargs):
+            counts["adjoint"] += 1
+            return solve_adjoint(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "HeldLU", Recorded)
+            mp.setattr(fem, "factorize", counted_factorize)
+            mp.setattr(fem, "solve_state", counted_state)
+            mp.setattr(fem, "solve_adjoint", counted_adjoint)
+            for _ in range(n_runs):
+                runs.append([])
+                op.run(prob, marrocco, *tables, op.OptimizerOptions())
+        return runs, empty_at_factorize, counts
+
+    @pytest.fixture(scope="class")
+    def two_runs(self, marrocco, tables_coarse):
+        return self.recorded_runs(marrocco, tables_coarse, 2)
+
+    def test_empty_at_every_factorization(self, two_runs):
+        _, empty_at_factorize, _ = two_runs
+        assert len(empty_at_factorize) >= 2
+        assert all(empty_at_factorize)
+
+    def test_each_run_starts_empty(self, two_runs):
+        runs, _, _ = two_runs
+        (first, first_empty), (second, second_empty) = runs[0][0], runs[1][0]
+        assert first_empty and second_empty
+        assert first is not second
+        # one HeldLU serves all the state solves of a run
+        assert all(held is first for held, _ in runs[0])
+        assert all(held is second for held, _ in runs[1])
+
+    def test_fewer_factorizations_than_solves(self, two_runs):
+        # without a shared LU, each state solve that takes a Newton step and
+        # each adjoint solve factorizes at least once
+        _, empty_at_factorize, counts = two_runs
+        assert counts["adjoint"] >= 20
+        assert len(empty_at_factorize) < counts["stepping_state"] + counts["adjoint"]
+
+
 class TestFerroFraction:
     def test_all_positive_is_one(self, square16, space):
         psi = op.LevelSetField(space, np.ones(space.nodes.size))
