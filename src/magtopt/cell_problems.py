@@ -75,23 +75,13 @@ def _sides(mesh: TriMesh, case: PerturbationCase):
     return inclusion, inclusion, +1.0
 
 
-def factorize_jacobian0(curve, grad_u, case: PerturbationCase,
-                        disc: TriMesh):
-    """Factorization of the free block of the direct-variation Jacobian at
-    h = 0, which is also the adjoint-variation matrix."""
-    _, nonlin, _ = _sides(disc, case)
-    return fem.factorize(fem.assemble_jacobian(
-        disc, curve, nonlin, np.broadcast_to(np.asarray(grad_u, dtype=float),
-                                             (disc.n_tris, 2))))
-
-
 def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
-                           lu0=None) -> np.ndarray:
+                           held: fem.HeldLU = None) -> np.ndarray:
     """The nonlinear transmission problem for the variation H of the direct
     state: fem.solve_quasilinear with offset w = grad_u on the nonlinear side,
-    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2; nodal values (n,). `lu0`
-    (factorize_jacobian0) replaces the first Newton step's factorization and
-    preconditions the later steps until one of them factorizes."""
+    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2; nodal values (n,). `held`, if
+    given, holds the factorization of the h = 0 Jacobian (as
+    solve_adjoint_variation leaves it), which solves the first Newton step."""
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
     nu_u0 = float(curve.nu(np.hypot(grad_u[0], grad_u[1])))
@@ -99,25 +89,24 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
     f_el[inclusion] = sign * (curve.nu_air - nu_u0) * grad_u
     rhs = fem.assemble_flux_divergence(disc, f_el)
     return fem.solve_quasilinear(disc, curve, nonlin, rhs, 1e-14, w=grad_u,
-                                 jac0=lu0)[0]
+                                 held=held, held_at_x0=held is not None)[0]
 
 
 def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
-                            disc: TriMesh, lu0=None) -> np.ndarray:
+                            disc: TriMesh, held: fem.HeldLU = None) -> np.ndarray:
     """Linear solve for the variation of the adjoint state, whose matrix is
-    the direct-variation Jacobian at h = 0 (factorized here unless `lu0`
-    from factorize_jacobian0 is given); nodal values (n,)."""
+    the direct-variation Jacobian at h = 0, through `held` (fem.solve_free;
+    an empty one is left holding that matrix's LU); nodal values (n,)."""
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
-    inclusion, _, sign = _sides(disc, case)
-    if lu0 is None:
-        lu0 = factorize_jacobian0(curve, grad_u, case, disc)
-
+    inclusion, nonlin, sign = _sides(disc, case)
+    jac = fem.assemble_jacobian(disc, curve, nonlin,
+                                np.broadcast_to(grad_u, (disc.n_tris, 2)))
     contrast = curve.nu_air * np.eye(2) - material.flux_jacobian(curve, grad_u)
     f_el = np.zeros((disc.n_tris, 2))
     f_el[inclusion] = sign * grad_p @ contrast.T
     rhs = fem.assemble_flux_divergence(disc, f_el)
-    return fem.solve_free(lu0, rhs, disc)
+    return fem.solve_free(jac, rhs, disc, held)
 
 
 def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
@@ -125,14 +114,15 @@ def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
     """Correction term: the material nonlinearity evaluated at the direct
     variation, integrated against the adjoint data over the nonlinear side
     (exterior for air-in-ferro, inclusion for ferro-in-air), by centroid
-    quadrature. Solves both cell problems (nodal values), which share one
-    factorization of the h = 0 Jacobian.
+    quadrature. Solves both cell problems (nodal values) through one
+    fem.HeldLU, the adjoint variation first: the LU of the h = 0 Jacobian it
+    leaves there solves the direct variation's first Newton step.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
-    lu0 = factorize_jacobian0(curve, grad_u, case, disc)
-    direct = solve_direct_variation(curve, grad_u, case, disc, lu0=lu0)
-    adjoint = solve_adjoint_variation(curve, grad_u, grad_p, case, disc, lu0=lu0)
+    held = fem.HeldLU()
+    adjoint = solve_adjoint_variation(curve, grad_u, grad_p, case, disc, held)
+    direct = solve_direct_variation(curve, grad_u, case, disc, held)
     _, nonlin, _ = _sides(disc, case)
     gh = disc.element_gradients(direct)[nonlin]
     gk = disc.element_gradients(adjoint)[nonlin]

@@ -174,16 +174,6 @@ def factorize(A: sp.csc_matrix):
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
 
-def solve_free(lu, b: np.ndarray, mesh: TriMesh) -> np.ndarray:
-    """Solve A x = b for nodal b (n,) on the free DOFs of `mesh` with the
-    `factorize`d stiffness block `lu`; x (n,) is zero on the Dirichlet
-    boundary."""
-    free, _ = _free_block(mesh)
-    x = np.zeros(mesh.n_nodes)
-    x[free] = lu.solve(np.asarray(b, dtype=float)[free])
-    return x
-
-
 def _flux(curve, mask, gx, g, t_w):
     """Per-element flux T_e(w + gx) - T_e(w), given g = w + gx and t_w = T(w):
     the material law on the masked elements, and nu_air gx elsewhere, where
@@ -236,9 +226,9 @@ def _lagged_cg(A: sp.csc_matrix, lu, b: np.ndarray, rtol: float = LAGGED_CG_TOL)
 
 class HeldLU:
     """At most one factorization of a free block, held across solves whose
-    matrices are near each other: the Newton steps of one solve, or the
-    state and adjoint solves of one descent. A caller that passes none to a
-    solve gets a fresh, empty one for that call."""
+    matrices are near each other: the Newton steps of one solve, the two
+    cell problems of one table sample, or the state and adjoint solves of
+    one descent. Only its `solve` makes or drops an LU."""
 
     def __init__(self):
         self.lu = None
@@ -255,9 +245,22 @@ class HeldLU:
         return x
 
 
+def solve_free(A: sp.csc_matrix, b: np.ndarray, mesh: TriMesh,
+               held: HeldLU = None) -> np.ndarray:
+    """Solve A x = b for a stiffness block A on the free DOFs of `mesh` and
+    nodal b (n,) through `held` (a fresh HeldLU by default) to LAGGED_CG_TOL
+    relative; x (n,) is zero on the Dirichlet boundary."""
+    held = HeldLU() if held is None else held
+    free, _ = _free_block(mesh)
+    x = np.zeros(mesh.n_nodes)
+    x[free] = held.solve(A, np.asarray(b, dtype=float)[free], LAGGED_CG_TOL)
+    return x
+
+
 def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
                       tol_abs: float, w: np.ndarray = None,
-                      x0: np.ndarray = None, jac0=None, held: HeldLU = None):
+                      x0: np.ndarray = None, held: HeldLU = None,
+                      held_at_x0: bool = False):
     """Damped Newton for x (zero on the Dirichlet boundary) with
 
         r_i(x) = sum_e A_e (T_e(w + grad x) - T_e(w)) . grad(phi_i) - F_i = 0
@@ -269,15 +272,13 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     to MAX_HALVINGS times) until the residual norm strictly decreases. x0
     (zero by default) is the start on the free DOFs. Each step solves with
     its Jacobian through `held` (HeldLU.solve, to NEWTON_FORCING relative);
-    jac0, if given, is the factorization of the Jacobian at x0: it solves
-    the first step exactly and becomes the held LU. Returns (x, iterations,
-    residual_norm).
+    held_at_x0 says that `held` already holds the factorization of the
+    Jacobian at x0, which then solves the first step exactly without
+    assembling that Jacobian. Returns (x, iterations, residual_norm).
     """
     free, _ = _free_block(mesh)
     tol = tol_abs + TOL_REL * np.linalg.norm(rhs[free])
     held = HeldLU() if held is None else held
-    if jac0 is not None:
-        held.lu = jac0
     t_w = 0.0 if w is None else material.flux_map(curve, w)
 
     def residual(x):
@@ -296,8 +297,8 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
         if it == MAX_NEWTON:
             break
         b = -r[free]
-        if it == 0 and jac0 is not None:
-            d = jac0.solve(b)
+        if it == 0 and held_at_x0:
+            d = held.lu.solve(b)
         else:
             d = held.solve(assemble_jacobian(mesh, curve, mask, g), b,
                            NEWTON_FORCING)
@@ -373,9 +374,4 @@ def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray,
     asym = abs(jac - jac.T).max()
     if asym > 1e-9 * abs(jac).max():
         raise SolverError(f"adjoint system matrix not symmetric (dev {asym:.3g})")
-    held = HeldLU() if held is None else held
-    free, _ = _free_block(mesh)
-    p = np.zeros(mesh.n_nodes)
-    p[free] = held.solve(jac, np.asarray(adjoint_rhs, dtype=float)[free],
-                         LAGGED_CG_TOL)
-    return p
+    return solve_free(jac, adjoint_rhs, mesh, held)

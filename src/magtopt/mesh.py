@@ -258,10 +258,14 @@ def generate_disc_mesh(radius: float, inclusion_radius: float = 1.0,
     inside the inclusion are tagged DESIGN, the exterior AIR_FIXED; the outer
     circle is the Dirichlet boundary.
     """
-    if not (radius > inclusion_radius > 0.0):
-        raise ValueError("need radius > inclusion_radius > 0")
-    if grading < 1.0:
-        raise ValueError("grading must be >= 1")
+    if not (np.isfinite(radius) and radius > inclusion_radius > 0.0):
+        raise ValueError(f"radius = {radius:g} is not finite and > inclusion_radius > 0")
+    if not 1.0 <= grading < np.inf:
+        raise ValueError(f"grading = {grading:g} is not finite and >= 1")
+    if not 0.0 < h0 < np.inf:
+        raise ValueError(f"h0 = {h0:g} is not finite and positive")
+    if n_theta < 3:
+        raise ValueError(f"n_theta = {n_theta} is less than 3")
     radii = _ring_radii(inclusion_radius, radius, h0, grading)
     nodes, tris, ring = _polar_mesh(radii, n_theta)
     cen = nodes[tris].mean(axis=1)

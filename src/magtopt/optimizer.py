@@ -126,6 +126,15 @@ class OptimizerOptions:
     theta_tol_deg: float = 1.0
     max_iter: int = 400
 
+    def __post_init__(self):
+        if not KAPPA_MIN <= self.kappa_start <= 1.0:
+            raise ValueError(f"kappa_start = {self.kappa_start:g} outside [KAPPA_MIN, 1]")
+        if not 0.0 <= self.theta_tol_deg < np.inf:
+            raise ValueError(f"theta_tol_deg = {self.theta_tol_deg:g} is not "
+                             "finite and >= 0")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter = {self.max_iter} is negative")
+
 
 @dataclass
 class IterationRecord:

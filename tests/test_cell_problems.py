@@ -353,6 +353,40 @@ class TestTableSample:
         assert len(calls) == n_direct
         assert np.array_equal(shared, separate)
 
+    def test_no_lu_alive_when_a_factorization_starts(self, marrocco,
+                                                     monkeypatch):
+        # at most one LU of the disc at a time: where the direct solve of
+        # the quarter disc at 3 T falls back to factorizing a later
+        # Jacobian, the h = 0 LU it started from is already dropped
+        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+        quarter = cell_problems._quarter(disc_mesh(spec))
+        alive, at_start = [0], []
+        factorize = fem.factorize
+
+        class Counted:
+            """An LU that counts itself alive until it is collected."""
+
+            def __init__(self, lu):
+                self.lu = lu
+                alive[0] += 1
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+            def __del__(self):
+                alive[0] -= 1
+
+        def counted(A):
+            at_start.append(alive[0])
+            return Counted(factorize(A))
+
+        monkeypatch.setattr(fem, "factorize", counted)
+        compute_correction(marrocco, np.array([3.0, 0.0]),
+                           np.array([1.0, 0.0]), CASE_I, quarter)
+        assert len(at_start) >= 2
+        assert at_start == [0] * len(at_start)
+        assert alive == [0]
+
 
 class TestQuarterDisc:
     """Table samples solve the aligned cell problems on the quarter sector

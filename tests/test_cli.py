@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magtopt import cli
+from magtopt import cli, fem
 from magtopt.cell_problems import load_table
 from magtopt.problem_setup import ConfigurationError
 
@@ -135,6 +135,26 @@ class TestBuildTables:
         assert "n_theta = 30" in caplog.text
         assert not (out / "j2_case1.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("h0", "0"), ("n_theta", "0")])
+    def test_bad_disc_rejected(self, tmp_path, caplog, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        rc = cli.main(["build-tables", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{key} = {value} " in caplog.text
+        assert list(out.glob("*.csv")) == []
+
+    def test_failed_sample_named(self, tmp_path, caplog, monkeypatch):
+        # no Newton step allowed: the first non-zero sample fails
+        monkeypatch.setattr(fem, "MAX_NEWTON", 0)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["build-tables", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_SOLVER
+        assert "table sample 1 (t = 0.5) failed: Newton did not converge" \
+            in caplog.text
+        assert list(out.glob("*.csv")) == []
+
     @pytest.mark.parametrize("t_max", ["nan", "-1", "inf"])
     def test_bad_tmax_rejected(self, tmp_path, caplog, t_max):
         cfg = write_config(tmp_path, t_max=t_max)
@@ -200,6 +220,28 @@ class TestOptimize:
         assert rc == cli.EXIT_CONFIG
         assert f"{key} = {value!r} is not a valid" in caplog.text
         assert not (out / "j2_case1.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("kappa_start", "0"),
+                                            ("theta_tol_deg", "nan"),
+                                            ("max_iter", "-1")])
+    def test_bad_option_rejected_before_tables(self, tmp_path, caplog, key,
+                                               value):
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{key} = {value} " in caplog.text
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_snapshots_every_second_iteration(self, tmp_path):
+        cfg = write_config(tmp_path, curve="marrocco", snapshot_every="2")
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+        k = len((out / "iterations.csv").read_text().splitlines()) - 2
+        assert k >= 4
+        written = {p.name for p in out.glob("design_*.vtk")}
+        assert written == {f"design_{i:04d}.vtk" for i in range(2, k + 1, 2)} \
+            | {"design_final.vtk"}
 
     def test_resume_guard(self, tmp_path):
         cfg = write_config(tmp_path)

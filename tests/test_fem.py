@@ -86,6 +86,17 @@ class TestStateSolve:
         assert exc.value.residual_norm is not None
         assert exc.value.residual_norm > 0
 
+    def test_line_search_stall_raises_with_residual(self, bench, marrocco,
+                                                    monkeypatch):
+        # no halving allowed: the first step counts as stalled, and the
+        # residual reported is the one at the zero start, -F on the free DOFs
+        monkeypatch.setattr(fem, "MAX_HALVINGS", 0)
+        rhs = assemble_rhs(bench, SourceSpec(magnetization=np.array([0.0, 3e6])))
+        with pytest.raises(SolverError, match="Newton line search stalled") as exc:
+            solve_state(bench, marrocco, rhs=rhs)
+        free, _ = fem._free_block(bench)
+        assert exc.value.residual_norm == np.linalg.norm(rhs[free])
+
     def test_ferro_coefficient_within_law_bounds(self, bench, marrocco):
         res = solve_state(bench, marrocco,
                           sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
@@ -378,7 +389,7 @@ class TestFreeBlock:
         free, _ = fem._free_block(mesh)
         block = fem.assemble_jacobian(mesh, marrocco, mesh.region != Region.AIR_FIXED, gu)
         b = RNG.normal(size=mesh.n_nodes)
-        x = fem.solve_free(fem.factorize(block), b, mesh)
+        x = fem.solve_free(block, b, mesh)
         ref = spla.spsolve(block, b[free])
         assert np.all(x[mesh.dirichlet_nodes()] == 0.0)
         np.testing.assert_allclose(x[free], ref, rtol=0,
@@ -490,7 +501,9 @@ class TestAdjoint:
         # the same system assembled afresh from the converged field
         gu = bench.element_gradients(state.field)
         jac = fem.assemble_jacobian(bench, marrocco, state.ferro_mask, gu)
-        p2 = fem.solve_free(fem.factorize(jac), rhs, bench)
+        free, _ = fem._free_block(bench)
+        p2 = np.zeros(bench.n_nodes)
+        p2[free] = fem.factorize(jac).solve(rhs[free])
         np.testing.assert_allclose(p1, p2, rtol=1e-9, atol=1e-12)
 
 

@@ -130,6 +130,21 @@ class TestStepAndRun:
         assert out.status == "converged"
         assert out.k == 0
 
+    def test_zero_descent_field_converges_without_a_solve(self, square16,
+                                                          marrocco, monkeypatch):
+        driver = op.Driver(square16, marrocco, Z1, Z2)
+        seed = default_levelset(square16.mesh)
+        psi = op.LevelSetField(driver.space, seed[driver.space.nodes]).normalized()
+        res, j0 = driver.solve(psi)
+        state = op.OptState(psi, j0, res)
+        solves = []
+        monkeypatch.setattr(fem, "solve_state", lambda *a, **k: solves.append(a))
+        zero = op.LevelSetField(driver.space, np.zeros(driver.space.nodes.size))
+        out = op.step(state, zero, driver, op.OptimizerOptions())
+        assert out.status == "converged"
+        assert out.k == 0 and out.records == []
+        assert solves == []
+
     def test_run_monotone_and_unit_norm(self, marrocco, tables_coarse):
         prob = build_benchmark_problem("square", 16)
         t1, t2 = tables_coarse
@@ -168,6 +183,22 @@ class TestStepAndRun:
                        op.OptimizerOptions(kappa_start=0.1, max_iter=200))
         assert state.status in ("stalled", "converged")
         assert state.k < 200
+
+
+class TestOptions:
+    @pytest.mark.parametrize("key, value", [
+        ("kappa_start", 0.0), ("kappa_start", np.nan), ("kappa_start", 1e-7),
+        ("kappa_start", 1.5), ("theta_tol_deg", np.nan),
+        ("theta_tol_deg", -1.0), ("theta_tol_deg", np.inf), ("max_iter", -1)])
+    def test_bad_value_names_its_key(self, key, value):
+        # each of these ended a run at once, or never by the angle test
+        with pytest.raises(ValueError, match=f"^{key} = "):
+            op.OptimizerOptions(**{key: value})
+
+    def test_bounds_accepted(self):
+        op.OptimizerOptions(kappa_start=op.KAPPA_MIN, theta_tol_deg=0.0,
+                            max_iter=0)
+        op.OptimizerOptions(kappa_start=1.0)
 
 
 class TestClampWarning:
