@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fem, material
-from .mesh import Boundary, Region, TriMesh, generate_disc_mesh
+from .mesh import Boundary, Region, TriMesh, _check_disc, generate_disc_mesh
 
 
 class PerturbationCase(enum.Enum):
@@ -46,11 +46,16 @@ class PerturbationCase(enum.Enum):
 
 @dataclass(frozen=True)
 class DiscSpec:
-    """Truncated-disc discretization parameters."""
+    """Truncated-disc discretization parameters around the unit inclusion;
+    ValueError at construction if generate_disc_mesh would refuse them, so a
+    table build with no sample to solve refuses them too."""
     radius: float = 1000.0
     h0: float = 0.05
     growth: float = 1.15
     n_theta: int = 128
+
+    def __post_init__(self):
+        _check_disc(self.radius, 1.0, self.growth, self.h0, self.n_theta)
 
     def build(self) -> TriMesh:
         return generate_disc_mesh(self.radius, 1.0, self.growth,

@@ -84,70 +84,120 @@ def assemble_rhs(mesh: TriMesh, sources: SourceSpec) -> np.ndarray:
     return assemble_rhs_elements(mesh, jz_el, m_el)
 
 
-def _block_structure(mesh: TriMesh, loc: np.ndarray):
-    """CSC structure (indptr, indices) of the stiffness block that holds node
-    i in row and column loc[i] (nodes with loc -1 are left out), and the
-    position of each of the 9 m element entries in its data array
-    (len(indices) for entries left out)."""
+#: an element's local node pairs (k, l), k <= l, one per upper-triangle
+#: entry of its element matrix
+_PAIRS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]).T
+#: positions of c00, c01 and c11 in a flattened (2, 2) coefficient
+_COEFFS = (0, 1, 3)
+
+
+def _pattern(mesh: TriMesh, loc: np.ndarray):
+    """CSC pattern (indptr, indices) of the stiffness block that holds node i
+    in row and column loc[i] (nodes with loc -1 are left out), and its
+    entries' keys col * n + row, sorted."""
     n = int(loc.max()) + 1
-    # element entry (k, l) is grad(phi_l) . C grad(phi_k): row l, column k
-    rows = loc[np.tile(mesh.tris, (1, 3)).ravel()]
-    cols = loc[np.repeat(mesh.tris, 3, axis=1).ravel()]
+    tl = loc[mesh.tris]
+    rows = np.tile(tl, (1, 3)).ravel()
+    cols = np.repeat(tl, 3, axis=1).ravel()
     inside = (rows >= 0) & (cols >= 0)
-    entries, pos = np.unique(cols[inside] * n + rows[inside], return_inverse=True)
-    scatter = np.full(rows.size, entries.size, dtype=np.int64)
-    scatter[inside] = pos
-    indptr = np.searchsorted(entries // n, np.arange(n + 1))
-    return indptr.astype(np.int32), (entries % n).astype(np.int32), scatter
+    keys = np.unique(cols[inside] * n + rows[inside])
+    indptr = np.searchsorted(keys // n, np.arange(n + 1))
+    return indptr.astype(np.int32), (keys % n).astype(np.int32), keys
 
 
-def _stiffness(mesh: TriMesh, coeff: np.ndarray, structure) -> sp.csc_matrix:
-    """Entries sum_e A_e grad(phi_i) . coeff_e grad(phi_j) summed into a
-    _block_structure."""
-    indptr, indices, scatter = structure
-    g0, g1 = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
-    # d_i[k] = (C grad(phi_k))_i; entry (k, l) = A_e sum_i d_i[k] grad_i(phi_l)
-    d0 = coeff[:, 0, 0, None] * g0 + coeff[:, 0, 1, None] * g1
-    d1 = coeff[:, 1, 0, None] * g0 + coeff[:, 1, 1, None] * g1
-    ke = d0[:, :, None] * g0[:, None, :]
-    ke += d1[:, :, None] * g1[:, None, :]
-    ke *= mesh.areas[:, None, None]
-    data = np.bincount(scatter, weights=ke.ravel(), minlength=indices.size + 1)
-    return sp.csc_matrix((data[:-1], indices, indptr), shape=(indptr.size - 1,) * 2)
+def _coefficient_map(mesh: TriMesh, loc: np.ndarray, keys: np.ndarray):
+    """For the block of _pattern(mesh, loc) with entry keys `keys`: the int32
+    `mirror` that takes each entry to its upper-triangle twin, and the CSR
+    map S from the flattened (m, 2, 2) coefficients to the upper triangle's
+    values. An element pair (k, l) adds A_e grad_x(phi_k) grad_x(phi_l)
+    times c00, A_e (grad_x(phi_k) grad_y(phi_l) + grad_y(phi_k)
+    grad_x(phi_l)) times c01 and A_e grad_y(phi_k) grad_y(phi_l) times c11
+    to its entry."""
+    n = int(loc.max()) + 1
+
+    def upper_key(r, c):
+        return np.maximum(r, c) * n + np.minimum(r, c)
+
+    upper = keys[keys % n <= keys // n]
+    mirror = np.searchsorted(upper, upper_key(keys % n, keys // n)).astype(np.int32)
+
+    def sorted_pairs():
+        """S's indptr, and the element pairs (flattened (m, 6)) without a
+        Dirichlet node sorted by their row of S, stably: a row's entries go
+        by element."""
+        a, b = loc[mesh.tris[:, _PAIRS[0]]], loc[mesh.tris[:, _PAIRS[1]]]
+        # a pair with a Dirichlet node takes row upper.size, sorted last
+        row = np.where((a >= 0) & (b >= 0), np.searchsorted(upper, upper_key(a, b)),
+                       upper.size).ravel()
+        indptr = np.zeros(upper.size + 1, dtype=np.int32)
+        np.cumsum(3 * np.bincount(row, minlength=upper.size + 1)[:-1], out=indptr[1:])
+        return indptr, np.argsort(row, kind="stable")[:indptr[-1] // 3]
+
+    # S's arrays are made after sorted_pairs' (m, 6) temporaries are freed,
+    # and one coefficient at a time: this sets the peak memory of the first
+    # solve on a mesh
+    indptr, order = sorted_pairs()
+    (k, l), data = _PAIRS, np.empty((order.size, 3))
+    gx, gy = mesh.grads[..., 0], mesh.grads[..., 1]
+    for j, (p, q) in enumerate(((gx, gx), (gx, gy), (gy, gy))):
+        w = p[:, k] * q[:, l]
+        if p is not q:
+            w += q[:, k] * p[:, l]
+        w *= mesh.areas[:, None]
+        data[:, j] = w.ravel()[order]
+    element = (order // k.size).astype(np.int32)
+    indices = 4 * element[:, None] + np.array(_COEFFS, dtype=np.int32)
+    return mirror, sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                                 shape=(upper.size, 4 * mesh.n_tris))
 
 
 def _free_block(mesh: TriMesh):
     """The DOFs off the Dirichlet boundary in a fill-reducing order, and the
-    _block_structure of the stiffness block on them; computed on first use
-    (one factorization) and cached on the mesh. The order is the column order
-    SuperLU's MMD_AT_PLUS_A gives the P1 Laplacian on the sorted free DOFs.
-    It depends only on the sparsity pattern, which every stiffness block on
-    this mesh shares, so `factorize` needs no ordering of its own."""
+    stiffness block on them as (indptr, indices, mirror, S): its CSC pattern
+    and the map from coefficients to values that assemble_stiffness applies.
+    Computed on first use and cached on the mesh. The order is the column
+    order SuperLU's MMD_AT_PLUS_A gives the block's pattern on the sorted
+    free DOFs, factorized once with -1 off the diagonal and the column's
+    entry count on it (non-singular, being diagonally dominant). Every
+    stiffness block on this mesh shares that pattern, so `factorize` needs
+    no ordering of its own."""
     if "free_block" not in mesh._cache:
         dofs = np.setdiff1d(np.arange(mesh.n_nodes), mesh.dirichlet_nodes())
         loc = np.full(mesh.n_nodes, -1, dtype=np.int64)
         loc[dofs] = np.arange(dofs.size)
-        laplace = _stiffness(mesh, np.broadcast_to(np.eye(2), (mesh.n_tris, 2, 2)),
-                             _block_structure(mesh, loc))
+        indptr, indices, _ = _pattern(mesh, loc)
+        count = np.diff(indptr)
+        diagonal = indices == np.repeat(np.arange(dofs.size), count)
+        pattern = sp.csc_matrix((np.where(diagonal, np.repeat(count, count), -1.0),
+                                 indices, indptr), shape=(dofs.size,) * 2)
         # perm_c's base is the factorization: no name holds it past this line
-        dofs = dofs[np.argsort(spla.splu(laplace, permc_spec="MMD_AT_PLUS_A").perm_c)]
+        dofs = dofs[np.argsort(spla.splu(pattern, permc_spec="MMD_AT_PLUS_A").perm_c)]
         loc[dofs] = np.arange(dofs.size)
-        mesh._cache["free_block"] = (dofs, _block_structure(mesh, loc))
+        indptr, indices, keys = _pattern(mesh, loc)
+        mesh._cache["free_block"] = (dofs, (indptr, indices)
+                                     + _coefficient_map(mesh, loc, keys))
     return mesh._cache["free_block"]
 
 
 def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray) -> sp.csc_matrix:
     """Stiffness block K_ij = sum_e A_e grad(phi_i) . coeff_e grad(phi_j) on
-    the free DOFs in their fill-reducing order (_free_block), for
-    per-element 2x2 coefficients `coeff` (m, 2, 2)."""
-    return _stiffness(mesh, coeff, _free_block(mesh)[1])
+    the free DOFs in their fill-reducing order (_free_block), for symmetric
+    per-element 2x2 coefficients `coeff` (m, 2, 2); the block is exactly
+    symmetric. SolverError if a coefficient is not symmetric."""
+    coeff = np.asarray(coeff, dtype=float)
+    c01, c10 = coeff[:, 0, 1], coeff[:, 1, 0]
+    if not np.array_equal(c01, c10, equal_nan=True):
+        raise SolverError("stiffness coefficient not symmetric "
+                          f"(dev {np.abs(c01 - c10).max():.3g})")
+    _, (indptr, indices, mirror, S) = _free_block(mesh)
+    data = (S @ coeff.reshape(-1))[mirror]
+    return sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 def assemble_flux_divergence(mesh: TriMesh, flux_el: np.ndarray) -> np.ndarray:
-    """Vector with entries sum_e A_e flux_e . grad(phi_i) for (m, 2) fluxes."""
-    contrib = np.einsum("ei,eki->ek", flux_el, mesh.grads) * mesh.areas[:, None]
-    return np.bincount(mesh.tris.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.n_nodes)
+    """Vector with entries sum_e A_e flux_e . grad(phi_i) for (m, 2) fluxes:
+    G^T (A flux) with G the mesh's grad_op."""
+    return mesh.grad_op.T @ (mesh.areas[:, None] * flux_el).reshape(-1)
 
 
 def ferro_element_mask(mesh: TriMesh, levelset=None) -> np.ndarray:
@@ -365,13 +415,11 @@ def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray,
 
     `adjoint_rhs` is the literal right-hand-side vector of the linear system
     (for the tracking objective the caller passes the negated objective
-    derivative). The matrix is symmetric because the flux Jacobian is; its
-    free block is checked. Returns the nodal adjoint p (n,).
+    derivative). The matrix is symmetric because the flux Jacobian is:
+    assemble_stiffness refuses a non-symmetric coefficient with SolverError
+    before `held` is touched. Returns the nodal adjoint p (n,).
     """
     mesh = state.mesh
     jac = assemble_jacobian(mesh, state.curve, state.ferro_mask,
                             mesh.element_gradients(state.field))
-    asym = abs(jac - jac.T).max()
-    if asym > 1e-9 * abs(jac).max():
-        raise SolverError(f"adjoint system matrix not symmetric (dev {asym:.3g})")
     return solve_free(jac, adjoint_rhs, mesh, held)

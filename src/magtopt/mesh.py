@@ -10,6 +10,7 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class Region(enum.IntEnum):
@@ -63,10 +64,25 @@ class TriMesh:
 
     @property
     def grads(self) -> np.ndarray:
-        """P1 basis gradients, shape (m, 3, 2): grads[e, k] = grad(phi_k) on element e."""
+        """P1 basis gradients, shape (m, 3, 2): grads[e, k] = grad(phi_k) on
+        element e; a transposed view of grad_op's data."""
         if "grads" not in self._cache:
             self._compute_geometry()
         return self._cache["grads"]
+
+    @property
+    def grad_op(self) -> sp.csr_matrix:
+        """Sparse (2m, n) gradient operator G: row 2e + i of G @ u is the
+        x_i-derivative of the P1 field u on element e. Built on first use
+        over the buffer of `grads`, so it adds only its int32 indices."""
+        if "grad_op" not in self._cache:
+            m = self.n_tris
+            data = self.grads.transpose(0, 2, 1).reshape(-1)
+            indices = np.repeat(self.tris, 2, axis=0).reshape(-1).astype(np.int32)
+            indptr = np.arange(0, 6 * m + 1, 3, dtype=np.int32)
+            self._cache["grad_op"] = sp.csr_matrix(
+                (data, indices, indptr), shape=(2 * m, self.n_nodes), copy=False)
+        return self._cache["grad_op"]
 
     @property
     def centroids(self) -> np.ndarray:
@@ -81,23 +97,23 @@ class TriMesh:
         det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
         if np.any(det <= 0):
             raise MeshError("triangle with non-positive signed area")
-        b = np.empty((len(self.tris), 3, 2))
+        # b[e, i, k] = d(phi_k)/dx_i, the row layout of grad_op
+        b = np.empty((len(self.tris), 2, 3))
         b[:, 0, 0] = p[:, 1, 1] - p[:, 2, 1]
-        b[:, 0, 1] = p[:, 2, 0] - p[:, 1, 0]
-        b[:, 1, 0] = p[:, 2, 1] - p[:, 0, 1]
+        b[:, 1, 0] = p[:, 2, 0] - p[:, 1, 0]
+        b[:, 0, 1] = p[:, 2, 1] - p[:, 0, 1]
         b[:, 1, 1] = p[:, 0, 0] - p[:, 2, 0]
-        b[:, 2, 0] = p[:, 0, 1] - p[:, 1, 1]
-        b[:, 2, 1] = p[:, 1, 0] - p[:, 0, 0]
+        b[:, 0, 2] = p[:, 0, 1] - p[:, 1, 1]
+        b[:, 1, 2] = p[:, 1, 0] - p[:, 0, 0]
         b /= det[:, None, None]
         self._cache["areas"] = 0.5 * det
-        self._cache["grads"] = b
+        self._cache["grads"] = b.transpose(0, 2, 1)
 
     def element_gradients(self, u: np.ndarray, elements=None) -> np.ndarray:
         """Gradient of the P1 field u (n,), constant per element: shape
         (m, 2), only the rows of `elements` (an index array) when given."""
-        tris, grads = (self.tris, self.grads) if elements is None else \
-            (self.tris[elements], self.grads[elements])
-        return np.einsum("ek,eki->ei", u[tris], grads)
+        g = (self.grad_op @ u).reshape(-1, 2)
+        return g if elements is None else g[elements]
 
     def dirichlet_nodes(self) -> np.ndarray:
         sel = self.btags == Boundary.DIRICHLET_OUTER
@@ -247,6 +263,21 @@ def _ring_edges(ring: np.ndarray) -> np.ndarray:
     return np.column_stack([ring, np.roll(ring, -1)])
 
 
+def _check_disc(radius: float, inclusion_radius: float, grading: float,
+                h0: float, n_theta: int) -> None:
+    """ValueError naming the first disc-mesh parameter that is out of range:
+    unguarded, these divide by zero, build non-finite nodes or, for h0 < 0,
+    add rings without end."""
+    if not (np.isfinite(radius) and radius > inclusion_radius > 0.0):
+        raise ValueError(f"radius = {radius:g} is not finite and > inclusion_radius > 0")
+    if not 1.0 <= grading < np.inf:
+        raise ValueError(f"grading = {grading:g} is not finite and >= 1")
+    if not 0.0 < h0 < np.inf:
+        raise ValueError(f"h0 = {h0:g} is not finite and positive")
+    if n_theta < 3:
+        raise ValueError(f"n_theta = {n_theta} is less than 3")
+
+
 def generate_disc_mesh(radius: float, inclusion_radius: float = 1.0,
                        grading: float = 1.15, h0: float = 0.05,
                        n_theta: int = 128) -> TriMesh:
@@ -256,16 +287,10 @@ def generate_disc_mesh(radius: float, inclusion_radius: float = 1.0,
     |x| = inclusion_radius, radial spacing grows geometrically (factor
     `grading`) from h0 at the inclusion toward the outer boundary. Triangles
     inside the inclusion are tagged DESIGN, the exterior AIR_FIXED; the outer
-    circle is the Dirichlet boundary.
+    circle is the Dirichlet boundary. ValueError naming the parameter if one
+    is out of range (_check_disc).
     """
-    if not (np.isfinite(radius) and radius > inclusion_radius > 0.0):
-        raise ValueError(f"radius = {radius:g} is not finite and > inclusion_radius > 0")
-    if not 1.0 <= grading < np.inf:
-        raise ValueError(f"grading = {grading:g} is not finite and >= 1")
-    if not 0.0 < h0 < np.inf:
-        raise ValueError(f"h0 = {h0:g} is not finite and positive")
-    if n_theta < 3:
-        raise ValueError(f"n_theta = {n_theta} is less than 3")
+    _check_disc(radius, inclusion_radius, grading, h0, n_theta)
     radii = _ring_radii(inclusion_radius, radius, h0, grading)
     nodes, tris, ring = _polar_mesh(radii, n_theta)
     cen = nodes[tris].mean(axis=1)

@@ -431,6 +431,15 @@ class TestQuarterDisc:
             build_correction_table(marrocco, CASE_I, np.array([0.0, 1.0]), spec)
         assert calls == []
 
+    @pytest.mark.parametrize("field, value", [
+        ("h0", 0.0), ("n_theta", 0), ("radius", 1.0), ("growth", np.nan)])
+    def test_spec_refuses_what_the_mesher_refuses(self, field, value):
+        kwargs = dict(radius=200.0, h0=0.2, n_theta=32)
+        kwargs[field] = value
+        # the mesher names `growth` grading
+        with pytest.raises(ValueError, match="grading" if field == "growth" else field):
+            DiscSpec(**kwargs)
+
     def test_cut_refuses_unaligned_disc(self):
         disc = DiscSpec(radius=200.0, h0=0.2, n_theta=30).build()
         with pytest.raises(ValueError, match="not a quarter"):

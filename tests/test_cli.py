@@ -144,6 +144,16 @@ class TestBuildTables:
         assert f"{key} = {value} " in caplog.text
         assert list(out.glob("*.csv")) == []
 
+    @pytest.mark.parametrize("key, value", [("h0", "0"), ("n_theta", "0")])
+    def test_bad_disc_rejected_without_samples(self, tmp_path, caplog, key, value):
+        # t_max = 0 solves no sample and meshes no disc
+        cfg = write_config(tmp_path, t_max="0", **{key: value})
+        out = tmp_path / "out"
+        rc = cli.main(["build-tables", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{key} = {value} " in caplog.text
+        assert list(out.glob("*.csv")) == []
+
     def test_failed_sample_named(self, tmp_path, caplog, monkeypatch):
         # no Newton step allowed: the first non-zero sample fails
         monkeypatch.setattr(fem, "MAX_NEWTON", 0)

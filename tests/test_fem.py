@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -351,10 +353,10 @@ class TestHeldLU:
 
 
 class TestFreeBlock:
-    """The free-DOF block assembled through the cached pattern, against an
-    independent triplet sum; closed-form element matrices, bincount scatters
-    and the cached fill-reducing DOF order against the generic forms they
-    replace."""
+    """The free-DOF block assembled through the cached coefficient map,
+    against an independent triplet sum; the sparse residual, the load-vector
+    scatter and the cached fill-reducing DOF order against the generic forms
+    they replace."""
 
     @pytest.fixture(params=["square16", "disc_coarse"])
     def mesh(self, request, bench):
@@ -363,8 +365,9 @@ class TestFreeBlock:
 
     @staticmethod
     def coefficients(mesh):
-        # a non-symmetric coefficient, so a transposed scatter shows
-        return RNG.normal(size=(mesh.n_tris, 2, 2)) + 3.0 * np.eye(2)
+        # symmetric, as assemble_stiffness requires, with a random c01
+        c = RNG.normal(size=(mesh.n_tris, 2, 2))
+        return 0.5 * (c + np.swapaxes(c, 1, 2)) + 3.0 * np.eye(2)
 
     @staticmethod
     def coo_reference(mesh, coeff):
@@ -401,10 +404,16 @@ class TestFreeBlock:
         # the two-einsum contraction: entry (k, l) is grad(phi_l) . C grad(phi_k)
         db = np.einsum("eij,ekj->eki", coeff, mesh.grads)
         ke = np.einsum("eki,eli->ekl", db, mesh.grads) * mesh.areas[:, None, None]
-        _, (_, indices, scatter) = fem._free_block(mesh)
-        data = np.bincount(scatter, weights=ke.ravel(),
-                           minlength=indices.size + 1)[:-1]
-        assert np.array_equal(block.data, data)
+        free, _ = fem._free_block(mesh)
+        loc = np.full(mesh.n_nodes, -1)
+        loc[free] = np.arange(free.size)
+        rows = loc[np.tile(mesh.tris, (1, 3)).ravel()]
+        cols = loc[np.repeat(mesh.tris, 3, axis=1).ravel()]
+        inside = (rows >= 0) & (cols >= 0)
+        ref = sp.csc_matrix((ke.ravel()[inside], (rows[inside], cols[inside])),
+                            shape=block.shape)
+        assert abs(block - ref).max() <= 1e-14 * abs(ref).max()
+        assert (block != block.T).nnz == 0
 
     @pytest.mark.parametrize("shape", [(2,)])
     def test_scatters_match_add_at(self, mesh, shape):
@@ -412,7 +421,9 @@ class TestFreeBlock:
         contrib = np.einsum("ei,eki->ek", flux, mesh.grads) * mesh.areas[:, None]
         ref = np.zeros(mesh.n_nodes)
         np.add.at(ref, mesh.tris.ravel(), contrib.ravel())
-        assert np.array_equal(fem.assemble_flux_divergence(mesh, flux), ref)
+        # G^T (A flux) sums the two gradient components separately
+        assert np.abs(fem.assemble_flux_divergence(mesh, flux) - ref).max() <= \
+            1e-14 * np.abs(ref).max()
 
         jz, m_el = RNG.normal(size=mesh.n_tris), RNG.normal(size=(mesh.n_tris, 2))
         contrib = np.einsum("ei,eki->ek", np.column_stack([-m_el[:, 1], m_el[:, 0]]),
@@ -421,6 +432,30 @@ class TestFreeBlock:
         ref = np.zeros(mesh.n_nodes)
         np.add.at(ref, mesh.tris.ravel(), contrib.ravel())
         assert np.array_equal(assemble_rhs_elements(mesh, jz, m_el), ref)
+
+    #: sha256 of each mesh's fill-reducing DOF order (int64 bytes), taken
+    #: when the order came from factorizing the P1 Laplacian: any change of
+    #: order shows, even one with equal fill
+    ORDER_SHA256 = {
+        "square16": "976a18cfc35150b7d0884e729d3db5736438099b73dfde5f30e05e8a3b083a59",
+        "disc_coarse": "8b69bec5f19c4d416806b3c5c68f655a971d2b1f53efca7dfc56225dd1c34386",
+    }
+
+    def test_order_pinned(self, mesh, request):
+        free, _ = fem._free_block(mesh)
+        digest = hashlib.sha256(free.astype(np.int64).tobytes()).hexdigest()
+        assert digest == self.ORDER_SHA256[request.node.callspec.params["mesh"]]
+
+    def test_jacobian_block_exactly_symmetric(self, mesh, marrocco):
+        gu = RNG.normal(size=(mesh.n_tris, 2))
+        block = fem.assemble_jacobian(mesh, marrocco, mesh.region != Region.AIR_FIXED, gu)
+        assert (block != block.T).nnz == 0
+
+    def test_non_symmetric_coefficient_refused(self, mesh):
+        coeff = self.coefficients(mesh)
+        coeff[-1, 1, 0] += 1e-12
+        with pytest.raises(SolverError, match="not symmetric"):
+            fem.assemble_stiffness(mesh, coeff)
 
     def test_free_nodes_permute_sorted_free_set(self, mesh):
         block = fem._free_block(mesh)
@@ -563,3 +598,28 @@ class TestElementGradients:
         g = bench.element_gradients(u)
         np.testing.assert_allclose(g[:, 0], 2.0, rtol=1e-12)
         np.testing.assert_allclose(g[:, 1], -3.0, rtol=1e-12)
+
+    def test_operator_matches_einsum(self, bench):
+        u = RNG.normal(size=bench.n_nodes)
+        ref = np.einsum("ek,eki->ei", u[bench.tris], bench.grads)
+        tol = 1e-14 * np.abs(ref).max()
+        assert np.abs(bench.element_gradients(u) - ref).max() <= tol
+        design = np.flatnonzero(bench.region == Region.DESIGN)
+        assert np.abs(bench.element_gradients(u, design) - ref[design]).max() <= tol
+
+    def test_operator_shares_the_gradient_buffer(self):
+        mesh = generate_square_benchmark(16)
+        assert np.shares_memory(mesh.grad_op.data, mesh.grads)
+        assert mesh.grad_op.shape == (2 * mesh.n_tris, mesh.n_nodes)
+
+    def test_fem_caches_at_most_300_bytes_per_element(self):
+        # the previous unit's mesh stays alive while a benchmark unit runs,
+        # so every cached byte counts twice in peak memory
+        mesh = generate_square_benchmark(64)
+        dofs, block = fem._free_block(mesh)
+        G = mesh.grad_op
+        cached = dofs.nbytes + G.indices.nbytes + G.indptr.nbytes
+        for a in block:
+            cached += sum(x.nbytes for x in (a.data, a.indices, a.indptr)) \
+                if sp.issparse(a) else a.nbytes
+        assert cached <= 300 * mesh.n_tris
