@@ -277,12 +277,11 @@ def eval_correction(table: CorrectionTable, grad_u, grad_p) -> float:
 # ---------------------------------------------------------------------------
 # table CSV I/O
 
-def save_table(path, table: CorrectionTable, config_hash: str = None) -> None:
+def save_table(path, table: CorrectionTable, config_hash: str) -> None:
     buf = io.StringIO()
     buf.write(f"# case={table.case.value} radius={table.radius:.17g} "
               f"h0={table.h0:.17g} curve={table.curve_hash}\n")
-    if config_hash:
-        buf.write(f"# config={config_hash}\n")
+    buf.write(f"# config={config_hash}\n")
     buf.write("t,j2_e1,j2_e2\n")
     for t, a, b in zip(table.t, table.j2_e1, table.j2_e2):
         buf.write(f"{t:.17g},{a:.17g},{b:.17g}\n")

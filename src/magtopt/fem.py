@@ -324,7 +324,11 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     its Jacobian through `held` (HeldLU.solve, to NEWTON_FORCING relative);
     held_at_x0 says that `held` already holds the factorization of the
     Jacobian at x0, which then solves the first step exactly without
-    assembling that Jacobian. Returns (x, iterations, residual_norm).
+    assembling that Jacobian. The cell problems pass it, and it earns its
+    place there: routed through HeldLU.solve instead, that step gives the
+    same tables but costs one more Jacobian assembly and flux evaluation
+    per cell sample (40 each for the default tables), and the table build
+    ran slower. Returns (x, iterations, residual_norm).
     """
     free, _ = _free_block(mesh)
     tol = tol_abs + TOL_REL * np.linalg.norm(rhs[free])

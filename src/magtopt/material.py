@@ -32,6 +32,15 @@ class MaterialError(Exception):
     pass
 
 
+def _require_finite(curve, *names) -> None:
+    """MaterialError naming the first of the curve's parameters that is NaN
+    or infinite."""
+    for name in names:
+        value = getattr(curve, name)
+        if not math.isfinite(value):
+            raise MaterialError(f"{name} = {value!r} must be finite")
+
+
 @dataclass(frozen=True)
 class MarroccoCurve:
     """Smooth saturation law nu(s) = nu_air (s^2a + c tau)/(s^2a + tau).
@@ -46,6 +55,7 @@ class MarroccoCurve:
     nu_air = NU0   # a class constant, not a field: every law saturates to air
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "c", "tau")
         if not (0.0 < self.c < 1.0 and self.tau > 0.0 and 2 * self.alpha >= 2):
             raise MaterialError("invalid saturation-law parameters")
 
@@ -94,6 +104,7 @@ class LinearCurve:
     nu_air = NU0
 
     def __post_init__(self):
+        _require_finite(self, "nu_const")
         if self.nu_const <= 0:
             raise MaterialError("nu_const must be positive")
 
@@ -272,6 +283,10 @@ def jacobian_eigenvalues(curve, s):
 #: lower admissibility threshold for the delta quotient (first sufficient bound)
 DELTA_THRESHOLD_FIXED = -1.0 / 3.0
 
+#: flux densities [T] the assumptions are sampled on: 0 and 10^4
+#: log-spaced points on [1e-6, 1e4]
+ASSUMPTION_GRID = np.concatenate([[0.0], np.geomspace(1.0e-6, 1.0e4, 10000)])
+
 
 def delta_threshold_contrast(curve) -> float:
     """Second sufficient bound -(1+k1)^2/((1+k1)^2 + 2), k1 = (nu_min - nu_air)/nu_air."""
@@ -319,22 +334,15 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def validate_assumptions(curve, sample_grid=None) -> AssumptionReport:
+def validate_assumptions(curve) -> AssumptionReport:
     """Sampled check of the physical and smoothness assumptions on the law.
 
-    The checks are infima over all s > 0 in the continuum; sampling on a
-    log grid is the generic test. Admissibility violations (delta_nu at or
-    below the thresholds) produce a warning and a False flag only. The
-    default grid is 0 and 10^4 log-spaced points on [1e-6, 1e4].
+    The checks are infima over all s > 0 in the continuum; sampling on the
+    log grid ASSUMPTION_GRID is the generic test. Admissibility violations
+    (delta_nu at or below the thresholds) produce a warning and a False flag
+    only.
     """
-    if sample_grid is None:
-        sample_grid = np.concatenate([[0.0], np.geomspace(1.0e-6, 1.0e4, 10000)])
-    grid = np.asarray(sample_grid, float)
-    if grid.size == 0:
-        raise ValueError("sample grid must be non-empty")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("sample grid must be strictly increasing")
-
+    grid = ASSUMPTION_GRID
     tol = 1e-9 * curve.nu_air
     nu = np.asarray(curve.nu(grid))
     nup = np.asarray(curve.nu_prime(grid))

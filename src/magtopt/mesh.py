@@ -361,7 +361,7 @@ def generate_mini_motor(resolution: int = 96) -> TriMesh:
 
 
 # ---------------------------------------------------------------------------
-# ASCII I/O (format: see README; floats written with 17 significant digits)
+# ASCII export (format: see README; floats written with 17 significant digits)
 
 def save_mesh(path, mesh: TriMesh) -> None:
     with open(path, "w") as f:
@@ -372,42 +372,3 @@ def save_mesh(path, mesh: TriMesh) -> None:
         f.write(f"bedges {len(mesh.bedges)}\n")
         np.savetxt(f, np.column_stack([mesh.bedges, mesh.btags]), fmt="%d")
 
-
-def _section(path, tokens: np.ndarray, pos: int, name: str, cols: int, dtype):
-    """The section `name` at tokens[pos] as a (count, cols) array, and the
-    position after it."""
-    head = tokens[pos:pos + 2].tolist()
-    if len(head) < 2 or head[0] != name or not head[1].isdigit():
-        raise MeshError(f"{path}: expected '{name} <count>'")
-    end = pos + 2 + int(head[1]) * cols
-    if end > len(tokens):
-        raise MeshError(f"{path}: section '{name}' is truncated")
-    try:
-        return tokens[pos + 2:end].astype(dtype).reshape(-1, cols), end
-    except ValueError as exc:
-        raise MeshError(f"{path}: section '{name}': {exc}") from exc
-
-
-def load_mesh(path) -> TriMesh:
-    """Mesh from save_mesh's file; MeshError naming the file and section if
-    a section is missing, truncated or non-numeric, if it refers to a node
-    that does not exist, or if it holds a tag that is not a Region
-    (triangles) or Boundary (edges) value."""
-    with open(path) as f:
-        tokens = np.array(f.read().split())
-    if tokens[:1].tolist() != ["meshv1"]:
-        raise MeshError(f"{path}: not a meshv1 file")
-    nodes, pos = _section(path, tokens, 1, "nodes", 2, np.float64)
-    rows, pos = _section(path, tokens, pos, "tris", 4, np.int64)
-    be, _ = _section(path, tokens, pos, "bedges", 3, np.int64)
-    for name, sec, kind in (("tris", rows, Region), ("bedges", be, Boundary)):
-        idx, tags = sec[:, :-1], sec[:, -1]
-        if np.any((idx < 0) | (idx >= len(nodes))):
-            raise MeshError(f"{path}: section '{name}' refers to a node "
-                            f"outside 0..{len(nodes) - 1}")
-        bad = ~np.isin(tags, list(kind))
-        if bad.any():
-            raise MeshError(f"{path}: section '{name}' has tag {tags[bad][0]}, "
-                            f"which is not a {kind.__name__} value")
-    return TriMesh(nodes, rows[:, :3], rows[:, 3].astype(np.int8),
-                   be[:, :2], be[:, 2].astype(np.int8))

@@ -60,10 +60,6 @@ class Anisotropy2:
         return self.rotation @ np.diag(s) @ self.rotation.T
 
 
-def _as_matrix(A) -> np.ndarray:
-    return A.mat if isinstance(A, Anisotropy2) else np.asarray(A, dtype=float)
-
-
 def _check_contrast(diff: np.ndarray) -> None:
     """Reject genuinely indefinite contrast; zero contrast is fine (the
     closed forms then return the zero matrix)."""
@@ -76,7 +72,7 @@ def _check_contrast(diff: np.ndarray) -> None:
 def polarization_disk(A_tilde, area: float) -> np.ndarray:
     """Polarization matrix of a disk of given area with background I:
     2 |w| (At + I)^-1 (At - I)."""
-    At = _as_matrix(A_tilde)
+    At = np.asarray(A_tilde, dtype=float)
     I = np.eye(2)
     _check_contrast(At - I)
     return 2.0 * area * np.linalg.solve(At + I, At - I)
@@ -88,7 +84,7 @@ def polarization_ellipse(A_tilde, a: float, b: float) -> np.ndarray:
     C = (a-b)/(2(a+b)) diag(1, -1)."""
     if a <= 0 or b <= 0:
         raise ValueError("semi-axes must be positive")
-    At = _as_matrix(A_tilde)
+    At = np.asarray(A_tilde, dtype=float)
     I = np.eye(2)
     _check_contrast(At - I)
     C = (a - b) / (2.0 * (a + b)) * np.diag([1.0, -1.0])
@@ -106,8 +102,8 @@ def polarization_general(A, A_tilde) -> np.ndarray:
     ellipse closed form finishes. The result is symmetrized (it is symmetric
     up to roundoff by construction).
     """
-    Aw = A if isinstance(A, Anisotropy2) else Anisotropy2.from_matrix(A)
-    At = _as_matrix(A_tilde)
+    Aw = Anisotropy2.from_matrix(A)
+    At = np.asarray(A_tilde, dtype=float)
     _check_contrast(At - Aw.mat)
     R = Aw.rotation
     inv_sqrt = Aw.inv_sqrt()

@@ -29,8 +29,7 @@ class ObjectiveSpec:
     elements: np.ndarray     # (k,) adjacent element on the fixed side
     trace: sp.csr_matrix     # (k, n): row k holds tau_k . grad(phi_j) on elements[k]
     lengths: np.ndarray      # (k,) edge lengths (quadrature weights)
-    midpoints: np.ndarray    # (k, 2)
-    b_target: np.ndarray     # (k,) target flux density at midpoints [T]
+    b_target: np.ndarray     # (k,) target flux density at edge midpoints [T]
 
 
 def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
@@ -72,7 +71,7 @@ def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
 def make_objective(mesh: TriMesh, b_target) -> ObjectiveSpec:
     """Build the tracking objective on the mesh's GAP_PROBE edges.
 
-    b_target: callable(midpoints (k,2)) -> (k,), or an array of length k.
+    b_target: callable(midpoints (k,2)) -> (k,).
     """
     edges = mesh.gap_probe_edges()
     if len(edges) == 0:
@@ -85,10 +84,10 @@ def make_objective(mesh: TriMesh, b_target) -> ObjectiveSpec:
     weights = np.einsum("kji,ki->kj", mesh.grads[elements], vec / lengths[:, None])
     trace = sp.csr_matrix((weights.ravel(), mesh.tris[elements].ravel(),
                            np.arange(0, 3 * k + 1, 3)), shape=(k, mesh.n_nodes))
-    bt = np.asarray(b_target(mid) if callable(b_target) else b_target, dtype=float)
+    bt = np.asarray(b_target(mid), dtype=float)
     if bt.shape != (k,):
         raise ConfigurationError("target sample count must equal edge count")
-    return ObjectiveSpec(edges, elements, trace, lengths, mid, bt)
+    return ObjectiveSpec(edges, elements, trace, lengths, bt)
 
 
 def gap_flux(mesh: TriMesh, u, spec: ObjectiveSpec) -> np.ndarray:
@@ -151,9 +150,9 @@ def build_benchmark_problem(kind: str, resolution: int,
                             b_target=None) -> Problem:
     """Assemble one of the shipped benchmarks ("square" or "mini_motor").
 
-    The optimization scenario is magnet-driven: J_z = 0. Pass `b_target`
-    (callable or array) to override the default tracking profile, e.g. one
-    loaded with `load_target_csv`.
+    The optimization scenario is magnet-driven: J_z = 0. Pass a `b_target`
+    callable (see `make_objective`) to override the default tracking
+    profile, e.g. one loaded with `load_target_csv`.
     """
     if kind == "square":
         mesh = generate_square_benchmark(resolution)

@@ -1,5 +1,8 @@
-"""Closed-form oracles that tests compare the library's numerical solves
-against; no library code needs them."""
+"""Oracles that tests compare the library against: closed forms for its
+numerical solves and a plain reader for its mesh export. No library code
+needs them."""
+from pathlib import Path
+
 import numpy as np
 
 from magtopt import polarization
@@ -28,3 +31,20 @@ def analytic_adjoint_variation(curve, grad_u, grad_p, x):
     vals = np.where(inside, v1 * a1 * x1 + v2 * a2 * x2,
                     (v1 * a1 * x1 + v2 * a2 * x2) / r2)
     return float(vals[0]) if np.ndim(x) == 1 else vals
+
+
+def read_meshv1(path):
+    """Arrays (nodes, tris, region, bedges, btags) of a meshv1 file, read
+    without validation; the oracle for `mesh.save_mesh`'s output."""
+    tokens = Path(path).read_text().split()
+    assert tokens[0] == "meshv1"
+    pos, sections = 1, []
+    for name, cols, dtype in (("nodes", 2, float), ("tris", 4, int),
+                              ("bedges", 3, int)):
+        assert tokens[pos] == name
+        end = pos + 2 + int(tokens[pos + 1]) * cols
+        sections.append(np.array(tokens[pos + 2:end], dtype=dtype).reshape(-1, cols))
+        pos = end
+    assert pos == len(tokens)
+    nodes, rows, be = sections
+    return nodes, rows[:, :3], rows[:, 3], be[:, :2], be[:, 2]

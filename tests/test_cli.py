@@ -7,6 +7,7 @@ import pytest
 from magtopt import cli, fem
 from magtopt.cell_problems import load_table
 from magtopt.problem_setup import ConfigurationError
+from oracles import read_meshv1
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -243,6 +244,19 @@ class TestOptimize:
         assert f"{key} = {value} " in caplog.text
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("overrides, name", [
+        ({"nu_linear": "nan"}, "nu_const"),
+        ({"curve": "marrocco", "tau": "inf"}, "tau")],
+        ids=["nan_nu_linear", "inf_tau"])
+    def test_non_finite_curve_rejected_before_tables(self, tmp_path, caplog,
+                                                     overrides, name):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{name} = " in caplog.text and "must be finite" in caplog.text
+        assert not (out / "j2_case1.csv").exists()
+
     def test_snapshots_every_second_iteration(self, tmp_path):
         cfg = write_config(tmp_path, curve="marrocco", snapshot_every="2")
         out = tmp_path / "out"
@@ -412,7 +426,11 @@ class TestOtherCommands:
         rc = cli.main(["export", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         assert (out / "mesh.vtk").exists()
-        assert (out / "mesh.txt").read_text().startswith("meshv1")
+        mesh = cli._build_problem(cli.load_config(cfg)).mesh
+        for got, want in zip(read_meshv1(out / "mesh.txt"),
+                             (mesh.nodes, mesh.tris, mesh.region,
+                              mesh.bedges, mesh.btags)):
+            np.testing.assert_array_equal(got, want)
 
     def test_selftest_passes(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -209,7 +209,7 @@ class TestValidateAssumptions:
         s = np.linspace(0.0, 4.0, 40)
         vals = 2000.0 + 3.0e5 * (s / 4.0) ** 2
         curve = SplineCurve(s, vals)
-        rep = validate_assumptions(curve, np.geomspace(1e-4, 10.0, 2000))
+        rep = validate_assumptions(curve)
         assert rep.delta_nu >= 0.0
         assert rep.admissibility_ok
 
@@ -217,14 +217,10 @@ class TestValidateAssumptions:
         s = np.linspace(0.0, 4.0, 40)
         vals = 5.0e4 * (1.0 + 0.8 * np.exp(-((s - 1.5) ** 2)))  # dip after 1.5
         curve = SplineCurve(s, vals)
-        rep = validate_assumptions(curve, np.geomspace(1e-4, 10.0, 2000))
+        rep = validate_assumptions(curve)
         assert rep.delta_nu < rep.threshold_contrast
         assert not rep.admissibility_ok
         assert any("delta quotient" in w for w in rep.warnings)
-
-    def test_empty_grid_rejected(self, marrocco):
-        with pytest.raises(ValueError):
-            validate_assumptions(marrocco, np.array([]))
 
     def test_report_summary_text(self, marrocco):
         text = validate_assumptions(marrocco).summary()
@@ -298,6 +294,17 @@ class TestCurveValidation:
     def test_bad_linear(self):
         with pytest.raises(MaterialError):
             LinearCurve(nu_const=-1.0)
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (MarroccoCurve, "alpha", np.inf), (MarroccoCurve, "alpha", np.nan),
+        (MarroccoCurve, "c", np.nan), (MarroccoCurve, "tau", np.inf),
+        (MarroccoCurve, "tau", np.nan), (LinearCurve, "nu_const", np.nan),
+        (LinearCurve, "nu_const", np.inf)],
+        ids=["alpha-inf", "alpha-nan", "c-nan", "tau-inf", "tau-nan",
+             "nu_const-nan", "nu_const-inf"])
+    def test_non_finite_parameter_named(self, cls, name, value):
+        with pytest.raises(MaterialError, match=f"^{name} = {value!r} must be finite$"):
+            cls(**{name: value})
 
     def test_cache_keys_distinct(self, marrocco, linear_stub):
         keys = {marrocco.cache_key(), linear_stub.cache_key(),

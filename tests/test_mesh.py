@@ -1,5 +1,4 @@
 import hashlib
-import re
 
 import numpy as np
 import pytest
@@ -7,9 +6,11 @@ import pytest
 from magtopt.cell_problems import DiscSpec
 from magtopt.mesh import (Boundary, MeshError, Region, TriMesh,
                           generate_disc_mesh, generate_mini_motor,
-                          generate_square_benchmark, load_mesh, save_mesh,
+                          generate_square_benchmark, save_mesh,
                           unit_square_mesh, MINI_MOTOR_RADII,
                           MINI_MOTOR_PROBE_RADIUS)
+from oracles import read_meshv1
+
 
 def euler_characteristic(mesh):
     edges = set()
@@ -142,43 +143,9 @@ class TestAsciiIO:
         mesh = generate_square_benchmark(8)
         p = tmp_path / "mesh.txt"
         save_mesh(p, mesh)
-        back = load_mesh(p)
-        np.testing.assert_array_equal(back.nodes, mesh.nodes)
-        np.testing.assert_array_equal(back.tris, mesh.tris)
-        np.testing.assert_array_equal(back.region, mesh.region)
-        np.testing.assert_array_equal(back.bedges, mesh.bedges)
-        np.testing.assert_array_equal(back.btags, mesh.btags)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("meshv2\nnodes 0\n")
-        with pytest.raises(MeshError):
-            load_mesh(p)
-
-    @pytest.mark.parametrize("defect, section", [
-        ("truncated", "bedges"), ("non-numeric", "nodes"), ("bad index", "tris"),
-        ("region tag 300", "tris"), ("boundary tag 7", "bedges")])
-    def test_malformed_rejected(self, tmp_path, defect, section):
-        p = tmp_path / "mesh.txt"
-        save_mesh(p, generate_square_benchmark(8))
-        lines = p.read_text().splitlines()
-        if defect == "truncated":
-            lines = lines[:-1]
-        elif defect == "non-numeric":
-            lines[2] = "0 zero"
-        elif defect == "bad index":
-            # 81 nodes, so node 81 does not exist
-            lines[lines.index("tris 128") + 1] = "0 1 81 2"
-        elif defect == "region tag 300":
-            # an int8 cast would load it as region 44
-            lines[lines.index("tris 128") + 1] = "0 1 10 300"
-        else:
-            # in int8 range, but no Boundary has the value
-            i = next(i for i, l in enumerate(lines) if l.startswith("bedges"))
-            lines[i + 1] = " ".join(lines[i + 1].split()[:2] + ["7"])
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshError, match=f"{re.escape(str(p))}: section '{section}'"):
-            load_mesh(p)
+        for got, want in zip(read_meshv1(p), (mesh.nodes, mesh.tris, mesh.region,
+                                              mesh.bedges, mesh.btags)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestMiniMotor:

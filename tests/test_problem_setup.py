@@ -41,19 +41,19 @@ def solved(square, marrocco):
 class TestEvalObjective:
     def test_exact_tracking_is_zero(self, square, solved):
         spec = make_objective(square.mesh,
-                              gap_flux(square.mesh, solved, square.objective))
+                              lambda mid: gap_flux(square.mesh, solved, square.objective))
         assert eval_objective(square.mesh, solved, spec) == 0.0
 
     def test_constant_mismatch_gives_total_length(self, square):
         mesh = square.mesh
-        spec = make_objective(mesh, np.ones(len(square.objective.edges)))
+        spec = make_objective(mesh, lambda mid: np.ones(len(square.objective.edges)))
         u = np.zeros(mesh.n_nodes)
         assert eval_objective(mesh, u, spec) == pytest.approx(
             spec.lengths.sum(), rel=1e-12)
 
     def test_quadratic_scaling(self, square, solved):
         mesh = square.mesh
-        spec = make_objective(mesh, np.zeros(len(square.objective.edges)))
+        spec = make_objective(mesh, lambda mid: np.zeros(len(square.objective.edges)))
         j1 = eval_objective(mesh, solved, spec)
         u2 = 2.0 * solved
         assert eval_objective(mesh, u2, spec) == pytest.approx(4.0 * j1, rel=1e-12)
@@ -68,7 +68,7 @@ class TestEvalObjective:
 class TestAdjointRhs:
     def test_perfect_tracking_zero_vector(self, square, solved):
         spec = make_objective(square.mesh,
-                              gap_flux(square.mesh, solved, square.objective))
+                              lambda mid: gap_flux(square.mesh, solved, square.objective))
         out = assemble_adjoint_rhs(square.mesh, solved, spec)
         assert np.all(out == 0.0)
 
@@ -151,7 +151,7 @@ class TestBenchmarks:
 
     def test_target_sample_count_checked(self, square):
         with pytest.raises(ConfigurationError):
-            make_objective(square.mesh, np.zeros(3))
+            make_objective(square.mesh, lambda mid: np.zeros(3))
 
     def test_target_csv_override(self, tmp_path):
         p = tmp_path / "target.csv"
@@ -160,7 +160,8 @@ class TestBenchmarks:
         p.write_text("theta,b_d\n" + rows + "\n")
         target = load_target_csv(p)
         prob = build_benchmark_problem("mini_motor", 48, b_target=target)
-        mid = prob.objective.midpoints
+        edges = prob.mesh.nodes[prob.objective.edges]
+        mid = 0.5 * (edges[:, 0] + edges[:, 1])
         ang = np.arctan2(mid[:, 1], mid[:, 0])
         np.testing.assert_allclose(prob.objective.b_target,
                                    np.interp(np.mod(ang, 2 * np.pi), th,
