@@ -97,7 +97,7 @@ def build_curve(cfg: dict):
         return material.MarroccoCurve(alpha=_parse(cfg, "alpha"),
                                       c=_parse(cfg, "c"), tau=_parse(cfg, "tau"))
     if kind == "linear":
-        return material.LinearCurve(nu_const=_parse(cfg, "nu_linear"))
+        return material.LinearCurve(nu_linear=_parse(cfg, "nu_linear"))
     if kind == "spline":
         if not cfg["spline_csv"]:
             raise ConfigurationError("curve = spline requires spline_csv")

@@ -99,21 +99,21 @@ class MarroccoCurve:
 
 @dataclass(frozen=True)
 class LinearCurve:
-    """Constant reluctivity nu(s) = nu_const: the linear stub."""
-    nu_const: float = 1000.0
+    """Constant reluctivity nu(s) = nu_linear: the linear stub."""
+    nu_linear: float = 1000.0
     nu_air = NU0
 
     def __post_init__(self):
-        _require_finite(self, "nu_const")
-        if self.nu_const <= 0:
-            raise MaterialError("nu_const must be positive")
+        _require_finite(self, "nu_linear")
+        if self.nu_linear <= 0:
+            raise MaterialError("nu_linear must be positive")
 
     @property
     def nu_min(self) -> float:
-        return self.nu_const
+        return self.nu_linear
 
     def nu(self, s):
-        return np.full_like(np.asarray(s, dtype=float), self.nu_const)
+        return np.full_like(np.asarray(s, dtype=float), self.nu_linear)
 
     def nu_prime(self, s):
         return np.zeros_like(np.asarray(s, dtype=float))
@@ -122,7 +122,7 @@ class LinearCurve:
     nu_third = nu_prime
 
     def cache_key(self) -> str:
-        raw = f"linear:{self.nu_const!r}:{self.nu_air!r}"
+        raw = f"linear:{self.nu_linear!r}:{self.nu_air!r}"
         return hashlib.sha256(raw.encode()).hexdigest()[:12]
 
 
@@ -203,14 +203,15 @@ class SplineCurve:
         """Load two-column CSV `s,nu` (header required, >= 4 rows)."""
         with open(path, newline="") as f:
             reader = csv.reader(f)
-            rows = [r for r in reader if r and not r[0].lstrip().startswith("#")]
+            rows = [(reader.line_num, r) for r in reader
+                    if r and not r[0].lstrip().startswith("#")]
         if not rows:
             raise MaterialError(f"{path}: empty file")
-        header = [c.strip().lower() for c in rows[0]]
-        if header[:2] != ["s", "nu"]:
-            raise MaterialError(f"{path}: line 1: expected header 's,nu'")
+        (ln, header), *body = rows
+        if [c.strip().lower() for c in header[:2]] != ["s", "nu"]:
+            raise MaterialError(f"{path}: line {ln}: expected header 's,nu'")
         s, v = [], []
-        for ln, r in enumerate(rows[1:], start=2):
+        for ln, r in body:
             try:
                 s.append(float(r[0]))
                 v.append(float(r[1]))

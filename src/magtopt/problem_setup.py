@@ -24,48 +24,37 @@ class ConfigurationError(Exception):
 
 @dataclass
 class ObjectiveSpec:
-    """Gap-curve tracking data: ordered edges, fixed-side elements, trace, target."""
-    edges: np.ndarray        # (k, 2) node indices, ordered along the curve
-    elements: np.ndarray     # (k,) adjacent element on the fixed side
-    trace: sp.csr_matrix     # (k, n): row k holds tau_k . grad(phi_j) on elements[k]
+    """Gap-curve tracking data: trace, quadrature weights, target."""
+    trace: sp.csr_matrix     # (k, n): tau_k . grad(phi_j) on edge k's fixed-side element
     lengths: np.ndarray      # (k,) edge lengths (quadrature weights)
     b_target: np.ndarray     # (k,) target flux density at edge midpoints [T]
 
 
 def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
-    """Fixed-side element per edge: the first incident element (in index
-    order) whose centroid lies left of the directed edge, else the first
-    incident one. Refuses the first edge that is not in the mesh or has a
-    DESIGN or non-air neighbour, naming its first such neighbour."""
+    """Fixed-side element per directed edge (a, b): the triangle that holds
+    a -> b in its counter-clockwise order, which lies left of the edge, else
+    the one that holds b -> a (the first in index order, if several do).
+    Refuses the first edge that is not in the mesh or has a DESIGN or
+    non-air neighbour, naming its first such neighbour in index order."""
     n = mesh.n_nodes
-    a, b = mesh.tris, np.roll(mesh.tris, -1, axis=1)   # sides (0,1), (1,2), (2,0)
-    keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
-    order = np.argsort(keys, kind="stable")   # incident elements in index order
-    keys, owner = keys[order], order // 3
-    query = edges.min(axis=1) * n + edges.max(axis=1)
-    lo = np.searchsorted(keys, query)
-    count = np.searchsorted(keys, query, side="right") - lo
-    # all (edge, incident element) pairs, in edge order, then index order
-    start = np.cumsum(count) - count
-    edge_of = np.repeat(np.arange(len(edges)), count)
-    pairs = np.arange(edge_of.size)
-    elems = owner[lo[edge_of] + pairs - start[edge_of]]
+    keys = (mesh.tris * n + np.roll(mesh.tris, -1, axis=1)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    query = edges * n + edges[:, ::-1]   # a -> b, then b -> a
+    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    held = np.where(keys[pos] == query, order[pos] // 3, -1)   # holder, or -1
     air = [Region.AIR_FIXED, Region.AIRGAP, Region.COIL, Region.MAGNET]
-    bad = np.flatnonzero(~np.isin(mesh.region[elems], air))
-    fails = np.union1d(edge_of[bad], np.flatnonzero(count == 0))
+    bad = (held >= 0) & ~np.isin(mesh.region[held], air)
+    fails = np.flatnonzero((held < 0).all(axis=1) | bad.any(axis=1))
     if fails.size:
-        i, j = edges[fails[0]]
-        if count[fails[0]] == 0:
+        k = fails[0]
+        i, j = edges[k]
+        if (held[k] < 0).all():
             raise ConfigurationError(f"gap edge ({i},{j}) not in the mesh")
-        if mesh.region[elems[bad[0]]] == Region.DESIGN:
+        if mesh.region[held[k][bad[k]].min()] == Region.DESIGN:
             raise ConfigurationError(f"gap edge ({i},{j}) adjacent to a DESIGN element")
         raise ConfigurationError(f"gap edge ({i},{j}) adjacent to non-air element")
-    p = mesh.nodes[edges[edge_of]]
-    tau, d = p[:, 1] - p[:, 0], mesh.centroids[elems] - 0.5 * (p[:, 0] + p[:, 1])
-    left = tau[:, 0] * d[:, 1] - tau[:, 1] * d[:, 0] > 0
-    # per edge, the least of pair + size * (not left): its first left pair,
-    # or (modulo size) its first pair when none is left
-    return elems[np.minimum.reduceat(pairs + pairs.size * ~left, start) % pairs.size]
+    return np.where(held[:, 0] >= 0, held[:, 0], held[:, 1])
 
 
 def make_objective(mesh: TriMesh, b_target) -> ObjectiveSpec:
@@ -87,17 +76,12 @@ def make_objective(mesh: TriMesh, b_target) -> ObjectiveSpec:
     bt = np.asarray(b_target(mid), dtype=float)
     if bt.shape != (k,):
         raise ConfigurationError("target sample count must equal edge count")
-    return ObjectiveSpec(edges, elements, trace, lengths, bt)
-
-
-def gap_flux(mesh: TriMesh, u, spec: ObjectiveSpec) -> np.ndarray:
-    """grad(u).tau at the edge midpoints, from the fixed-side elements."""
-    return spec.trace @ np.asarray(u, float)
+    return ObjectiveSpec(trace, lengths, bt)
 
 
 def eval_objective(mesh: TriMesh, u, spec: ObjectiveSpec) -> float:
     """Midpoint-rule value of the tracking functional (always >= 0)."""
-    mis = gap_flux(mesh, u, spec) - spec.b_target
+    mis = spec.trace @ u - spec.b_target
     return float(np.sum(spec.lengths * mis * mis))
 
 
@@ -108,7 +92,7 @@ def assemble_adjoint_rhs(mesh: TriMesh, u, spec: ObjectiveSpec) -> np.ndarray:
 
     The adjoint equation is solved with the negative of this vector.
     """
-    mis = gap_flux(mesh, u, spec) - spec.b_target
+    mis = spec.trace @ u - spec.b_target
     return spec.trace.T @ (2.0 * spec.lengths * mis)
 
 
@@ -163,9 +147,8 @@ def build_benchmark_problem(kind: str, resolution: int,
         mesh = generate_mini_motor(resolution)
         cen = mesh.centroids
         th = np.arctan2(cen[:, 1], cen[:, 0])
-        m_el = MOTOR_MAGNETIZATION * np.column_stack([np.cos(th), np.sin(th)])
-        m_el[mesh.region != Region.MAGNET] = 0.0
-        sources = fem.SourceSpec(jz=0.0, magnetization=m_el)
+        sources = fem.SourceSpec(jz=0.0, magnetization=MOTOR_MAGNETIZATION
+                                 * np.column_stack([np.cos(th), np.sin(th)]))
         target = motor_target if b_target is None else b_target
     else:
         raise ConfigurationError(f"unknown benchmark kind {kind!r}")

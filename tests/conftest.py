@@ -15,7 +15,7 @@ def marrocco():
 
 @pytest.fixture(scope="session")
 def linear_stub():
-    return LinearCurve(nu_const=1000.0)
+    return LinearCurve(nu_linear=1000.0)
 
 
 #: coarse disc for fast module tests; default resolution for acceptance

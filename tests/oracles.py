@@ -1,6 +1,6 @@
 """Oracles that tests compare the library against: closed forms for its
-numerical solves and a plain reader for its mesh export. No library code
-needs them."""
+numerical solves, a plain reader for its mesh export and a per-edge loop
+for its gap-edge element choice. No library code needs them."""
 from pathlib import Path
 
 import numpy as np
@@ -48,3 +48,17 @@ def read_meshv1(path):
     assert pos == len(tokens)
     nodes, rows, be = sections
     return nodes, rows[:, :3], rows[:, 3], be[:, :2], be[:, 2]
+
+
+def loop_edge_elements(mesh, edges):
+    """Per-edge reference of `_edge_elements`' choice: the first incident
+    element, in index order, whose centroid lies left of the directed edge,
+    else the first incident one."""
+    out = []
+    for i, j in edges:
+        elems = np.flatnonzero((mesh.tris == i).any(1) & (mesh.tris == j).any(1))
+        tau = mesh.nodes[j] - mesh.nodes[i]
+        d = mesh.centroids[elems] - 0.5 * (mesh.nodes[i] + mesh.nodes[j])
+        left = np.flatnonzero(tau[0] * d[:, 1] - tau[1] * d[:, 0] > 0)
+        out.append(elems[left[0] if left.size else 0])
+    return np.array(out, dtype=np.int64)

@@ -116,7 +116,7 @@ def test_criterion_02_case_closed_form_crosschecks(marrocco, say):
 def test_criterion_03_linear_limit(say):
     worst = 0.0
     for lam in (500.0, 1000.0, 5000.0):
-        curve = LinearCurve(nu_const=lam)
+        curve = LinearCurve(nu_linear=lam)
         expected = 2 * np.pi * lam * (NU0 - lam) / (NU0 + lam) * np.eye(2)
         M = matrix_air_in_ferro(curve, np.array([0.4, -1.1]))
         worst = max(worst, np.abs(M - expected).max() / np.abs(expected).max())
@@ -134,7 +134,7 @@ def test_criterion_04_fem_convergence(say):
         cen = mesh.centroids
         f = 2 * np.pi ** 2 * NU0 * np.sin(np.pi * cen[:, 0]) * np.sin(np.pi * cen[:, 1])
         rhs = fem.assemble_rhs_elements(mesh, f, np.zeros((mesh.n_tris, 2)))
-        res = solve_state(mesh, LinearCurve(nu_const=NU0), rhs=rhs)
+        res = solve_state(mesh, LinearCurve(nu_linear=NU0), rhs=rhs)
         gu = mesh.element_gradients(res.field)
         gx = np.pi * np.cos(np.pi * cen[:, 0]) * np.sin(np.pi * cen[:, 1])
         gy = np.pi * np.sin(np.pi * cen[:, 0]) * np.cos(np.pi * cen[:, 1])
@@ -295,7 +295,7 @@ def test_criterion_10_end_to_end(end_to_end, say):
 
 
 def test_criterion_11_assumption_validator(say):
-    stub = validate_assumptions(LinearCurve(nu_const=1000.0))
+    stub = validate_assumptions(LinearCurve(nu_linear=1000.0))
     s = np.linspace(0.0, 4.0, 40)
     rising = SplineCurve(s, 2000.0 + 3.0e5 * (s / 4.0) ** 2)
     mono = validate_assumptions(rising)

@@ -30,7 +30,7 @@ class TestSolveH:
     def test_linear_stub_matches_dipole_oracle(self, linear_stub, disc_coarse):
         # oracle: solve the 2x2 interface system (continuity + flux jump)
         # for H = a (gu_pt.x) inside, b (gu_pt.x)/|x|^2 outside
-        nu1 = linear_stub.nu_const
+        nu1 = linear_stub.nu_linear
         A = np.array([[1.0, -1.0], [NU0, nu1]])
         rhs = np.array([0.0, nu1 - NU0])
         a, b = np.linalg.solve(A, rhs)

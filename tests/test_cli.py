@@ -245,7 +245,7 @@ class TestOptimize:
         assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("overrides, name", [
-        ({"nu_linear": "nan"}, "nu_const"),
+        ({"nu_linear": "nan"}, "nu_linear"),
         ({"curve": "marrocco", "tau": "inf"}, "tau")],
         ids=["nan_nu_linear", "inf_tau"])
     def test_non_finite_curve_rejected_before_tables(self, tmp_path, caplog,
@@ -256,6 +256,16 @@ class TestOptimize:
         assert rc == cli.EXIT_CONFIG
         assert f"{name} = " in caplog.text and "must be finite" in caplog.text
         assert not (out / "j2_case1.csv").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "nu_linear = nan must be finite"),
+        ("-1", "nu_linear must be positive")], ids=["nan", "negative"])
+    def test_bad_nu_linear_named_as_configured(self, tmp_path, caplog, value,
+                                               message):
+        cfg = write_config(tmp_path, nu_linear=value)
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert message in caplog.text and "nu_const" not in caplog.text
 
     def test_snapshots_every_second_iteration(self, tmp_path):
         cfg = write_config(tmp_path, curve="marrocco", snapshot_every="2")

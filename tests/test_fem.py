@@ -99,6 +99,21 @@ class TestStateSolve:
         free, _ = fem._free_block(bench)
         assert exc.value.residual_norm == np.linalg.norm(rhs[free])
 
+    def test_halved_step_then_accepted(self, bench, marrocco, monkeypatch):
+        # started at -5 times the solution, the first full Newton step raises
+        # the residual; a halved one is accepted and the solve still converges
+        # to the cold solution
+        rhs = assemble_rhs(bench, SourceSpec(magnetization=np.array([0.0, 3e6])))
+        cold = solve_state(bench, marrocco, rhs=rhs)
+        evals = []
+        divergence = fem.assemble_flux_divergence
+        monkeypatch.setattr(fem, "assemble_flux_divergence",
+                            lambda *a: evals.append(1) or divergence(*a))
+        res = solve_state(bench, marrocco, rhs=rhs, x0=-5.0 * cold.field)
+        assert len(evals) - 1 - res.iterations >= 1
+        scale = np.abs(cold.field).max()
+        assert np.abs(res.field - cold.field).max() <= 1e-9 * scale
+
     def test_ferro_coefficient_within_law_bounds(self, bench, marrocco):
         res = solve_state(bench, marrocco,
                           sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
@@ -116,7 +131,7 @@ class TestStateSolve:
             cen = mesh.centroids
             f = 2 * np.pi ** 2 * NU0 * np.sin(np.pi * cen[:, 0]) * np.sin(np.pi * cen[:, 1])
             rhs = assemble_rhs_elements(mesh, f, np.zeros((mesh.n_tris, 2)))
-            res = solve_state(mesh, LinearCurve(nu_const=NU0), rhs=rhs)
+            res = solve_state(mesh, LinearCurve(nu_linear=NU0), rhs=rhs)
             gu = mesh.element_gradients(res.field)
             gx = np.pi * np.cos(np.pi * cen[:, 0]) * np.sin(np.pi * cen[:, 1])
             gy = np.pi * np.sin(np.pi * cen[:, 0]) * np.cos(np.pi * cen[:, 1])

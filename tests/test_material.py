@@ -245,6 +245,12 @@ class TestSplineCurve:
         with pytest.raises(MaterialError, match="line 3"):
             SplineCurve.from_csv(p)
 
+    def test_bad_row_line_counts_comments_and_blanks(self, tmp_path):
+        p = tmp_path / "curve.csv"
+        p.write_text("# measured\ns,nu\n\n0,1000\n1,2000\n2,oops\n3,4000\n")
+        with pytest.raises(MaterialError, match=r"line 6: bad row \['2', 'oops'\]$"):
+            SplineCurve.from_csv(p)
+
     def test_missing_header_rejected(self, tmp_path):
         p = self.make_csv(tmp_path, ["1,2000", "2,3000", "3,4000"], header="0,1000")
         with pytest.raises(MaterialError, match="header"):
@@ -293,15 +299,15 @@ class TestCurveValidation:
 
     def test_bad_linear(self):
         with pytest.raises(MaterialError):
-            LinearCurve(nu_const=-1.0)
+            LinearCurve(nu_linear=-1.0)
 
     @pytest.mark.parametrize("cls, name, value", [
         (MarroccoCurve, "alpha", np.inf), (MarroccoCurve, "alpha", np.nan),
         (MarroccoCurve, "c", np.nan), (MarroccoCurve, "tau", np.inf),
-        (MarroccoCurve, "tau", np.nan), (LinearCurve, "nu_const", np.nan),
-        (LinearCurve, "nu_const", np.inf)],
+        (MarroccoCurve, "tau", np.nan), (LinearCurve, "nu_linear", np.nan),
+        (LinearCurve, "nu_linear", np.inf)],
         ids=["alpha-inf", "alpha-nan", "c-nan", "tau-inf", "tau-nan",
-             "nu_const-nan", "nu_const-inf"])
+             "nu_linear-nan", "nu_linear-inf"])
     def test_non_finite_parameter_named(self, cls, name, value):
         with pytest.raises(MaterialError, match=f"^{name} = {value!r} must be finite$"):
             cls(**{name: value})

@@ -110,23 +110,23 @@ class TestGeneral:
 
 class TestCaseMatrices:
     def test_linear_limit_case1(self, linear_stub):
-        lam = linear_stub.nu_const
+        lam = linear_stub.nu_linear
         expected = 2 * np.pi * lam * (NU0 - lam) / (NU0 + lam) * np.eye(2)
         out = matrix_air_in_ferro(linear_stub, np.array([0.7, -0.2]))
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-9)
 
     def test_zero_contrast_case1(self):
-        curve = LinearCurve(nu_const=NU0)
+        curve = LinearCurve(nu_linear=NU0)
         out = matrix_air_in_ferro(curve, np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, 0.0, atol=1e-20 * NU0)
 
     def test_zero_contrast_case2(self):
-        curve = LinearCurve(nu_const=NU0)
+        curve = LinearCurve(nu_linear=NU0)
         out = matrix_ferro_in_air(curve, np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, 0.0, atol=1e-20 * NU0)
 
     def test_linear_limit_case2(self, linear_stub):
-        lam = linear_stub.nu_const
+        lam = linear_stub.nu_linear
         expected = 2 * np.pi * NU0 * (lam - NU0) / (lam + NU0) * np.eye(2)
         out = matrix_ferro_in_air(linear_stub, np.array([0.3, 0.9]))
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-6)

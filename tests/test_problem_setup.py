@@ -1,29 +1,15 @@
 import numpy as np
 import pytest
 
-from magtopt.fem import SourceSpec, solve_state
+from magtopt.fem import assemble_rhs, solve_state
 from magtopt.mesh import (Boundary, Region, TriMesh, generate_square_benchmark,
                           MINI_MOTOR_RADII, MINI_MOTOR_PROBE_RADIUS)
 from magtopt.problem_setup import (ConfigurationError, _edge_elements, assemble_adjoint_rhs,
                                    build_benchmark_problem, default_levelset,
-                                   eval_objective, gap_flux, load_target_csv,
-                                   make_objective)
+                                   eval_objective, load_target_csv, make_objective)
+from oracles import loop_edge_elements
 
 RNG = np.random.default_rng(17)
-
-
-def loop_edge_elements(mesh, edges):
-    """Per-edge reference of `_edge_elements`' choice: the first incident
-    element, in index order, whose centroid lies left of the directed edge,
-    else the first incident one."""
-    out = []
-    for i, j in edges:
-        elems = np.flatnonzero((mesh.tris == i).any(1) & (mesh.tris == j).any(1))
-        tau = mesh.nodes[j] - mesh.nodes[i]
-        d = mesh.centroids[elems] - 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-        left = np.flatnonzero(tau[0] * d[:, 1] - tau[1] * d[:, 0] > 0)
-        out.append(elems[left[0] if left.size else 0])
-    return np.array(out, dtype=np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +27,19 @@ def solved(square, marrocco):
 class TestEvalObjective:
     def test_exact_tracking_is_zero(self, square, solved):
         spec = make_objective(square.mesh,
-                              lambda mid: gap_flux(square.mesh, solved, square.objective))
+                              lambda mid: square.objective.trace @ solved)
         assert eval_objective(square.mesh, solved, spec) == 0.0
 
     def test_constant_mismatch_gives_total_length(self, square):
         mesh = square.mesh
-        spec = make_objective(mesh, lambda mid: np.ones(len(square.objective.edges)))
+        spec = make_objective(mesh, lambda mid: np.ones(len(square.objective.lengths)))
         u = np.zeros(mesh.n_nodes)
         assert eval_objective(mesh, u, spec) == pytest.approx(
             spec.lengths.sum(), rel=1e-12)
 
     def test_quadratic_scaling(self, square, solved):
         mesh = square.mesh
-        spec = make_objective(mesh, lambda mid: np.zeros(len(square.objective.edges)))
+        spec = make_objective(mesh, lambda mid: np.zeros(len(square.objective.lengths)))
         j1 = eval_objective(mesh, solved, spec)
         u2 = 2.0 * solved
         assert eval_objective(mesh, u2, spec) == pytest.approx(4.0 * j1, rel=1e-12)
@@ -68,15 +54,15 @@ class TestEvalObjective:
 class TestAdjointRhs:
     def test_perfect_tracking_zero_vector(self, square, solved):
         spec = make_objective(square.mesh,
-                              lambda mid: gap_flux(square.mesh, solved, square.objective))
+                              lambda mid: square.objective.trace @ solved)
         out = assemble_adjoint_rhs(square.mesh, solved, spec)
         assert np.all(out == 0.0)
 
     def test_support_near_gap_only(self, square, solved):
-        out = assemble_adjoint_rhs(square.mesh, solved, square.objective)
+        mesh = square.mesh
+        out = assemble_adjoint_rhs(mesh, solved, square.objective)
         touched = set(np.flatnonzero(out != 0.0))
-        allowed = set(
-            np.unique(square.mesh.tris[square.objective.elements].ravel()))
+        allowed = set(np.unique(mesh.tris[_edge_elements(mesh, mesh.gap_probe_edges())]))
         assert touched <= allowed
 
     def test_central_difference_consistency(self, square, solved):
@@ -115,10 +101,12 @@ class TestBenchmarks:
         assert MINI_MOTOR_RADII["rotor"] < MINI_MOTOR_PROBE_RADIUS < MINI_MOTOR_RADII["stator_outer"]
         assert prob.sources.jz == 0.0
         assert prob.mesh.areas[prob.mesh.region == Region.MAGNET].sum() > 0.0
-        # radial magnetization on magnet elements only
+        # radial magnetization, acting on magnet elements only: the load
+        # vector vanishes at every node off the magnets
         m = prob.sources.magnetization
-        assert np.all(m[prob.mesh.region != Region.MAGNET] == 0.0)
         mag = prob.mesh.region == Region.MAGNET
+        rhs = assemble_rhs(prob.mesh, prob.sources)
+        assert np.all(np.delete(rhs, prob.mesh.tris[mag].ravel()) == 0.0)
         cen = prob.mesh.centroids[mag]
         rad = cen / np.hypot(cen[:, 0], cen[:, 1])[:, None]
         align = np.einsum("ei,ei->e", m[mag], rad) / np.hypot(m[mag, 0], m[mag, 1])
@@ -160,7 +148,7 @@ class TestBenchmarks:
         p.write_text("theta,b_d\n" + rows + "\n")
         target = load_target_csv(p)
         prob = build_benchmark_problem("mini_motor", 48, b_target=target)
-        edges = prob.mesh.nodes[prob.objective.edges]
+        edges = prob.mesh.nodes[prob.mesh.gap_probe_edges()]
         mid = 0.5 * (edges[:, 0] + edges[:, 1])
         ang = np.arctan2(mid[:, 1], mid[:, 0])
         np.testing.assert_allclose(prob.objective.b_target,
@@ -198,7 +186,8 @@ class TestEdgeElements:
         tau, d = b - a, mesh.centroids[chosen] - 0.5 * (a + b)
         assert np.all(tau[:, 0] * d[:, 1] - tau[:, 1] * d[:, 0] > 0)
 
-    @pytest.mark.parametrize("kind, resolution", [("square", 16), ("mini_motor", 24)])
+    @pytest.mark.parametrize("kind, resolution", [("square", 16), ("square", 64),
+                                                  ("mini_motor", 24), ("mini_motor", 96)])
     def test_matches_per_edge_loop(self, kind, resolution):
         # gap edges in both directions, and outer edges next to air, whose
         # one element lies right of one of the two directions (the fallback)

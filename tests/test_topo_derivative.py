@@ -34,7 +34,7 @@ class TestPointwiseSensitivities:
         assert g_air_to_ferro(marrocco, np.zeros(2), np.array([1.0, 2.0]), Z2) == 0.0
 
     def test_linear_stub_closed_forms(self, linear_stub):
-        lam = linear_stub.nu_const
+        lam = linear_stub.nu_linear
         gu_pt = np.array([0.8, -0.3])
         gp_pt = np.array([0.2, 0.5])
         c1 = 2 * np.pi * lam * (NU0 - lam) / (NU0 + lam)
@@ -149,7 +149,7 @@ class TestAssembly:
         state = solve_state(mesh, linear_stub, levelset=psi, sources=src)
         p0 = -state.field  # self-adjoint surrogate
         td = assemble_generalized_td(state, p0, Z1, Z2)
-        lam = linear_stub.nu_const
+        lam = linear_stub.nu_linear
         c1 = 2 * np.pi * lam * (NU0 - lam) / (NU0 + lam)
         design = np.flatnonzero(mesh.region == Region.DESIGN)
         gu = mesh.element_gradients(state.field)[design]
