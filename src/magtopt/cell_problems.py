@@ -239,12 +239,14 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
     the two correction components. The t = 0 row is exact zeros by theory.
     Each sample is solved on the quarter disc (_table_sample), which needs
     disc_spec.n_theta to be a multiple of 4. A grid that breaks that rule or
-    CorrectionTable's raises ValueError before any solve.
+    CorrectionTable's, or workers below 1, raises ValueError before any solve.
 
     Failures abort with the offending sample index. With workers > 1 the
-    samples run in separate processes; results are gathered in grid order,
-    so the output is schedule-independent.
+    samples run in separate processes, at most one per sample; results are
+    gathered in grid order, so the output is schedule-independent.
     """
+    if workers < 1:
+        raise ValueError(f"workers = {workers} must be at least 1")
     t_grid = np.asarray(t_grid, dtype=float)
     # the zero-valued table applies the grid rules before any solve
     zero = np.zeros(t_grid.shape)
@@ -256,6 +258,7 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
     sample = functools.partial(_table_sample, curve, case, disc_spec)
     ts = t_grid.tolist()
     vals = np.zeros((len(ts), 2))
+    workers = min(workers, len(ts))
     with (cf.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         samples = map(sample, ts) if pool is None else pool.map(sample, ts)

@@ -51,6 +51,7 @@ def load_config(path) -> dict:
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigurationError(f"cannot read config: {exc}") from exc
+        seen = {}
         for ln, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -60,6 +61,10 @@ def load_config(path) -> dict:
             k, v = (s.strip() for s in line.split("=", 1))
             if k not in DEFAULTS:
                 raise ConfigurationError(f"{path}:{ln}: unknown key {k!r}")
+            if k in seen:
+                raise ConfigurationError(
+                    f"{path}:{ln}: key {k!r} already set on line {seen[k]}")
+            seen[k] = ln
             cfg[k] = v
     return cfg
 

@@ -229,8 +229,7 @@ def _flux(curve, mask, gx, g, t_w):
     the material law on the masked elements, and nu_air gx elsewhere, where
     the offset cancels."""
     flux = curve.nu_air * gx
-    if np.any(mask):
-        flux[mask] = material.flux_map(curve, g[mask]) - t_w
+    flux[mask] = material.flux_map(curve, g[mask]) - t_w
     return flux
 
 
@@ -241,8 +240,7 @@ def assemble_jacobian(mesh: TriMesh, curve, mask: np.ndarray,
     elsewhere."""
     coeff = np.zeros((mesh.n_tris, 2, 2))
     coeff[:, 0, 0] = coeff[:, 1, 1] = curve.nu_air
-    if np.any(mask):
-        coeff[mask] = material.flux_jacobian(curve, grad[mask])
+    coeff[mask] = material.flux_jacobian(curve, grad[mask])
     return assemble_stiffness(mesh, coeff)
 
 

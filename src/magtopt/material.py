@@ -88,7 +88,10 @@ class MarroccoCurve:
         u = s ** m
         D = u + self.tau
         g = s ** (m - 2) * ((m - 1) * D - 2 * m * u)
-        gp = (m - 1) * (m - 2) * s ** (m - 3) * D - 3 * m * (m - 1) * s ** (2 * m - 3)
+        # zero for every s at m = 2 (not 0 * inf); +inf at s = 0 for 2 < m < 3
+        with np.errstate(divide="ignore"):
+            lead = 0.0 if m == 2 else (m - 1) * (m - 2) * s ** (m - 3)
+        gp = lead * D - 3 * m * (m - 1) * s ** (2 * m - 3)
         return (self.nu_air * self.tau * (1.0 - self.c) * m
                 * (gp * D - 3 * m * s ** (m - 1) * g) / D ** 4)
 

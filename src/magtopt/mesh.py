@@ -109,11 +109,9 @@ class TriMesh:
         self._cache["areas"] = 0.5 * det
         self._cache["grads"] = b.transpose(0, 2, 1)
 
-    def element_gradients(self, u: np.ndarray, elements=None) -> np.ndarray:
-        """Gradient of the P1 field u (n,), constant per element: shape
-        (m, 2), only the rows of `elements` (an index array) when given."""
-        g = (self.grad_op @ u).reshape(-1, 2)
-        return g if elements is None else g[elements]
+    def element_gradients(self, u: np.ndarray) -> np.ndarray:
+        """Gradient of the P1 field u (n,), constant per element: (m, 2)."""
+        return (self.grad_op @ u).reshape(-1, 2)
 
     def dirichlet_nodes(self) -> np.ndarray:
         sel = self.btags == Boundary.DIRICHLET_OUTER

@@ -223,7 +223,7 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
     solve that fails is retried once from a cold start; a trial whose cold
     solve fails too is rejected like one that does not decrease the
     objective (with a logged warning). Underflow of kappa marks a stall,
-    theta below tolerance marks convergence.
+    theta at or below tolerance marks convergence.
     """
     if descent.norm() == 0.0:
         state.status = "converged"
@@ -231,7 +231,7 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
     g = descent.normalized()
     cos_t = float(np.clip(l2_inner(state.psi, g), -1.0, 1.0))
     theta = float(np.arccos(cos_t))
-    if np.degrees(theta) < options.theta_tol_deg:
+    if np.degrees(theta) <= options.theta_tol_deg:
         state.status = "converged"
         return state
 

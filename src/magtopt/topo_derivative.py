@@ -1,5 +1,5 @@
-"""Pointwise material-swap sensitivities and their assembly over the design
-region, one value per DESIGN element.
+"""Assembly of the material-swap sensitivities over the design region, one
+value per DESIGN element.
 
 Each sensitivity is a bilinear form in the local state and adjoint
 gradients: the closed-form matrix term plus the tabulated nonlinear
@@ -13,28 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polarization
+# eval_correction is unused here; perfbench's tracer test reads it by this name
 from .cell_problems import CorrectionTable, eval_correction
 from .fem import StateResult
 from .mesh import Region
-
-
-def g_ferro_to_air(curve, grad_u, grad_p,
-                   table: CorrectionTable) -> float:
-    """Sensitivity of the objective to an air disk nucleating in ferromagnetic
-    material where the state/adjoint gradients are grad_u/grad_p."""
-    grad_u = np.asarray(grad_u, dtype=float)
-    grad_p = np.asarray(grad_p, dtype=float)
-    M = polarization.matrix_air_in_ferro(curve, grad_u)
-    return float(grad_u @ M @ grad_p) + eval_correction(table, grad_u, grad_p)
-
-
-def g_air_to_ferro(curve, grad_u, grad_p,
-                   table: CorrectionTable) -> float:
-    """Sensitivity to a ferromagnetic disk nucleating in air."""
-    grad_u = np.asarray(grad_u, dtype=float)
-    grad_p = np.asarray(grad_p, dtype=float)
-    M = polarization.matrix_ferro_in_air(curve, grad_u)
-    return float(grad_u @ M @ grad_p) + eval_correction(table, grad_u, grad_p)
 
 
 @dataclass
@@ -60,8 +42,8 @@ def assemble_generalized_td(state: StateResult, p: np.ndarray,
     """
     mesh, curve = state.mesh, state.curve
     design = np.flatnonzero(mesh.region == Region.DESIGN)
-    gu = mesh.element_gradients(state.field, design)
-    gp = mesh.element_gradients(p, design)
+    gu = mesh.element_gradients(state.field)[design]
+    gp = mesh.element_gradients(p)[design]
     ferro = state.ferro_mask[design]
 
     vals = np.empty(design.size)

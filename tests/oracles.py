@@ -1,6 +1,7 @@
 """Oracles that tests compare the library against: closed forms for its
-numerical solves, a plain reader for its mesh export and a per-edge loop
-for its gap-edge element choice. No library code needs them."""
+numerical solves, pointwise twins of its batched sensitivity assembly, a
+plain reader for its mesh export and a per-edge loop for its gap-edge
+element choice. No library code needs them."""
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,24 @@ def analytic_adjoint_variation(curve, grad_u, grad_p, x):
     vals = np.where(inside, v1 * a1 * x1 + v2 * a2 * x2,
                     (v1 * a1 * x1 + v2 * a2 * x2) / r2)
     return float(vals[0]) if np.ndim(x) == 1 else vals
+
+
+def g_ferro_to_air(curve, grad_u, grad_p, table) -> float:
+    """Sensitivity of the objective to an air disk nucleating in ferromagnetic
+    material where the state/adjoint gradients are the 2-vectors
+    grad_u/grad_p: the matrix term plus the case-I table's correction."""
+    grad_u = np.asarray(grad_u, dtype=float)
+    grad_p = np.asarray(grad_p, dtype=float)
+    M = polarization.matrix_air_in_ferro(curve, grad_u)
+    return float(grad_u @ M @ grad_p) + float(table.lookup(grad_u, grad_p)[0])
+
+
+def g_air_to_ferro(curve, grad_u, grad_p, table) -> float:
+    """Sensitivity to a ferromagnetic disk nucleating in air."""
+    grad_u = np.asarray(grad_u, dtype=float)
+    grad_p = np.asarray(grad_p, dtype=float)
+    M = polarization.matrix_ferro_in_air(curve, grad_u)
+    return float(grad_u @ M @ grad_p) + float(table.lookup(grad_u, grad_p)[0])
 
 
 def read_meshv1(path):

@@ -455,6 +455,44 @@ class TestWorkers:
         np.testing.assert_array_equal(serial.j2_e1, parallel.j2_e1)
         np.testing.assert_array_equal(serial.j2_e2, parallel.j2_e2)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_refused_before_any_solve(self, marrocco, monkeypatch,
+                                                     workers):
+        calls = []
+        monkeypatch.setattr(cell_problems, "_table_sample",
+                            lambda *a: calls.append(a))
+        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+        with pytest.raises(ValueError, match="workers"):
+            build_correction_table(marrocco, CASE_I, np.array([0.0, 1.0]), spec,
+                                   workers=workers)
+        assert calls == []
+
+    def test_pool_never_larger_than_the_grid(self, marrocco, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the requested pool size and maps in this process."""
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cell_problems.cf, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cell_problems, "_table_sample",
+                            lambda curve, case, spec, t: (t, 0.0))
+        grid = np.array([0.0, 1.0, 2.0])
+        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+        table = build_correction_table(marrocco, CASE_I, grid, spec, workers=500)
+        assert sizes == [3]
+        np.testing.assert_array_equal(table.j2_e1, grid)
+
 
 class TestMatrixTermCrossValidation:
     """The closed-form sensitivity matrices re-derived through FEM: the

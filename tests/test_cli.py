@@ -45,6 +45,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="unknown key"):
             cli.load_config(p)
 
+    def test_repeated_key_rejected(self, tmp_path, caplog):
+        p = write_config(tmp_path)
+        p.write_text(p.read_text() + "resolution = 24\n")
+        rc = cli.main(["validate-material", "--config", str(p),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        last = len(p.read_text().splitlines())
+        assert f":{last}: key 'resolution' already set on line 3" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_comments_and_blanks(self, tmp_path):
         p = tmp_path / "ok.cfg"
         p.write_text("\n# comment\nresolution = 24  # trailing\n\n")

@@ -619,8 +619,6 @@ class TestElementGradients:
         ref = np.einsum("ek,eki->ei", u[bench.tris], bench.grads)
         tol = 1e-14 * np.abs(ref).max()
         assert np.abs(bench.element_gradients(u) - ref).max() <= tol
-        design = np.flatnonzero(bench.region == Region.DESIGN)
-        assert np.abs(bench.element_gradients(u, design) - ref[design]).max() <= tol
 
     def test_operator_shares_the_gradient_buffer(self):
         mesh = generate_square_benchmark(16)

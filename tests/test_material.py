@@ -205,6 +205,15 @@ class TestValidateAssumptions:
         assert rep.threshold_fixed == -1.0 / 3.0
         assert -1.0 / 3.0 < rep.threshold_contrast < 0.0
 
+    @pytest.mark.parametrize("alpha, smooth", [(1.0, True), (1.25, False)])
+    def test_c3_check_at_the_smallest_exponents(self, alpha, smooth):
+        # alpha = 1 is C^inf and its third derivative is 0 at s = 0; for
+        # 1 < alpha < 1.5 that derivative is +inf there. Neither may warn
+        # (filterwarnings = error).
+        curve = MarroccoCurve(alpha=alpha)
+        assert curve.nu_third(0.0) == (0.0 if smooth else np.inf)
+        assert validate_assumptions(curve).c3_smoothness_ok is smooth
+
     def test_monotone_spline_passes_admissibility(self):
         s = np.linspace(0.0, 4.0, 40)
         vals = 2000.0 + 3.0e5 * (s / 4.0) ** 2

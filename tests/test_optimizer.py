@@ -119,16 +119,23 @@ class TestLevelSetField:
 
 
 class TestStepAndRun:
-    def test_already_optimal_converges_at_zero(self, square16, marrocco):
+    def test_already_optimal_converges_at_zero(self, square16, marrocco,
+                                               monkeypatch):
         driver = op.Driver(square16, marrocco, Z1, Z2)
         seed = default_levelset(square16.mesh)
         psi = op.LevelSetField(driver.space, seed[driver.space.nodes]).normalized()
         res, j0 = driver.solve(psi)
-        state = op.OptState(psi, j0, res)
-        # feed the current design as its own descent field: theta = 0
-        out = op.step(state, psi, driver, op.OptimizerOptions())
-        assert out.status == "converged"
-        assert out.k == 0
+        solves = []
+        monkeypatch.setattr(fem, "solve_state", lambda *a, **k: solves.append(a))
+        # a descent field parallel to the current design: theta = 0, which a
+        # zero tolerance accepts too (slerp would divide by sin 0)
+        parallel = op.LevelSetField(driver.space, 2.0 * psi.values)
+        for theta_tol_deg in (1.0, 0.0):
+            out = op.step(op.OptState(psi, j0, res), parallel, driver,
+                          op.OptimizerOptions(theta_tol_deg=theta_tol_deg))
+            assert out.status == "converged"
+            assert out.k == 0
+        assert solves == []
 
     def test_zero_descent_field_converges_without_a_solve(self, square16,
                                                           marrocco, monkeypatch):
