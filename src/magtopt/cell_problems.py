@@ -20,8 +20,9 @@ and the adjoint one for grad_p = e1) are then odd in x and even in y, so it
 solves them on the quarter sector {x >= 0, y >= 0} of the disc mesh, with
 value 0 on the y-axis, and tabulates 4 times the sector's integral. The
 sector is the exact restriction of the disc mesh when n_theta is a multiple
-of 4. The e2 column is zero by the same reflection symmetry and is stored as
-exact zeros.
+of 4. The reflection y -> -y fixes t e1 and flips e2, so the (t e1, e2)
+correction is zero: each case is one function j2 of t, and the correction at
+any pair is (grad_u . grad_p) j2(|grad_u|) / |grad_u|.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import contextlib
 import enum
 import functools
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,58 +141,51 @@ def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
 
 @dataclass
 class CorrectionTable:
-    """Samples of the correction term along t = |grad_u| for grad_p = e1 and e2.
-
-    The e2 column is zero by reflection symmetry plus linearity in grad_p;
-    built tables store it as exact zeros, since each sample is solved on the
-    quarter disc, which imposes that symmetry (on the full disc mesh it is
-    round-off). It is kept for the evaluation formula and the file format.
-    """
+    """Samples j2_e1 of the correction term at grad_u = t e1, grad_p = e1,
+    along t = |grad_u| (module docstring). j2_e2, the file format's e2 column,
+    is zero by symmetry: a read-only zeros array shaped like t."""
     case: PerturbationCase
     t: np.ndarray
     j2_e1: np.ndarray
-    j2_e2: np.ndarray
     radius: float
     h0: float
     curve_hash: str
+    j2_e2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.j2_e1 = np.asarray(self.j2_e1, dtype=float)
-        self.j2_e2 = np.asarray(self.j2_e2, dtype=float)
         if self.t.size == 0:
             raise ValueError("empty table")
-        if self.t[0] != 0.0 or (self.j2_e1[0], self.j2_e2[0]) != (0.0, 0.0):
+        if self.t[0] != 0.0 or self.j2_e1[0] != 0.0:
             raise ValueError("table must start with the zero row")
         # comparisons with NaN are False, so a NaN grid point fails here
         if not np.all(self.t[1:] > self.t[:-1]):
             raise ValueError("table grid must be strictly increasing, without NaN")
-        if not np.all(np.isfinite(np.r_[self.j2_e1, self.j2_e2])):
+        if not np.all(np.isfinite(self.j2_e1)):
             raise ValueError("table j2 values must be finite")
+        self.j2_e2 = np.broadcast_to(0.0, self.t.shape)  # a read-only view
 
     @classmethod
     def zeros(cls, case: PerturbationCase) -> "CorrectionTable":
         """Table that evaluates to exactly zero (correction term disabled);
         its grid reaches infinity, so no lookup counts as clamped."""
-        return cls(case, np.array([0.0, np.inf]), np.zeros(2), np.zeros(2),
-                   0.0, 0.0, "disabled")
+        return cls(case, np.array([0.0, np.inf]), np.zeros(2), 0.0, 0.0, "disabled")
 
     def lookup(self, grad_u, grad_p):
         """Correction term at gradient pairs of one shape (..., 2):
 
-            ((grad_u . grad_p) j2_e1(t) + (grad_u x grad_p) j2_e2(t)) / t,
+            (grad_u . grad_p) j2_e1(t) / t,    t = |grad_u|,
 
-        t = |grad_u|, piecewise-linear in t and held at the last grid value
-        beyond it, zero at t = 0. Returns the values (...) and the number of
+        j2_e1 piecewise-linear in t and held at the last grid value beyond
+        it, zero at t = 0. Returns the values (...) and the number of
         points with t beyond the grid (clamped).
         """
         grad_u = np.asarray(grad_u, dtype=float)
         grad_p = np.asarray(grad_p, dtype=float)
         t = np.hypot(grad_u[..., 0], grad_u[..., 1])
-        dot = np.einsum("...i,...i->...", grad_u, grad_p)
-        cross = grad_u[..., 0] * grad_p[..., 1] - grad_u[..., 1] * grad_p[..., 0]
-        num = (dot * np.interp(t, self.t, self.j2_e1)
-               + cross * np.interp(t, self.t, self.j2_e2))
+        num = (np.einsum("...i,...i->...", grad_u, grad_p)
+               * np.interp(t, self.t, self.j2_e1))
         values = np.divide(num, t, out=np.zeros(np.shape(num)), where=t > 0.0)
         return values, int(np.count_nonzero(t > self.t[-1]))
 
@@ -224,19 +218,18 @@ def _quarter(disc: TriMesh) -> TriMesh:
 
 
 def _table_sample(curve, case, spec: DiscSpec, t: float):
-    """(j2_e1, j2_e2) at t: 4 times the e1 correction on the quarter disc,
-    and zero (module docstring)."""
+    """j2_e1 at t: 4 times the quarter disc's e1 correction (module docstring)."""
     if t == 0.0:
-        return 0.0, 0.0
+        return 0.0
     quarter = _quarter(disc_mesh(spec))
     grad_u, e1 = np.array([t, 0.0]), np.array([1.0, 0.0])
-    return 4.0 * compute_correction(curve, grad_u, e1, case, quarter), 0.0
+    return 4.0 * compute_correction(curve, grad_u, e1, case, quarter)
 
 
 def build_correction_table(curve, case: PerturbationCase, t_grid,
                            disc_spec: DiscSpec, workers: int = 1) -> CorrectionTable:
     """Solve the cell problems for each grid value of t = |grad_u| and tabulate
-    the two correction components. The t = 0 row is exact zeros by theory.
+    the correction. The t = 0 row is exact zeros by theory.
     Each sample is solved on the quarter disc (_table_sample), which needs
     disc_spec.n_theta to be a multiple of 4. A grid that breaks that rule or
     CorrectionTable's, or workers below 1, raises ValueError before any solve.
@@ -249,15 +242,14 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
         raise ValueError(f"workers = {workers} must be at least 1")
     t_grid = np.asarray(t_grid, dtype=float)
     # the zero-valued table applies the grid rules before any solve
-    zero = np.zeros(t_grid.shape)
-    table = CorrectionTable(case, t_grid, zero, zero, disc_spec.radius,
+    table = CorrectionTable(case, t_grid, np.zeros(t_grid.shape), disc_spec.radius,
                             disc_spec.h0, curve.cache_key())
     if disc_spec.n_theta % 4 != 0:
         raise ValueError(f"n_theta = {disc_spec.n_theta} is not a multiple of 4: "
                          "the disc axes must be mesh lines for the quarter-disc solve")
     sample = functools.partial(_table_sample, curve, case, disc_spec)
     ts = t_grid.tolist()
-    vals = np.zeros((len(ts), 2))
+    vals = np.zeros(len(ts))
     workers = min(workers, len(ts))
     with (cf.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
@@ -269,7 +261,7 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
                 raise fem.SolverError(
                     f"table sample {i} (t = {t:g}) failed: {exc}",
                     residual_norm=exc.residual_norm) from exc
-    return replace(table, j2_e1=vals[:, 0], j2_e2=vals[:, 1])
+    return replace(table, j2_e1=vals)
 
 
 def eval_correction(table: CorrectionTable, grad_u, grad_p) -> float:
@@ -286,14 +278,15 @@ def save_table(path, table: CorrectionTable, config_hash: str) -> None:
               f"h0={table.h0:.17g} curve={table.curve_hash}\n")
     buf.write(f"# config={config_hash}\n")
     buf.write("t,j2_e1,j2_e2\n")
-    for t, a, b in zip(table.t, table.j2_e1, table.j2_e2):
-        buf.write(f"{t:.17g},{a:.17g},{b:.17g}\n")
+    for t, a in zip(table.t, table.j2_e1):
+        buf.write(f"{t:.17g},{a:.17g},0\n")
     with open(path, "w", newline="") as f:
         f.write(buf.getvalue())
 
 
 def load_table(path) -> CorrectionTable:
-    """Table from save_table's CSV; ValueError naming the file if malformed."""
+    """Table from save_table's CSV; ValueError naming the file if malformed,
+    and its line if a j2_e2 value is not zero, which the lookup would drop."""
     meta = {}
     rows = []
     with open(path) as f:
@@ -313,14 +306,19 @@ def load_table(path) -> CorrectionTable:
                 t, a, b = map(float, line.split(","))
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: bad t,j2_e1,j2_e2 row: {exc}") from exc
-            rows.append((t, a, b))
+            if b != 0.0:
+                raise ValueError(f"{path}:{ln}: " + (
+                    "table j2 values must be finite" if not np.isfinite(b) else
+                    f"j2_e2 = {b:.17g} is not zero: the lookup has no e2 term, "
+                    "so rebuild the table"))
+            rows.append((t, a))
     missing = [k for k in ("case", "radius", "h0", "curve") if k not in meta]
     if missing:
         raise ValueError(f"{path}: table header lacks {', '.join(missing)}")
-    data = np.asarray(rows, dtype=float).reshape(-1, 3)
+    data = np.asarray(rows, dtype=float).reshape(-1, 2)
     try:
         return CorrectionTable(PerturbationCase(meta["case"]), data[:, 0],
-                               data[:, 1], data[:, 2], float(meta["radius"]),
+                               data[:, 1], float(meta["radius"]),
                                float(meta["h0"]), meta["curve"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

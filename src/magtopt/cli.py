@@ -239,6 +239,8 @@ def cmd_optimize(cfg, args) -> int:
         theta_tol_deg=_parse(cfg, "theta_tol_deg"),
         max_iter=_parse(cfg, "max_iter", int))
     every = _parse(cfg, "snapshot_every", int)
+    if every < 0:
+        raise ConfigurationError(f"snapshot_every = {every} is negative")
     out = _prepare_out(args.out, args.force)
     t1, t2 = _load_or_build_tables(cfg, curve, out)
     h = config_hash(cfg)

@@ -56,8 +56,12 @@ class MarroccoCurve:
 
     def __post_init__(self):
         _require_finite(self, "alpha", "c", "tau")
-        if not (0.0 < self.c < 1.0 and self.tau > 0.0 and 2 * self.alpha >= 2):
-            raise MaterialError("invalid saturation-law parameters")
+        if self.alpha < 1.0:
+            raise MaterialError(f"alpha = {self.alpha:g} must be at least 1")
+        if not 0.0 < self.c < 1.0:
+            raise MaterialError(f"c = {self.c:g} must be in (0, 1)")
+        if self.tau <= 0.0:
+            raise MaterialError(f"tau = {self.tau:g} must be positive")
 
     @property
     def nu_min(self) -> float:

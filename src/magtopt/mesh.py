@@ -187,13 +187,14 @@ def generate_square_benchmark(n: int) -> TriMesh:
       air channel   two element rows around y_gap = round(0.75 n)/n
       stator bar    [0.03125,0.96875], one 0.125 band above the channel
 
+    n, the configured `resolution`, is the cell count per side (at least 8).
     Element tags by centroid; magnet/coil/channel take priority over the
     ferro structure. The probe curve is the grid-line segment y = y_gap for
     x in [round(0.25n)/n, round(0.75n)/n], ordered right-to-left so that
     grad(u).tau is the upward flux component.
     """
     if n < 8:
-        raise ValueError("subdivision count must be >= 8")
+        raise ValueError(f"resolution = {n} must be at least 8")
     mesh = unit_square_mesh(n)
     h = 1.0 / n
     cen = mesh.centroids
@@ -230,13 +231,13 @@ def generate_square_benchmark(n: int) -> TriMesh:
 
 
 def _ring_radii(inclusion_radius: float, radius: float, h0: float,
-                grading: float) -> np.ndarray:
+                growth: float) -> np.ndarray:
     n_in = max(2, int(round(inclusion_radius / h0)))
     radii = list(np.linspace(0.0, inclusion_radius, n_in + 1)[1:])
     h = h0
     while radii[-1] < radius - 1e-12:
         radii.append(min(radii[-1] + h, radius))
-        h *= grading
+        h *= growth
     return np.asarray(radii)
 
 
@@ -261,15 +262,15 @@ def _ring_edges(ring: np.ndarray) -> np.ndarray:
     return np.column_stack([ring, np.roll(ring, -1)])
 
 
-def _check_disc(radius: float, inclusion_radius: float, grading: float,
+def _check_disc(radius: float, inclusion_radius: float, growth: float,
                 h0: float, n_theta: int) -> None:
     """ValueError naming the first disc-mesh parameter that is out of range:
     unguarded, these divide by zero, build non-finite nodes or, for h0 < 0,
     add rings without end."""
     if not (np.isfinite(radius) and radius > inclusion_radius > 0.0):
         raise ValueError(f"radius = {radius:g} is not finite and > inclusion_radius > 0")
-    if not 1.0 <= grading < np.inf:
-        raise ValueError(f"grading = {grading:g} is not finite and >= 1")
+    if not 1.0 <= growth < np.inf:
+        raise ValueError(f"growth = {growth:g} is not finite and >= 1")
     if not 0.0 < h0 < np.inf:
         raise ValueError(f"h0 = {h0:g} is not finite and positive")
     if n_theta < 3:
@@ -277,19 +278,19 @@ def _check_disc(radius: float, inclusion_radius: float, grading: float,
 
 
 def generate_disc_mesh(radius: float, inclusion_radius: float = 1.0,
-                       grading: float = 1.15, h0: float = 0.05,
+                       growth: float = 1.15, h0: float = 0.05,
                        n_theta: int = 128) -> TriMesh:
     """Disc mesh centered at the origin with an exactly-polygonal inclusion ring.
 
     Nodes are placed on concentric circles; one circle sits exactly at
     |x| = inclusion_radius, radial spacing grows geometrically (factor
-    `grading`) from h0 at the inclusion toward the outer boundary. Triangles
+    `growth`) from h0 at the inclusion toward the outer boundary. Triangles
     inside the inclusion are tagged DESIGN, the exterior AIR_FIXED; the outer
     circle is the Dirichlet boundary. ValueError naming the parameter if one
     is out of range (_check_disc).
     """
-    _check_disc(radius, inclusion_radius, grading, h0, n_theta)
-    radii = _ring_radii(inclusion_radius, radius, h0, grading)
+    _check_disc(radius, inclusion_radius, growth, h0, n_theta)
+    radii = _ring_radii(inclusion_radius, radius, h0, growth)
     nodes, tris, ring = _polar_mesh(radii, n_theta)
     cen = nodes[tris].mean(axis=1)
     rc = np.hypot(cen[:, 0], cen[:, 1])
@@ -321,7 +322,7 @@ def generate_mini_motor(resolution: int = 96) -> TriMesh:
     ordered counter-clockwise so grad(u).tau is the radial flux component.
     """
     if resolution < 24:
-        raise ValueError("resolution must be >= 24")
+        raise ValueError(f"resolution = {resolution} must be at least 24")
     rr = MINI_MOTOR_RADII
     h0 = 2.0 * np.pi * rr["rotor"] / resolution
     key_radii = [rr["rotor"], rr["magnet"], MINI_MOTOR_PROBE_RADIUS,

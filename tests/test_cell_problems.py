@@ -172,18 +172,20 @@ class TestTables:
         spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
         table = build_correction_table(marrocco, CASE_I, grid, spec)
         np.testing.assert_array_equal(table.t, grid)
-        assert table.j2_e1[0] == 0.0 and table.j2_e2[0] == 0.0
+        assert table.j2_e1[0] == 0.0
 
     def test_linear_stub_all_zero(self, linear_stub):
         grid = np.array([0.0, 1.0, 2.0])
         spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
         table = build_correction_table(linear_stub, CASE_I, grid, spec)
         assert np.abs(table.j2_e1).max() < 1e-9
-        assert np.abs(table.j2_e2).max() < 1e-9
 
     def test_e2_column_is_symmetry_zero(self, tables_coarse):
+        # the file format's e2 column: read-only zeros shaped like the grid
         t1, _ = tables_coarse
-        assert np.abs(t1.j2_e2).max() <= 1e-9 * max(np.abs(t1.j2_e1).max(), 1.0)
+        assert t1.j2_e2.shape == t1.t.shape and not t1.j2_e2.any()
+        with pytest.raises(ValueError, match="read-only"):
+            t1.j2_e2[1] = 1.0
 
     def test_csv_roundtrip_bit_identical(self, tmp_path, tables_coarse):
         t1, _ = tables_coarse
@@ -218,8 +220,11 @@ class TestTables:
          ": table j2 values must be finite"),
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,0.5,inf\n",
          ": table j2 values must be finite"),
+        ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,0.5,1e-3\n",
+         ":4: j2_e2 = 0.001 is not zero: the lookup has no e2 term, "
+         "so rebuild the table"),
     ], ids=["header_only", "short_row", "unknown_case", "nan_grid", "nan_j2",
-            "inf_j2"])
+            "inf_j2", "nonzero_e2"])
     def test_malformed_file_names_path(self, tmp_path, header, body, message):
         p = tmp_path / "bad.csv"
         p.write_text(header + "t,j2_e1,j2_e2\n" + body)
@@ -229,11 +234,10 @@ class TestTables:
 
     def test_table_invariants_enforced(self):
         with pytest.raises(ValueError):
-            CorrectionTable(CASE_I, np.array([0.5, 1.0]), np.zeros(2), np.zeros(2),
-                    1000.0, 0.05, "x")
+            CorrectionTable(CASE_I, np.array([0.5, 1.0]), np.zeros(2),
+                            1000.0, 0.05, "x")
         with pytest.raises(ValueError):
-            CorrectionTable(CASE_I, np.array([]), np.array([]), np.array([]),
-                    1000.0, 0.05, "x")
+            CorrectionTable(CASE_I, np.array([]), np.array([]), 1000.0, 0.05, "x")
 
     def test_bad_grid_rejected(self, marrocco, monkeypatch):
         # CorrectionTable's grid rules, applied before the first solve
@@ -304,6 +308,24 @@ class TestEvalJ2:
             interp = eval_correction(t1, gu_pt, gp_pt)
             assert interp == pytest.approx(direct, rel=0.03)
 
+    @pytest.mark.parametrize("case, bound", [(CASE_I, 1e-6), (CASE_II, 1e-12)])
+    def test_rotated_pairs_match_full_disc(self, marrocco, disc_coarse, case,
+                                           bound):
+        # the one-column lookup against full-disc solves at pairs that no
+        # mesh symmetry aligns (the coarse disc's angles are multiples of
+        # pi/32), on a table whose one nonzero sample is t itself, solved on
+        # the quarter of that disc (conftest's COARSE_SPEC)
+        t = 2.0
+        spec = DiscSpec(radius=1000.0, h0=0.1, growth=1.15, n_theta=64)
+        assert disc_mesh(spec) is disc_coarse
+        table = build_correction_table(marrocco, case, [0.0, t], spec)
+        for a, b in ((0.3, 1.1), (2.0, -0.5), (-1.2, 2.9)):
+            gu_pt = t * np.array([np.cos(a), np.sin(a)])
+            gp_pt = np.array([np.cos(b), np.sin(b)])
+            direct = compute_correction(marrocco, gu_pt, gp_pt, case, disc_coarse)
+            assert abs(eval_correction(table, gu_pt, gp_pt) - direct) \
+                <= bound * abs(table.j2_e1[1])
+
     def test_disabled_table_evaluates_to_zero(self):
         z = CorrectionTable.zeros(CASE_I)
         assert eval_correction(z, np.array([1.3, 0.2]), np.array([0.5, 0.5])) == 0.0
@@ -345,13 +367,13 @@ class TestTableSample:
         gh = quarter.element_gradients(direct)[nonlin]
         gk = quarter.element_gradients(adjoint)[nonlin]
         s_el = material.nonlinearity(marrocco, np.broadcast_to(grad_u, gh.shape), gh)
-        separate = (4.0 * float(np.einsum("e,ei,ei->", quarter.areas[nonlin],
-                                          s_el, e1 + gk)), 0.0)
+        separate = 4.0 * float(np.einsum("e,ei,ei->", quarter.areas[nonlin],
+                                         s_el, e1 + gk))
         calls.clear()
         shared = cell_problems._table_sample(marrocco, CASE_I, spec, 3.0)
         assert n_direct >= 2
         assert len(calls) == n_direct
-        assert np.array_equal(shared, separate)
+        assert shared == separate
 
     def test_no_lu_alive_when_a_factorization_starts(self, marrocco,
                                                      monkeypatch):
@@ -417,9 +439,8 @@ class TestQuarterDisc:
             full_e1, full_e2 = (compute_correction(marrocco, np.array([t, 0.0]),
                                                    gp, case, disc)
                                 for gp in np.eye(2))
-            e1, e2 = cell_problems._table_sample(marrocco, case, self.SPEC, t)
+            e1 = cell_problems._table_sample(marrocco, case, self.SPEC, t)
             assert abs(e1 - full_e1) <= 1e-9 * abs(full_e1)
-            assert e2 == 0.0
             # on the full disc, e2 vanishes by symmetry up to round-off
             assert abs(full_e2) <= 1e-9 * abs(full_e1)
 
@@ -436,8 +457,7 @@ class TestQuarterDisc:
     def test_spec_refuses_what_the_mesher_refuses(self, field, value):
         kwargs = dict(radius=200.0, h0=0.2, n_theta=32)
         kwargs[field] = value
-        # the mesher names `growth` grading
-        with pytest.raises(ValueError, match="grading" if field == "growth" else field):
+        with pytest.raises(ValueError, match=field):
             DiscSpec(**kwargs)
 
     def test_cut_refuses_unaligned_disc(self):
@@ -453,7 +473,6 @@ class TestWorkers:
         serial = build_correction_table(marrocco, CASE_I, grid, spec)
         parallel = build_correction_table(marrocco, CASE_I, grid, spec, workers=2)
         np.testing.assert_array_equal(serial.j2_e1, parallel.j2_e1)
-        np.testing.assert_array_equal(serial.j2_e2, parallel.j2_e2)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_refused_before_any_solve(self, marrocco, monkeypatch,
@@ -486,7 +505,7 @@ class TestWorkers:
 
         monkeypatch.setattr(cell_problems.cf, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cell_problems, "_table_sample",
-                            lambda curve, case, spec, t: (t, 0.0))
+                            lambda curve, case, spec, t: t)
         grid = np.array([0.0, 1.0, 2.0])
         spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
         table = build_correction_table(marrocco, CASE_I, grid, spec, workers=500)

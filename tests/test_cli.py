@@ -244,7 +244,8 @@ class TestOptimize:
 
     @pytest.mark.parametrize("key, value", [("kappa_start", "0"),
                                             ("theta_tol_deg", "nan"),
-                                            ("max_iter", "-1")])
+                                            ("max_iter", "-1"),
+                                            ("snapshot_every", "-3")])
     def test_bad_option_rejected_before_tables(self, tmp_path, caplog, key,
                                                value):
         cfg = write_config(tmp_path, **{key: value})
@@ -265,6 +266,23 @@ class TestOptimize:
         rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         assert f"{name} = " in caplog.text and "must be finite" in caplog.text
+        assert not (out / "j2_case1.csv").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"growth": "nan"}, "growth = nan is not finite and >= 1"),
+        ({"resolution": "4"}, "resolution = 4 must be at least 8"),
+        ({"problem": "mini_motor", "resolution": "16"},
+         "resolution = 16 must be at least 24"),
+        ({"curve": "marrocco", "alpha": "0.4"}, "alpha = 0.4 must be at least 1"),
+        ({"curve": "marrocco", "c": "1.5"}, "c = 1.5 must be in (0, 1)"),
+        ({"curve": "marrocco", "tau": "-1"}, "tau = -1 must be positive")],
+        ids=["growth", "resolution", "motor_resolution", "alpha", "c", "tau"])
+    def test_out_of_range_key_named(self, tmp_path, caplog, overrides, message):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert message in caplog.text
         assert not (out / "j2_case1.csv").exists()
 
     @pytest.mark.parametrize("value, message", [

@@ -112,17 +112,17 @@ class TestDiscMesh:
         with pytest.raises(ValueError):
             generate_disc_mesh(1.0, 2.0)
         with pytest.raises(ValueError):
-            generate_disc_mesh(10.0, 1.0, grading=0.9)
+            generate_disc_mesh(10.0, 1.0, growth=0.9)
 
     @pytest.mark.parametrize("name, value", [
         ("h0", 0.0), ("h0", -0.1), ("h0", np.nan), ("h0", np.inf),
         ("n_theta", 0), ("n_theta", -4), ("n_theta", 2),
         ("radius", np.inf), ("radius", np.nan),
-        ("grading", np.nan), ("grading", np.inf)])
+        ("growth", np.nan), ("growth", np.inf)])
     def test_bad_input_names_its_parameter(self, name, value):
         # unguarded, these divide by zero, fail inside numpy, build a mesh
         # with non-finite nodes or, for h0 < 0, add rings without end
-        kwargs = dict(radius=10.0, inclusion_radius=1.0, grading=1.2, h0=0.25,
+        kwargs = dict(radius=10.0, inclusion_radius=1.0, growth=1.2, h0=0.25,
                       n_theta=32)
         kwargs[name] = value
         with pytest.raises(ValueError, match=f"^{name} = "):

@@ -214,8 +214,8 @@ class TestClampWarning:
         # zero tables on a short grid: every lookup clamps, every value is 0.
         # square/16, because the descent on square/8 stalls at iteration 0
         prob = build_benchmark_problem("square", 16)
-        short = [CorrectionTable(case, [0.0, 1e-3], np.zeros(2), np.zeros(2),
-                                 0.0, 0.0, "disabled")
+        short = [CorrectionTable(case, [0.0, 1e-3], np.zeros(2), 0.0, 0.0,
+                                 "disabled")
                  for case in PerturbationCase]
         options = op.OptimizerOptions(max_iter=2)
 

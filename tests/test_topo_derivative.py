@@ -101,8 +101,8 @@ class TestAssembly:
         psi = psi - np.median(psi[mesh.tris[design]].mean(axis=1))
         src = SourceSpec(magnetization=np.array([0.0, 3e6]))
         state = solve_state(mesh, marrocco, levelset=psi, sources=src)
-        t1, t2 = (CorrectionTable(t.case, t.t[:5], t.j2_e1[:5], t.j2_e2[:5],
-                                  t.radius, t.h0, t.curve_hash)
+        t1, t2 = (CorrectionTable(t.case, t.t[:5], t.j2_e1[:5], t.radius, t.h0,
+                                  t.curve_hash)
                   for t in tables_coarse)
         p0 = np.random.default_rng(3).normal(size=mesh.n_nodes)
         td = assemble_generalized_td(state, p0, t1, t2)
