@@ -155,6 +155,10 @@ class CorrectionTable:
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.j2_e1 = np.asarray(self.j2_e1, dtype=float)
+        if self.t.ndim != 1 or self.j2_e1.shape != self.t.shape:
+            raise ValueError(f"table grid t has shape {self.t.shape} and j2_e1 "
+                             f"{self.j2_e1.shape}: t must be 1-D and j2_e1 "
+                             "shaped like it")
         if self.t.size == 0:
             raise ValueError("empty table")
         if self.t[0] != 0.0 or self.j2_e1[0] != 0.0:

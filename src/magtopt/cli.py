@@ -308,16 +308,15 @@ def cmd_selftest(cfg, args) -> int:
                       <= curve.nu_air * np.hypot(V[:, 0], V[:, 1]) + 1e-9)))
 
     from . import polarization
-    errs = []
-    for _ in range(32):
-        q = rng.uniform(0, np.pi)
-        R = np.array([[np.cos(q), -np.sin(q)], [np.sin(q), np.cos(q)]])
-        ev = rng.uniform(1.5, 8.0, 2)
-        At = R @ np.diag(ev) @ R.T
-        P1 = polarization.polarization_general(np.eye(2), At)
-        P2 = polarization.polarization_disk(At, np.pi)
-        errs.append(np.abs(P1 - P2).max() / np.abs(P2).max())
-    check("general polarization reduces to disk", max(errs) < 1e-12)
+    lam, nu0 = float(curve.nu(0.0)), curve.nu_air
+    disk_forms = (
+        (polarization.matrix_air_in_ferro,
+         2.0 * np.pi * lam * (nu0 - lam) / (nu0 + lam)),
+        (polarization.matrix_ferro_in_air,
+         2.0 * np.pi * nu0 * (lam - nu0) / (nu0 + lam)))
+    check("case matrices at zero field equal their disk forms",
+          all(np.abs(matrix(curve, np.zeros(2)) - d * np.eye(2)).max()
+              <= 1e-12 * abs(d) for matrix, d in disk_forms))
 
     from .mesh import generate_square_benchmark
     mesh = generate_square_benchmark(16)

@@ -113,7 +113,7 @@ class LinearCurve:
     def __post_init__(self):
         _require_finite(self, "nu_linear")
         if self.nu_linear <= 0:
-            raise MaterialError("nu_linear must be positive")
+            raise MaterialError(f"nu_linear = {self.nu_linear:g} must be positive")
 
     @property
     def nu_min(self) -> float:

@@ -17,12 +17,12 @@ from magtopt.material import (NU0, LinearCurve, MarroccoCurve, SplineCurve,
                               flux_jacobian, jacobian_eigenvalues,
                               validate_assumptions)
 from magtopt.mesh import unit_square_mesh
-from magtopt.polarization import (matrix_air_in_ferro, polarization_disk,
-                                  polarization_ellipse, polarization_general)
+from magtopt.polarization import matrix_air_in_ferro
 from magtopt.problem_setup import (assemble_adjoint_rhs, build_benchmark_problem,
                                    eval_objective)
 from magtopt import fem
-from oracles import analytic_adjoint_variation
+from oracles import (analytic_adjoint_variation, polarization_disk,
+                     polarization_ellipse, polarization_general)
 
 CASE_I = PerturbationCase.AIR_IN_FERRO
 CASE_II = PerturbationCase.FERRO_IN_AIR

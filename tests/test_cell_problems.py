@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -238,6 +240,16 @@ class TestTables:
                             1000.0, 0.05, "x")
         with pytest.raises(ValueError):
             CorrectionTable(CASE_I, np.array([]), np.array([]), 1000.0, 0.05, "x")
+
+    @pytest.mark.parametrize("t, j2_e1, shapes", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "t has shape (3,) and j2_e1 (2,)"),
+        ([0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]], "t has shape (2,) and j2_e1 (2, 2)"),
+        ([[0.0, 1.0]], [[0.0, 1.0]], "t has shape (1, 2) and j2_e1 (1, 2)")],
+        ids=["short_j2", "2d_j2", "2d_t"])
+    def test_shape_mismatch_names_both_shapes(self, t, j2_e1, shapes):
+        with pytest.raises(ValueError, match=re.escape(
+                f"table grid {shapes}: t must be 1-D and j2_e1 shaped like it")):
+            CorrectionTable(CASE_I, t, j2_e1, 1000.0, 0.05, "x")
 
     def test_bad_grid_rejected(self, marrocco, monkeypatch):
         # CorrectionTable's grid rules, applied before the first solve

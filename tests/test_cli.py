@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magtopt import cli, fem
+from magtopt import cli, fem, polarization
 from magtopt.cell_problems import load_table
 from magtopt.problem_setup import ConfigurationError
 from oracles import read_meshv1
@@ -287,7 +287,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("value, message", [
         ("nan", "nu_linear = nan must be finite"),
-        ("-1", "nu_linear must be positive")], ids=["nan", "negative"])
+        ("-1", "nu_linear = -1 must be positive")], ids=["nan", "negative"])
     def test_bad_nu_linear_named_as_configured(self, tmp_path, caplog, value,
                                                message):
         cfg = write_config(tmp_path, nu_linear=value)
@@ -470,11 +470,24 @@ class TestOtherCommands:
                               mesh.bedges, mesh.btags)):
             np.testing.assert_array_equal(got, want)
 
-    def test_selftest_passes(self, tmp_path):
-        cfg = write_config(tmp_path)
+    @pytest.mark.parametrize("curve", ["linear", "marrocco"])
+    def test_selftest_passes(self, tmp_path, curve):
+        cfg = write_config(tmp_path, curve=curve)
         rc = cli.main(["selftest", "--config", str(cfg),
                        "--out", str(tmp_path / "out")])
         assert rc == 0
+
+    def test_selftest_catches_a_wrong_case_matrix(self, tmp_path, capsys,
+                                                  monkeypatch):
+        exact = polarization.matrix_ferro_in_air
+        monkeypatch.setattr(polarization, "matrix_ferro_in_air",
+                            lambda curve, grad_u: (1.0 + 1e-9) * exact(curve, grad_u))
+        cfg = write_config(tmp_path)
+        rc = cli.main(["selftest", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_SOLVER
+        assert ("FAIL  case matrices at zero field equal their disk forms"
+                in capsys.readouterr().out)
 
     def test_bad_config_path(self, tmp_path):
         rc = cli.main(["solve", "--config", str(tmp_path / "nope.cfg"),

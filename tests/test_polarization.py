@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from magtopt.material import NU0, LinearCurve
-from magtopt.polarization import (Anisotropy2, ContrastError, matrix_air_in_ferro,
-                                  matrix_ferro_in_air, polarization_disk,
-                                  polarization_ellipse, polarization_general)
+from magtopt.polarization import matrix_air_in_ferro, matrix_ferro_in_air
+from oracles import (Anisotropy2, ContrastError, polarization_disk,
+                     polarization_ellipse, polarization_general)
 
 RNG = np.random.default_rng(11)
 
