@@ -3,7 +3,8 @@ solves, optimization runs, exports, and a quick self-test.
 
 Configuration is a flat `key = value` text file (# comments). Verbosity via
 the MAGTOPT_LOG environment variable (DEBUG/INFO/WARNING/ERROR). Exit codes:
-0 success, 1 configuration error, 2 solver failure, 3 I/O error.
+0 success, 1 refused input (ValueError), 2 solver failure (fem.SolverError),
+3 I/O error (OSError).
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import cell_problems, fem, material, optimizer, problem_setup, vtkio
 from .cell_problems import DiscSpec, PerturbationCase
-from .problem_setup import ConfigurationError
 
 log = logging.getLogger("magtopt.cli")
 
@@ -50,19 +50,19 @@ def load_config(path) -> dict:
         try:
             text = Path(path).read_text()
         except OSError as exc:
-            raise ConfigurationError(f"cannot read config: {exc}") from exc
+            raise ValueError(f"cannot read config: {exc}") from exc
         seen = {}
         for ln, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigurationError(f"{path}:{ln}: expected 'key = value'")
+                raise ValueError(f"{path}:{ln}: expected 'key = value'")
             k, v = (s.strip() for s in line.split("=", 1))
             if k not in DEFAULTS:
-                raise ConfigurationError(f"{path}:{ln}: unknown key {k!r}")
+                raise ValueError(f"{path}:{ln}: unknown key {k!r}")
             if k in seen:
-                raise ConfigurationError(
+                raise ValueError(
                     f"{path}:{ln}: key {k!r} already set on line {seen[k]}")
             seen[k] = ln
             cfg[k] = v
@@ -88,11 +88,11 @@ def config_hash(cfg: dict) -> str:
 
 
 def _parse(cfg: dict, key: str, kind=float):
-    """cfg[key] as a `kind`; ConfigurationError naming the key if it is not."""
+    """cfg[key] as a `kind`; ValueError naming the key if it is not."""
     try:
         return kind(cfg[key])
     except ValueError:
-        raise ConfigurationError(
+        raise ValueError(
             f"{key} = {cfg[key]!r} is not a valid {kind.__name__}") from None
 
 
@@ -105,9 +105,9 @@ def build_curve(cfg: dict):
         return material.LinearCurve(nu_linear=_parse(cfg, "nu_linear"))
     if kind == "spline":
         if not cfg["spline_csv"]:
-            raise ConfigurationError("curve = spline requires spline_csv")
+            raise ValueError("curve = spline requires spline_csv")
         return material.SplineCurve.from_csv(cfg["spline_csv"])
-    raise ConfigurationError(f"unknown curve kind {kind!r}")
+    raise ValueError(f"unknown curve kind {kind!r}")
 
 
 def disc_spec(cfg: dict) -> DiscSpec:
@@ -155,9 +155,9 @@ def _build_tables(cfg, curve, out: Path):
     spec, workers = disc_spec(cfg), _parse(cfg, "workers", int)
     t_max, n = _parse(cfg, "t_max"), _parse(cfg, "n_samples", int)
     if not (np.isfinite(t_max) and t_max >= 0.0):
-        raise ConfigurationError(f"t_max = {t_max:g} must be finite and non-negative")
+        raise ValueError(f"t_max = {t_max:g} must be finite and non-negative")
     if t_max > 0 and n < 2:
-        raise ConfigurationError(f"n_samples = {n} must be at least 2 when t_max > 0")
+        raise ValueError(f"n_samples = {n} must be at least 2 when t_max > 0")
     grid = np.linspace(0.0, t_max, n) if t_max > 0 else np.array([0.0])
     # the table paths name this build's outputs, not inputs
     h = config_hash(dict(cfg, table_case1="", table_case2=""))
@@ -181,14 +181,14 @@ def cmd_build_tables(cfg, args) -> int:
 
 def _load_or_build_tables(cfg, curve, out: Path):
     """Tables from the configured paths if both exist, else freshly built;
-    if only one exists, ConfigurationError, since a build would overwrite it.
+    if only one exists, ValueError, since a build would overwrite it.
     A loaded table must match the curve and its slot's case."""
     paths = _table_paths(cfg, out)
     missing = [p for p in paths if not p.exists()]
     if len(missing) == 1:
         present, = set(paths) - set(missing)
-        raise ConfigurationError(f"correction table {missing[0]} does not exist, but "
-                                 f"{present} does; building the pair would overwrite it")
+        raise ValueError(f"correction table {missing[0]} does not exist, but "
+                         f"{present} does; building the pair would overwrite it")
     if missing:
         log.info("correction tables missing; building them first")
         return _build_tables(cfg, curve, out)
@@ -240,7 +240,7 @@ def cmd_optimize(cfg, args) -> int:
         max_iter=_parse(cfg, "max_iter", int))
     every = _parse(cfg, "snapshot_every", int)
     if every < 0:
-        raise ConfigurationError(f"snapshot_every = {every} is negative")
+        raise ValueError(f"snapshot_every = {every} is negative")
     out = _prepare_out(args.out, args.force)
     t1, t2 = _load_or_build_tables(cfg, curve, out)
     h = config_hash(cfg)
@@ -295,17 +295,27 @@ def cmd_selftest(cfg, args) -> int:
         if not ok:
             failures.append(name)
 
-    W = rng.normal(size=(256, 2))
+    # the flux map's monotonicity and Lipschitz constants m and L: the least
+    # and greatest Jacobian eigenvalue, nu(s) or (nu(s) s)', on the grid
+    # validate-material samples
+    eig = np.concatenate(material.jacobian_eigenvalues(curve, material.ASSUMPTION_GRID))
+    m, L = float(eig.min()), float(eig.max())
+    check(f"monotonicity constant m = {m:.6g} > 0 (Lipschitz constant L = {L:.6g})",
+          m > 0)
+    # |W| log-spaced to 20 T, so that the samples cross the saturation band
+    # where (nu(s) s)' exceeds nu_air
+    a = rng.uniform(0.0, 2.0 * np.pi, 256)
+    W = np.geomspace(1e-2, 20.0, 256)[:, None] * np.column_stack([np.cos(a), np.sin(a)])
     V = rng.normal(size=(256, 2)) * 0.3
     D = material.flux_jacobian(curve, W)
     check("flux-jacobian symmetry", np.allclose(D, np.swapaxes(D, -1, -2)))
     tw = material.flux_map(curve, W + V) - material.flux_map(curve, W)
-    mono = np.einsum("ei,ei->e", tw, V)
-    check("monotonicity >= nu_min |V|^2",
-          bool(np.all(mono >= curve.nu_min * (V * V).sum(1) - 1e-9)))
-    check("Lipschitz <= nu_air |V|",
-          bool(np.all(np.hypot(tw[:, 0], tw[:, 1])
-                      <= curve.nu_air * np.hypot(V[:, 0], V[:, 1]) + 1e-9)))
+    vv = (V * V).sum(1)
+    slack = 1e-6   # relative, for round-off and the grid's sampling of m and L
+    check("monotonicity >= m |V|^2",
+          bool(np.all(np.einsum("ei,ei->e", tw, V) >= (1.0 - slack) * m * vv)))
+    check("Lipschitz <= L |V|",
+          bool(np.all(np.hypot(tw[:, 0], tw[:, 1]) <= (1.0 + slack) * L * np.sqrt(vv))))
 
     from . import polarization
     lam, nu0 = float(curve.nu(0.0)), curve.nu_air
@@ -361,13 +371,13 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[args.command](load_config(args.config), args)
-    except (ConfigurationError, material.MaterialError, ValueError) as exc:
+    except ValueError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
     except fem.SolverError as exc:
         log.error("solver failure: %s", exc)
         return EXIT_SOLVER
-    except (OSError, FileExistsError) as exc:
+    except OSError as exc:
         log.error("I/O failure: %s", exc)
         return EXIT_IO
 

@@ -28,17 +28,13 @@ from scipy.interpolate import CubicSpline
 NU0 = 1.0e7 / (4.0 * np.pi)
 
 
-class MaterialError(Exception):
-    pass
-
-
 def _require_finite(curve, *names) -> None:
-    """MaterialError naming the first of the curve's parameters that is NaN
+    """ValueError naming the first of the curve's parameters that is NaN
     or infinite."""
     for name in names:
         value = getattr(curve, name)
         if not math.isfinite(value):
-            raise MaterialError(f"{name} = {value!r} must be finite")
+            raise ValueError(f"{name} = {value!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -57,11 +53,11 @@ class MarroccoCurve:
     def __post_init__(self):
         _require_finite(self, "alpha", "c", "tau")
         if self.alpha < 1.0:
-            raise MaterialError(f"alpha = {self.alpha:g} must be at least 1")
+            raise ValueError(f"alpha = {self.alpha:g} must be at least 1")
         if not 0.0 < self.c < 1.0:
-            raise MaterialError(f"c = {self.c:g} must be in (0, 1)")
+            raise ValueError(f"c = {self.c:g} must be in (0, 1)")
         if self.tau <= 0.0:
-            raise MaterialError(f"tau = {self.tau:g} must be positive")
+            raise ValueError(f"tau = {self.tau:g} must be positive")
 
     @property
     def nu_min(self) -> float:
@@ -113,7 +109,7 @@ class LinearCurve:
     def __post_init__(self):
         _require_finite(self, "nu_linear")
         if self.nu_linear <= 0:
-            raise MaterialError(f"nu_linear = {self.nu_linear:g} must be positive")
+            raise ValueError(f"nu_linear = {self.nu_linear:g} must be positive")
 
     @property
     def nu_min(self) -> float:
@@ -152,13 +148,13 @@ class SplineCurve:
         s = np.asarray(self.s, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if s.ndim != 1 or len(s) < 4:
-            raise MaterialError("need at least 4 spline samples")
+            raise ValueError("need at least 4 spline samples")
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
-            raise MaterialError("spline samples must be finite")
+            raise ValueError("spline samples must be finite")
         if np.any(np.diff(s) <= 0):
-            raise MaterialError("spline s-column must be strictly increasing")
+            raise ValueError("spline s-column must be strictly increasing")
         if s[0] < 0 or np.any(v <= 0):
-            raise MaterialError("spline samples must have s >= 0, nu > 0")
+            raise ValueError("spline samples must have s >= 0, nu > 0")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_spline", CubicSpline(s, v, extrapolate=False))
@@ -213,21 +209,21 @@ class SplineCurve:
             rows = [(reader.line_num, r) for r in reader
                     if r and not r[0].lstrip().startswith("#")]
         if not rows:
-            raise MaterialError(f"{path}: empty file")
+            raise ValueError(f"{path}: empty file")
         (ln, header), *body = rows
         if [c.strip().lower() for c in header[:2]] != ["s", "nu"]:
-            raise MaterialError(f"{path}: line {ln}: expected header 's,nu'")
+            raise ValueError(f"{path}: line {ln}: expected header 's,nu'")
         s, v = [], []
         for ln, r in body:
             try:
                 s.append(float(r[0]))
                 v.append(float(r[1]))
             except (ValueError, IndexError) as exc:
-                raise MaterialError(f"{path}: line {ln}: bad row {r!r}") from exc
+                raise ValueError(f"{path}: line {ln}: bad row {r!r}") from exc
         try:
             return cls(np.asarray(s), np.asarray(v))
-        except MaterialError as exc:
-            raise MaterialError(f"{path}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

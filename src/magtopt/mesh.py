@@ -29,10 +29,6 @@ class Boundary(enum.IntEnum):
     GAP_PROBE = 1
 
 
-class MeshError(Exception):
-    pass
-
-
 @dataclass
 class TriMesh:
     """Triangle mesh: node coordinates [m], triangles (CCW), tagged edges.
@@ -96,7 +92,7 @@ class TriMesh:
         v2 = p[:, 2] - p[:, 0]
         det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
         if np.any(det <= 0):
-            raise MeshError("triangle with non-positive signed area")
+            raise ValueError("triangle with non-positive signed area")
         # b[e, i, k] = d(phi_k)/dx_i, the row layout of grad_op
         b = np.empty((len(self.tris), 2, 3))
         b[:, 0, 0] = p[:, 1, 1] - p[:, 2, 1]

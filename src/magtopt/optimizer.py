@@ -26,10 +26,6 @@ log = logging.getLogger("magtopt.optimizer")
 KAPPA_MIN = 2.0 ** -20
 
 
-class DesignSpaceError(Exception):
-    pass
-
-
 class DesignSpace:
     """Design-region function space: node set, P1 mass matrix and the
     area-weighted node average of element values.
@@ -42,7 +38,7 @@ class DesignSpace:
         self.mesh = mesh
         self.elements = np.flatnonzero(mesh.region == Region.DESIGN)
         if self.elements.size == 0:
-            raise DesignSpaceError("mesh has no DESIGN region")
+            raise ValueError("mesh has no DESIGN region")
         self.nodes = np.unique(mesh.tris[self.elements].ravel())
         self.area = float(mesh.areas[self.elements].sum())
         glob2loc = -np.ones(mesh.n_nodes, dtype=np.int64)
@@ -82,7 +78,7 @@ class LevelSetField:
     def normalized(self) -> "LevelSetField":
         n = self.norm()
         if n == 0.0:
-            raise DesignSpaceError("cannot normalize the zero level set")
+            raise ValueError("cannot normalize the zero level set")
         return LevelSetField(self.space, self.values / n)
 
     def expand(self) -> np.ndarray:

@@ -18,10 +18,6 @@ from . import fem
 from .mesh import Region, TriMesh, generate_mini_motor, generate_square_benchmark
 
 
-class ConfigurationError(Exception):
-    pass
-
-
 @dataclass
 class ObjectiveSpec:
     """Gap-curve tracking data: trace, quadrature weights, target."""
@@ -50,10 +46,10 @@ def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
         k = fails[0]
         i, j = edges[k]
         if (held[k] < 0).all():
-            raise ConfigurationError(f"gap edge ({i},{j}) not in the mesh")
+            raise ValueError(f"gap edge ({i},{j}) not in the mesh")
         if mesh.region[held[k][bad[k]].min()] == Region.DESIGN:
-            raise ConfigurationError(f"gap edge ({i},{j}) adjacent to a DESIGN element")
-        raise ConfigurationError(f"gap edge ({i},{j}) adjacent to non-air element")
+            raise ValueError(f"gap edge ({i},{j}) adjacent to a DESIGN element")
+        raise ValueError(f"gap edge ({i},{j}) adjacent to non-air element")
     return np.where(held[:, 0] >= 0, held[:, 0], held[:, 1])
 
 
@@ -64,7 +60,7 @@ def make_objective(mesh: TriMesh, b_target) -> ObjectiveSpec:
     """
     edges = mesh.gap_probe_edges()
     if len(edges) == 0:
-        raise ConfigurationError("mesh has no GAP_PROBE edges")
+        raise ValueError("mesh has no GAP_PROBE edges")
     p, k = mesh.nodes, len(edges)
     vec = p[edges[:, 1]] - p[edges[:, 0]]
     lengths = np.hypot(vec[:, 0], vec[:, 1])
@@ -75,7 +71,7 @@ def make_objective(mesh: TriMesh, b_target) -> ObjectiveSpec:
                            np.arange(0, 3 * k + 1, 3)), shape=(k, mesh.n_nodes))
     bt = np.asarray(b_target(mid), dtype=float)
     if bt.shape != (k,):
-        raise ConfigurationError("target sample count must equal edge count")
+        raise ValueError("target sample count must equal edge count")
     return ObjectiveSpec(trace, lengths, bt)
 
 
@@ -151,26 +147,30 @@ def build_benchmark_problem(kind: str, resolution: int,
                                  * np.column_stack([np.cos(th), np.sin(th)]))
         target = motor_target if b_target is None else b_target
     else:
-        raise ConfigurationError(f"unknown benchmark kind {kind!r}")
+        raise ValueError(f"unknown benchmark kind {kind!r}")
     return Problem(mesh, sources, make_objective(mesh, target))
 
 
 def load_target_csv(path):
-    """Target override from CSV `theta,b_d` (radians, tesla): a header line,
-    then one or more rows of finite values (one row gives a constant
-    target). Returns a callable that interpolates periodically in the
-    midpoint angle."""
+    """Target override from CSV `theta,b_d` (radians, tesla): the header
+    line `theta,b_d`, then one or more rows of finite values (one row gives
+    a constant target). Returns a callable that interpolates periodically
+    in the midpoint angle."""
+    with open(path) as f:
+        header = f.readline()
+    if [c.strip().lower() for c in header.split(",")] != ["theta", "b_d"]:
+        raise ValueError(f"{path}: line 1: expected header 'theta,b_d'")
     with warnings.catch_warnings():
         # a file without rows is reported below, not as loadtxt's warning
         warnings.simplefilter("ignore", UserWarning)
         try:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
     if data.shape[0] == 0 or data.shape[1] != 2:
-        raise ConfigurationError(f"{path}: need one or more rows of theta,b_d")
+        raise ValueError(f"{path}: need one or more rows of theta,b_d")
     if not np.all(np.isfinite(data)):
-        raise ConfigurationError(f"{path}: theta,b_d values must be finite")
+        raise ValueError(f"{path}: theta,b_d values must be finite")
     th, bd = data[:, 0], data[:, 1]
 
     def target(mid):
@@ -186,7 +186,7 @@ def default_levelset(mesh: TriMesh) -> np.ndarray:
     (zeros off the design region); not normalized."""
     design_nodes = np.unique(mesh.tris[mesh.region == Region.DESIGN].ravel())
     if design_nodes.size == 0:
-        raise ConfigurationError("mesh has no DESIGN region")
+        raise ValueError("mesh has no DESIGN region")
     pts = mesh.nodes[design_nodes]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

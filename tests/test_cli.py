@@ -1,12 +1,14 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from magtopt import cli, fem, polarization
-from magtopt.cell_problems import load_table
-from magtopt.problem_setup import ConfigurationError
+from magtopt import cli, fem, material, polarization, problem_setup
+from magtopt.cell_problems import DiscSpec, load_table
+from magtopt.mesh import Region, TriMesh
+from magtopt.optimizer import OptimizerOptions
 from oracles import read_meshv1
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,6 +36,12 @@ def write_config(tmp_path, name="run.cfg", **overrides):
     return p
 
 
+#: a 7-point spline fit of the default law on 0.1-3 T, whose (nu s)' dips
+#: just below min nu
+MEASURED_SPLINE = ["0.1,3103.52", "0.5,3103.52", "1,3104.04", "1.5,3116.89",
+                   "2,3237", "2.5,3898.46", "3,6510.34"]
+
+
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = cli.load_config(None)
@@ -42,7 +50,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("volume_fraction = 0.5\n")
-        with pytest.raises(ConfigurationError, match="unknown key"):
+        with pytest.raises(ValueError, match="unknown key"):
             cli.load_config(p)
 
     def test_repeated_key_rejected(self, tmp_path, caplog):
@@ -78,6 +86,18 @@ class TestConfig:
                 k, v = (s.strip() for s in line.split("=", 1))
                 documented[k] = v
         assert documented == cli.DEFAULTS
+
+    def test_defaults_match_the_library(self):
+        curve, disc, opts = material.MarroccoCurve(), DiscSpec(), OptimizerOptions()
+        library = {
+            "alpha": curve.alpha, "c": curve.c, "tau": curve.tau,
+            "nu_linear": material.LinearCurve().nu_linear,
+            "disc_radius": disc.radius, "h0": disc.h0, "growth": disc.growth,
+            "n_theta": disc.n_theta,
+            "kappa_start": opts.kappa_start, "theta_tol_deg": opts.theta_tol_deg,
+            "max_iter": opts.max_iter,
+        }
+        assert {k: type(v)(cli.DEFAULTS[k]) for k, v in library.items()} == library
 
     def test_hash_ignores_workers_only(self):
         base = cli.load_config(None)
@@ -207,6 +227,45 @@ class TestOptimize:
         js = [float(l.split(",")[1]) for l in lines[2:]]
         assert all(b < a for a, b in zip(js, js[1:]))
         assert (out / "design_final.vtk").exists()
+
+    def test_headerless_target_file_rejected(self, tmp_path, caplog):
+        # read past its first line, this file would be a constant -0.5 target
+        target = tmp_path / "target.csv"
+        target.write_text("0.0,0.5\n3.14159,-0.5\n")
+        cfg = write_config(tmp_path, target_csv=str(target))
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{target}: line 1: expected header 'theta,b_d'" in caplog.text
+        assert not (out / "j2_case1.csv").exists()
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("reversed_triangle", "triangle with non-positive signed area"),
+        ("no_design", "mesh has no DESIGN region")],
+        ids=["reversed_triangle", "no_design"])
+    def test_bad_mesh_refused(self, tmp_path, caplog, monkeypatch, tamper,
+                              message):
+        build = problem_setup.build_benchmark_problem
+
+        def tampered(kind, resolution, b_target=None):
+            prob = build(kind, resolution, b_target=b_target)
+            mesh = prob.mesh
+            tris, region = mesh.tris.copy(), mesh.region.copy()
+            if tamper == "reversed_triangle":
+                tris[0] = tris[0, ::-1]
+            else:
+                region[region == Region.DESIGN] = Region.AIR_FIXED
+            return dataclasses.replace(prob, mesh=TriMesh(
+                mesh.nodes, tris, region, mesh.bedges, mesh.btags))
+
+        monkeypatch.setattr(problem_setup, "build_benchmark_problem", tampered)
+        # t_max = 0 builds the tables without a cell problem
+        cfg = write_config(tmp_path, t_max="0")
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert message in caplog.text
+        assert not (out / "iterations.csv").exists()
 
     def test_short_target_file_rejected(self, tmp_path, caplog):
         target = tmp_path / "target.csv"
@@ -470,9 +529,11 @@ class TestOtherCommands:
                               mesh.bedges, mesh.btags)):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("curve", ["linear", "marrocco"])
+    @pytest.mark.parametrize("curve", ["linear", "marrocco", "spline"])
     def test_selftest_passes(self, tmp_path, curve):
-        cfg = write_config(tmp_path, curve=curve)
+        spline = tmp_path / "measured.csv"
+        spline.write_text("s,nu\n" + "\n".join(MEASURED_SPLINE) + "\n")
+        cfg = write_config(tmp_path, curve=curve, spline_csv=str(spline))
         rc = cli.main(["selftest", "--config", str(cfg),
                        "--out", str(tmp_path / "out")])
         assert rc == 0
@@ -488,6 +549,22 @@ class TestOtherCommands:
         assert rc == cli.EXIT_SOLVER
         assert ("FAIL  case matrices at zero field equal their disk forms"
                 in capsys.readouterr().out)
+
+    def test_selftest_lipschitz_samples_reach_the_saturation_band(
+            self, tmp_path, capsys, monkeypatch):
+        # the default law's (nu s)' peaks at 2.53 nu_air near 6 T and stays
+        # below 0.4 of that peak under 4.65 T, so an L under-reported by 10%
+        # is caught only by samples in the band
+        exact = material.jacobian_eigenvalues
+        monkeypatch.setattr(material, "jacobian_eigenvalues",
+                            lambda curve, s: tuple(0.9 * lam for lam in exact(curve, s)))
+        cfg = write_config(tmp_path, curve="marrocco")
+        rc = cli.main(["selftest", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_SOLVER
+        out = capsys.readouterr().out
+        assert "FAIL  Lipschitz <= L |V|" in out
+        assert "PASS  monotonicity >= m |V|^2" in out
 
     def test_bad_config_path(self, tmp_path):
         rc = cli.main(["solve", "--config", str(tmp_path / "nope.cfg"),

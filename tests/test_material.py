@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from magtopt import material
-from magtopt.material import (NU0, LinearCurve, MarroccoCurve, MaterialError,
+from magtopt.material import (NU0, LinearCurve, MarroccoCurve,
                               SplineCurve, flux_jacobian, flux_map,
                               nonlinearity, validate_assumptions)
 
@@ -251,28 +251,30 @@ class TestSplineCurve:
 
     def test_bad_row_reports_line_number(self, tmp_path):
         p = self.make_csv(tmp_path, ["0,1000", "1,oops", "2,3000", "3,4000"])
-        with pytest.raises(MaterialError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3"):
             SplineCurve.from_csv(p)
 
     def test_bad_row_line_counts_comments_and_blanks(self, tmp_path):
         p = tmp_path / "curve.csv"
         p.write_text("# measured\ns,nu\n\n0,1000\n1,2000\n2,oops\n3,4000\n")
-        with pytest.raises(MaterialError, match=r"line 6: bad row \['2', 'oops'\]$"):
+        with pytest.raises(ValueError, match=r"line 6: bad row \['2', 'oops'\]$"):
             SplineCurve.from_csv(p)
 
     def test_missing_header_rejected(self, tmp_path):
         p = self.make_csv(tmp_path, ["1,2000", "2,3000", "3,4000"], header="0,1000")
-        with pytest.raises(MaterialError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             SplineCurve.from_csv(p)
 
     def test_too_few_rows_rejected(self, tmp_path):
         p = self.make_csv(tmp_path, ["0,1000", "1,2000", "2,3000"])
-        with pytest.raises(MaterialError):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(p))}: need at least 4 spline samples$"):
             SplineCurve.from_csv(p)
 
     def test_non_increasing_rejected(self, tmp_path):
         p = self.make_csv(tmp_path, ["0,1000", "1,2000", "1,2500", "3,4000"])
-        with pytest.raises(MaterialError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "
+                           "spline s-column must be strictly increasing$"):
             SplineCurve.from_csv(p)
 
     @pytest.mark.parametrize("rows", [["0,1000", "1,nan", "2,3000", "3,4000"],
@@ -280,7 +282,7 @@ class TestSplineCurve:
                              ids=["nan_nu", "inf_s"])
     def test_non_finite_sample_rejected(self, tmp_path, rows):
         p = self.make_csv(tmp_path, rows)
-        with pytest.raises(MaterialError,
+        with pytest.raises(ValueError,
                            match=f"{re.escape(str(p))}: spline samples must be finite"):
             SplineCurve.from_csv(p)
 
@@ -303,11 +305,11 @@ class TestSplineCurve:
 
 class TestCurveValidation:
     def test_bad_marrocco_params(self):
-        with pytest.raises(MaterialError):
+        with pytest.raises(ValueError, match=r"^c = 1\.5 must be in \(0, 1\)$"):
             MarroccoCurve(c=1.5)
 
     def test_bad_linear(self):
-        with pytest.raises(MaterialError):
+        with pytest.raises(ValueError, match="^nu_linear = -1 must be positive$"):
             LinearCurve(nu_linear=-1.0)
 
     @pytest.mark.parametrize("cls, name, value", [
@@ -318,7 +320,7 @@ class TestCurveValidation:
         ids=["alpha-inf", "alpha-nan", "c-nan", "tau-inf", "tau-nan",
              "nu_linear-nan", "nu_linear-inf"])
     def test_non_finite_parameter_named(self, cls, name, value):
-        with pytest.raises(MaterialError, match=f"^{name} = {value!r} must be finite$"):
+        with pytest.raises(ValueError, match=f"^{name} = {value!r} must be finite$"):
             cls(**{name: value})
 
     def test_cache_keys_distinct(self, marrocco, linear_stub):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magtopt.cell_problems import DiscSpec
-from magtopt.mesh import (Boundary, MeshError, Region, TriMesh,
+from magtopt.mesh import (Boundary, Region, TriMesh,
                           generate_disc_mesh, generate_mini_motor,
                           generate_square_benchmark, save_mesh,
                           unit_square_mesh, MINI_MOTOR_RADII,
@@ -180,7 +180,8 @@ class TestDegenerateGeometry:
         tris = np.array([[0, 1, 2]])
         m = TriMesh(nodes, tris, np.zeros(1, np.int8),
                     np.empty((0, 2), np.int64), np.empty(0, np.int8))
-        with pytest.raises(MeshError):
+        with pytest.raises(ValueError,
+                           match="^triangle with non-positive signed area$"):
             m.areas
 
 

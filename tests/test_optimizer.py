@@ -108,7 +108,7 @@ class TestLevelSetField:
 
     def test_zero_cannot_normalize(self, space):
         f = op.LevelSetField(space, np.zeros(space.nodes.size))
-        with pytest.raises(op.DesignSpaceError):
+        with pytest.raises(ValueError, match="^cannot normalize the zero level set$"):
             f.normalized()
 
     def test_expand_layout(self, square16, space):

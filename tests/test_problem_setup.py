@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from magtopt.fem import assemble_rhs, solve_state
 from magtopt.mesh import (Boundary, Region, TriMesh, generate_square_benchmark,
                           MINI_MOTOR_RADII, MINI_MOTOR_PROBE_RADIUS)
-from magtopt.problem_setup import (ConfigurationError, _edge_elements, assemble_adjoint_rhs,
+from magtopt.problem_setup import (_edge_elements, assemble_adjoint_rhs,
                                    build_benchmark_problem, default_levelset,
                                    eval_objective, load_target_csv, make_objective)
 from oracles import loop_edge_elements
@@ -120,7 +122,7 @@ class TestBenchmarks:
         assert np.isfinite(j) and j > 0.0
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError, match="^unknown benchmark kind 'hexagon'$"):
             build_benchmark_problem("hexagon", 16)
 
     def test_design_adjacent_gap_rejected(self):
@@ -134,11 +136,12 @@ class TestBenchmarks:
         region = mesh.region.copy()
         region[bad] = Region.DESIGN
         tampered = TriMesh(mesh.nodes, mesh.tris, region, mesh.bedges, mesh.btags)
-        with pytest.raises(ConfigurationError, match="DESIGN"):
+        with pytest.raises(ValueError, match="DESIGN"):
             make_objective(tampered, lambda mid: np.zeros(len(mid)))
 
     def test_target_sample_count_checked(self, square):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError,
+                           match="^target sample count must equal edge count$"):
             make_objective(square.mesh, lambda mid: np.zeros(3))
 
     def test_target_csv_override(self, tmp_path):
@@ -156,6 +159,21 @@ class TestBenchmarks:
                                              0.3 * np.sin(2 * th),
                                              period=2 * np.pi), atol=1e-12)
 
+    @pytest.mark.parametrize("header", ["", "0.0,0.5", "theta,b", "theta,b_d,x"],
+                             ids=["empty", "data_row", "wrong_name", "three_columns"])
+    def test_target_csv_header_required(self, tmp_path, header):
+        p = tmp_path / "target.csv"
+        p.write_text(header + "\n3.14159,-0.5\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(p))}: line 1: expected header 'theta,b_d'$"):
+            load_target_csv(p)
+
+    def test_target_csv_header_ignores_case_and_spaces(self, tmp_path):
+        p = tmp_path / "target.csv"
+        p.write_text(" Theta , B_D \r\n0.5,0.25\n")
+        prob = build_benchmark_problem("square", 16, b_target=load_target_csv(p))
+        assert np.all(prob.objective.b_target == 0.25)
+
     def test_target_csv_single_row_is_constant(self, tmp_path):
         p = tmp_path / "target.csv"
         p.write_text("theta,b_d\n0.5,0.25\n")
@@ -169,9 +187,8 @@ class TestBenchmarks:
     def test_short_target_csv_names_file(self, tmp_path, body):
         p = tmp_path / "target.csv"
         p.write_text("theta,b_d\n" + body)
-        with pytest.raises(ConfigurationError) as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
             load_target_csv(p)
-        assert str(exc.value).startswith(f"{p}: ")
 
 
 class TestEdgeElements:
@@ -208,7 +225,7 @@ class TestEdgeElements:
         region = mesh.region.copy()
         region[right] = Region.DESIGN
         tampered = TriMesh(mesh.nodes, mesh.tris, region, mesh.bedges, mesh.btags)
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(ValueError,
                            match=rf"^gap edge \({i},{j}\) adjacent to a DESIGN element$"):
             _edge_elements(tampered, edges)
 
@@ -238,7 +255,7 @@ class TestEdgeElements:
             region[incident[2][1]] = Region.DESIGN
         tampered = TriMesh(mesh.nodes, mesh.tris, region, mesh.bedges, mesh.btags)
         i, j = edges[k]
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(ValueError,
                            match=rf"^gap edge \({i},{j}\) {reason}$"):
             _edge_elements(tampered, edges)
 
