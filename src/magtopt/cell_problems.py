@@ -82,12 +82,13 @@ def _sides(mesh: TriMesh, case: PerturbationCase):
 
 
 def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
-                           held: fem.HeldLU = None) -> np.ndarray:
+                           held: fem.HeldLU = None,
+                           x0: np.ndarray = None) -> np.ndarray:
     """The nonlinear transmission problem for the variation H of the direct
     state: fem.solve_quasilinear with offset w = grad_u on the nonlinear side,
-    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2; nodal values (n,). `held`, if
-    given, holds the factorization of the h = 0 Jacobian (as
-    solve_adjoint_variation leaves it), which solves the first Newton step."""
+    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2, from x0 (zero by default; a
+    table chain passes the previous sample's H), through `held` (a fresh
+    fem.HeldLU by default); nodal values (n,)."""
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
     nu_u0 = float(curve.nu(np.hypot(grad_u[0], grad_u[1])))
@@ -95,7 +96,7 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
     f_el[inclusion] = sign * (curve.nu_air - nu_u0) * grad_u
     rhs = fem.assemble_flux_divergence(disc, f_el)
     return fem.solve_quasilinear(disc, curve, nonlin, rhs, 1e-14, w=grad_u,
-                                 held=held, held_at_x0=held is not None)[0]
+                                 x0=x0, held=held)[0]
 
 
 def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
@@ -122,13 +123,18 @@ def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
     (exterior for air-in-ferro, inclusion for ferro-in-air), by centroid
     quadrature. Solves both cell problems (nodal values) through one
     fem.HeldLU, the adjoint variation first: the LU of the h = 0 Jacobian it
-    leaves there solves the direct variation's first Newton step.
+    leaves there preconditions the direct variation's first Newton step.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
     held = fem.HeldLU()
     adjoint = solve_adjoint_variation(curve, grad_u, grad_p, case, disc, held)
     direct = solve_direct_variation(curve, grad_u, case, disc, held)
+    return _integral(curve, grad_u, grad_p, case, disc, direct, adjoint)
+
+
+def _integral(curve, grad_u, grad_p, case, disc, direct, adjoint) -> float:
+    """compute_correction's quadrature, given both variations."""
     _, nonlin, _ = _sides(disc, case)
     gh = disc.element_gradients(direct)[nonlin]
     gk = disc.element_gradients(adjoint)[nonlin]
@@ -221,26 +227,58 @@ def _quarter(disc: TriMesh) -> TriMesh:
     return disc._cache["quarter"]
 
 
-def _table_sample(curve, case, spec: DiscSpec, t: float):
-    """j2_e1 at t: 4 times the quarter disc's e1 correction (module docstring)."""
-    if t == 0.0:
-        return 0.0
-    quarter = _quarter(disc_mesh(spec))
-    grad_u, e1 = np.array([t, 0.0]), np.array([1.0, 0.0])
-    return 4.0 * compute_correction(curve, grad_u, e1, case, quarter)
+#: samples per chain: build_correction_table continues the cell solves along
+#: t within a chain and restarts them at every CHAIN-th grid index
+CHAIN = 5
+
+
+def _table_chain(curve, case, spec: DiscSpec, ts, start: int = 0) -> list:
+    """j2_e1 at ts[start:start + CHAIN], each 4 times the quarter disc's e1
+    correction (module docstring), 0 at t = 0. The samples are continued
+    along t: one fem.HeldLU serves every solve of the chain, and each
+    sample solves its adjoint variation first, then its direct variation
+    from the previous sample's. SolverError names the failed sample by its
+    index in ts."""
+    e1, held, direct, vals = np.array([1.0, 0.0]), fem.HeldLU(), None, []
+    for i in range(start, min(start + CHAIN, len(ts))):
+        t = ts[i]
+        if t == 0.0:
+            vals.append(0.0)
+            continue
+        quarter = _quarter(disc_mesh(spec))
+        grad_u = np.array([t, 0.0])
+        try:
+            adjoint = solve_adjoint_variation(curve, grad_u, e1, case, quarter, held)
+            direct = solve_direct_variation(curve, grad_u, case, quarter, held,
+                                            x0=direct)
+        except fem.SolverError as exc:
+            raise fem.SolverError(f"table sample {i} (t = {t:g}) failed: {exc}",
+                                  residual_norm=exc.residual_norm) from exc
+        vals.append(4.0 * _integral(curve, grad_u, e1, case, quarter, direct, adjoint))
+    return vals
+
+
+def _table_sample(curve, case, spec: DiscSpec, t: float) -> float:
+    """j2_e1 at t: a chain of one sample."""
+    return _table_chain(curve, case, spec, [t])[0]
 
 
 def build_correction_table(curve, case: PerturbationCase, t_grid,
                            disc_spec: DiscSpec, workers: int = 1) -> CorrectionTable:
     """Solve the cell problems for each grid value of t = |grad_u| and tabulate
     the correction. The t = 0 row is exact zeros by theory.
-    Each sample is solved on the quarter disc (_table_sample), which needs
-    disc_spec.n_theta to be a multiple of 4. A grid that breaks that rule or
-    CorrectionTable's, or workers below 1, raises ValueError before any solve.
+    Each sample is solved on the quarter disc, which needs disc_spec.n_theta
+    to be a multiple of 4. A grid that breaks that rule or CorrectionTable's,
+    or workers below 1, raises ValueError before any solve.
 
-    Failures abort with the offending sample index. With workers > 1 the
-    samples run in separate processes, at most one per sample; results are
-    gathered in grid order, so the output is schedule-independent.
+    The grid is solved in chains of CHAIN consecutive samples, starting at
+    grid indices 0, CHAIN, 2 CHAIN, ... (_table_chain): natural-parameter
+    continuation, in which each sample's Newton solve starts at the previous
+    sample's direct variation and one held LU preconditions the chain. The
+    chains do not depend on `workers`. Failures abort with the offending
+    sample's grid index. With workers > 1 the chains run in separate
+    processes, at most one per chain; results are gathered in grid order,
+    so the output is bit-identical for any `workers`.
     """
     if workers < 1:
         raise ValueError(f"workers = {workers} must be at least 1")
@@ -251,20 +289,14 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
     if disc_spec.n_theta % 4 != 0:
         raise ValueError(f"n_theta = {disc_spec.n_theta} is not a multiple of 4: "
                          "the disc axes must be mesh lines for the quarter-disc solve")
-    sample = functools.partial(_table_sample, curve, case, disc_spec)
     ts = t_grid.tolist()
-    vals = np.zeros(len(ts))
-    workers = min(workers, len(ts))
+    chain = functools.partial(_table_chain, curve, case, disc_spec, ts)
+    starts = range(0, len(ts), CHAIN)
+    workers = min(workers, len(starts))
     with (cf.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        samples = map(sample, ts) if pool is None else pool.map(sample, ts)
-        for i, t in enumerate(ts):
-            try:
-                vals[i] = next(samples)
-            except fem.SolverError as exc:
-                raise fem.SolverError(
-                    f"table sample {i} (t = {t:g}) failed: {exc}",
-                    residual_norm=exc.residual_norm) from exc
+        chains = map(chain, starts) if pool is None else pool.map(chain, starts)
+        vals = [v for c in chains for v in c]
     return replace(table, j2_e1=vals)
 
 

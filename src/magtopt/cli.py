@@ -307,8 +307,14 @@ def cmd_selftest(cfg, args) -> int:
     a = rng.uniform(0.0, 2.0 * np.pi, 256)
     W = np.geomspace(1e-2, 20.0, 256)[:, None] * np.column_stack([np.cos(a), np.sin(a)])
     V = rng.normal(size=(256, 2)) * 0.3
-    D = material.flux_jacobian(curve, W)
-    check("flux-jacobian symmetry", np.allclose(D, np.swapaxes(D, -1, -2)))
+    # the Jacobian along V against a central difference of the flux map
+    # with a step of 1e-5 |W| along V
+    step = (1e-5 * np.linalg.norm(W, axis=1) / np.linalg.norm(V, axis=1))[:, None] * V
+    fd = (material.flux_map(curve, W + step) - material.flux_map(curve, W - step)) / 2.0
+    dv = np.einsum("eij,ej->ei", material.flux_jacobian(curve, W), step)
+    check("flux Jacobian matches a central difference of the flux map",
+          bool(np.all(np.linalg.norm(fd - dv, axis=1)
+                      <= 1e-6 * np.linalg.norm(dv, axis=1))))
     tw = material.flux_map(curve, W + V) - material.flux_map(curve, W)
     vv = (V * V).sum(1)
     slack = 1e-6   # relative, for round-off and the grid's sampling of m and L

@@ -274,9 +274,9 @@ def _lagged_cg(A: sp.csc_matrix, lu, b: np.ndarray, rtol: float = LAGGED_CG_TOL)
 
 class HeldLU:
     """At most one factorization of a free block, held across solves whose
-    matrices are near each other: the Newton steps of one solve, the two
-    cell problems of one table sample, or the state and adjoint solves of
-    one descent. Only its `solve` makes or drops an LU."""
+    matrices are near each other: the Newton steps of one solve, the cell
+    problems of one chain of table samples, or the state and adjoint solves
+    of one descent. Only its `solve` makes or drops an LU."""
 
     def __init__(self):
         self.lu = None
@@ -307,8 +307,7 @@ def solve_free(A: sp.csc_matrix, b: np.ndarray, mesh: TriMesh,
 
 def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
                       tol_abs: float, w: np.ndarray = None,
-                      x0: np.ndarray = None, held: HeldLU = None,
-                      held_at_x0: bool = False):
+                      x0: np.ndarray = None, held: HeldLU = None):
     """Damped Newton for x (zero on the Dirichlet boundary) with
 
         r_i(x) = sum_e A_e (T_e(w + grad x) - T_e(w)) . grad(phi_i) - F_i = 0
@@ -319,14 +318,10 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     + TOL_REL ||F[free]||_2 within MAX_NEWTON steps; each step is halved (up
     to MAX_HALVINGS times) until the residual norm strictly decreases. x0
     (zero by default) is the start on the free DOFs. Each step solves with
-    its Jacobian through `held` (HeldLU.solve, to NEWTON_FORCING relative);
-    held_at_x0 says that `held` already holds the factorization of the
-    Jacobian at x0, which then solves the first step exactly without
-    assembling that Jacobian. The cell problems pass it, and it earns its
-    place there: routed through HeldLU.solve instead, that step gives the
-    same tables but costs one more Jacobian assembly and flux evaluation
-    per cell sample (40 each for the default tables), and the table build
-    ran slower. Returns (x, iterations, residual_norm).
+    its Jacobian through `held` (HeldLU.solve, to NEWTON_FORCING relative),
+    so an LU that `held` brings from a nearby matrix, such as the previous
+    table sample's, preconditions even the first step. Returns (x,
+    iterations, residual_norm).
     """
     free, _ = _free_block(mesh)
     tol = tol_abs + TOL_REL * np.linalg.norm(rhs[free])
@@ -348,14 +343,9 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
             return x, it, rnorm
         if it == MAX_NEWTON:
             break
-        b = -r[free]
-        if it == 0 and held_at_x0:
-            d = held.lu.solve(b)
-        else:
-            d = held.solve(assemble_jacobian(mesh, curve, mask, g), b,
-                           NEWTON_FORCING)
         dx = np.zeros(mesh.n_nodes)
-        dx[free] = d
+        dx[free] = held.solve(assemble_jacobian(mesh, curve, mask, g), -r[free],
+                              NEWTON_FORCING)
         step = 1.0
         for _ in range(MAX_HALVINGS):
             g_try, r_try, rn_try = residual(x + step * dx)

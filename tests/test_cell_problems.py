@@ -478,19 +478,58 @@ class TestQuarterDisc:
             cell_problems._quarter(disc)
 
 
+class TestChains:
+    """build_correction_table continues the cell solves along t in chains of
+    CHAIN samples that restart at fixed grid indices."""
+
+    SPEC = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+    #: three chains at CHAIN = 5, the last one short
+    GRID = np.linspace(0.0, 3.0, 13)
+
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_chained_table_matches_full_disc(self, marrocco, case):
+        # each sample against an independent cold solve of both cell
+        # problems on the full disc; a continued Newton solve stops nearer
+        # its tolerance than a cold one, up to 3e-9 relative on this grid
+        n, chain = len(self.GRID), cell_problems.CHAIN
+        assert n > 2 * chain and n % chain != 0
+        disc = disc_mesh(self.SPEC)
+        table = build_correction_table(marrocco, case, self.GRID, self.SPEC)
+        for t, j2 in zip(self.GRID[1:], table.j2_e1[1:]):
+            full = compute_correction(marrocco, np.array([t, 0.0]),
+                                      np.array([1.0, 0.0]), case, disc)
+            assert abs(j2 - full) <= 1e-8 * abs(full)
+
+    def test_failure_names_its_grid_index(self, marrocco, monkeypatch):
+        # a sample in the third chain fails: its index is the grid's
+        solve = cell_problems.solve_direct_variation
+
+        def failing(curve, grad_u, *args, **kwargs):
+            if grad_u[0] == self.GRID[11]:
+                raise SolverError("forced", residual_norm=7.0)
+            return solve(curve, grad_u, *args, **kwargs)
+
+        monkeypatch.setattr(cell_problems, "solve_direct_variation", failing)
+        message = r"^table sample 11 \(t = 2\.75\) failed: forced$"
+        with pytest.raises(SolverError, match=message) as err:
+            build_correction_table(marrocco, CASE_I, self.GRID, self.SPEC)
+        assert err.value.residual_norm == 7.0
+
+
 class TestWorkers:
     def test_parallel_build_matches_serial(self, marrocco):
-        grid = np.array([0.0, 1.0, 2.0])
-        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+        grid, spec = TestChains.GRID, TestChains.SPEC
         serial = build_correction_table(marrocco, CASE_I, grid, spec)
-        parallel = build_correction_table(marrocco, CASE_I, grid, spec, workers=2)
-        np.testing.assert_array_equal(serial.j2_e1, parallel.j2_e1)
+        for workers in (2, 3):
+            parallel = build_correction_table(marrocco, CASE_I, grid, spec,
+                                              workers=workers)
+            np.testing.assert_array_equal(serial.j2_e1, parallel.j2_e1)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_refused_before_any_solve(self, marrocco, monkeypatch,
                                                      workers):
         calls = []
-        monkeypatch.setattr(cell_problems, "_table_sample",
+        monkeypatch.setattr(cell_problems, "_table_chain",
                             lambda *a: calls.append(a))
         spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
         with pytest.raises(ValueError, match="workers"):
@@ -498,7 +537,8 @@ class TestWorkers:
                                    workers=workers)
         assert calls == []
 
-    def test_pool_never_larger_than_the_grid(self, marrocco, monkeypatch):
+    def test_pool_never_larger_than_the_number_of_chains(self, marrocco,
+                                                         monkeypatch):
         sizes = []
 
         class SerialPool:
@@ -516,12 +556,12 @@ class TestWorkers:
                 return map(fn, items)
 
         monkeypatch.setattr(cell_problems.cf, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cell_problems, "_table_sample",
-                            lambda curve, case, spec, t: t)
-        grid = np.array([0.0, 1.0, 2.0])
-        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+        monkeypatch.setattr(cell_problems, "_table_chain",
+                            lambda curve, case, spec, ts, start:
+                            ts[start:start + cell_problems.CHAIN])
+        grid, spec = TestChains.GRID, TestChains.SPEC
         table = build_correction_table(marrocco, CASE_I, grid, spec, workers=500)
-        assert sizes == [3]
+        assert sizes == [-(-len(grid) // cell_problems.CHAIN)]
         np.testing.assert_array_equal(table.j2_e1, grid)
 
 

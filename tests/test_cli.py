@@ -550,6 +550,18 @@ class TestOtherCommands:
         assert ("FAIL  case matrices at zero field equal their disk forms"
                 in capsys.readouterr().out)
 
+    def test_selftest_catches_a_wrong_flux_jacobian(self, tmp_path, capsys,
+                                                    monkeypatch):
+        exact = material.MarroccoCurve.nu_prime
+        monkeypatch.setattr(material.MarroccoCurve, "nu_prime",
+                            lambda curve, s: 1.01 * exact(curve, s))
+        cfg = write_config(tmp_path, curve="marrocco")
+        rc = cli.main(["selftest", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_SOLVER
+        assert ("FAIL  flux Jacobian matches a central difference of the flux map"
+                in capsys.readouterr().out)
+
     def test_selftest_lipschitz_samples_reach_the_saturation_band(
             self, tmp_path, capsys, monkeypatch):
         # the default law's (nu s)' peaks at 2.53 nu_air near 6 T and stays

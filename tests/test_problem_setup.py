@@ -168,6 +168,19 @@ class TestBenchmarks:
                            match=f"^{re.escape(str(p))}: line 1: expected header 'theta,b_d'$"):
             load_target_csv(p)
 
+    def test_target_csv_skips_comment_lines_before_the_header(self, tmp_path):
+        p = tmp_path / "target.csv"
+        p.write_text("# measured\ntheta,b_d\n0.5,0.25")
+        prob = build_benchmark_problem("square", 16, b_target=load_target_csv(p))
+        assert np.all(prob.objective.b_target == 0.25)
+
+    def test_target_csv_line_numbers_count_comment_lines(self, tmp_path):
+        p = tmp_path / "target.csv"
+        p.write_text("# measured\n# at 1 A\nb_d,theta\n0.5,0.25\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(p))}: line 3: expected header 'theta,b_d'$"):
+            load_target_csv(p)
+
     def test_target_csv_header_ignores_case_and_spaces(self, tmp_path):
         p = tmp_path / "target.csv"
         p.write_text(" Theta , B_D \r\n0.5,0.25\n")
