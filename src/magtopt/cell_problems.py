@@ -113,7 +113,7 @@ def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
     f_el = np.zeros((disc.n_tris, 2))
     f_el[inclusion] = sign * grad_p @ contrast.T
     rhs = fem.assemble_flux_divergence(disc, f_el)
-    return fem.solve_free(jac, rhs, disc, held)
+    return fem.solve_free(jac, rhs, disc, nonlin, held)
 
 
 def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
@@ -228,19 +228,24 @@ def _quarter(disc: TriMesh) -> TriMesh:
 
 
 #: samples per chain: build_correction_table continues the cell solves along
-#: t within a chain and restarts them at every CHAIN-th grid index
+#: t within a chain and restarts them at every CHAIN-th grid index, except
+#: that a last chain of one sample joins the chain before it
 CHAIN = 5
 
 
 def _table_chain(curve, case, spec: DiscSpec, ts, start: int = 0) -> list:
-    """j2_e1 at ts[start:start + CHAIN], each 4 times the quarter disc's e1
-    correction (module docstring), 0 at t = 0. The samples are continued
-    along t: one fem.HeldLU serves every solve of the chain, and each
-    sample solves its adjoint variation first, then its direct variation
-    from the previous sample's. SolverError names the failed sample by its
-    index in ts."""
+    """j2_e1 at ts[start:start + CHAIN], and at the last grid value too when
+    that alone would be left for a chain of its own; each value is 4 times
+    the quarter disc's e1 correction (module docstring), 0 at t = 0. The
+    samples are continued along t: one fem.HeldLU serves every solve of the
+    chain, and each sample solves its adjoint variation first, then its
+    direct variation from the previous sample's. SolverError names the
+    failed sample by its index in ts."""
+    stop = start + CHAIN
+    if stop == len(ts) - 1:
+        stop += 1
     e1, held, direct, vals = np.array([1.0, 0.0]), fem.HeldLU(), None, []
-    for i in range(start, min(start + CHAIN, len(ts))):
+    for i in range(start, min(stop, len(ts))):
         t = ts[i]
         if t == 0.0:
             vals.append(0.0)
@@ -272,13 +277,14 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
     or workers below 1, raises ValueError before any solve.
 
     The grid is solved in chains of CHAIN consecutive samples, starting at
-    grid indices 0, CHAIN, 2 CHAIN, ... (_table_chain): natural-parameter
-    continuation, in which each sample's Newton solve starts at the previous
-    sample's direct variation and one held LU preconditions the chain. The
-    chains do not depend on `workers`. Failures abort with the offending
-    sample's grid index. With workers > 1 the chains run in separate
-    processes, at most one per chain; results are gathered in grid order,
-    so the output is bit-identical for any `workers`.
+    grid indices 0, CHAIN, 2 CHAIN, ... (_table_chain), where a last chain of
+    one sample joins the one before it: natural-parameter continuation, in
+    which each sample's Newton solve starts at the previous sample's direct
+    variation and one held LU preconditions the chain. The chains do not
+    depend on `workers`. Failures abort with the offending sample's grid
+    index. With workers > 1 the chains run in separate processes, at most
+    one per chain; results are gathered in grid order, so the output is
+    bit-identical for any `workers`.
     """
     if workers < 1:
         raise ValueError(f"workers = {workers} must be at least 1")
@@ -291,7 +297,8 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
                          "the disc axes must be mesh lines for the quarter-disc solve")
     ts = t_grid.tolist()
     chain = functools.partial(_table_chain, curve, case, disc_spec, ts)
-    starts = range(0, len(ts), CHAIN)
+    # no chain starts at the last index, which the chain before it takes
+    starts = range(0, max(len(ts) - 1, 1), CHAIN)
     workers = min(workers, len(starts))
     with (cf.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:

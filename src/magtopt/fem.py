@@ -29,13 +29,23 @@ TOL_REL = 1e-10
 MAX_NEWTON = 50
 #: a linear solve with a HeldLU runs CG preconditioned with the held
 #: factorization for at most LAGGED_CG_MAX iterations; failing that, its
-#: matrix is factorized and held instead. A Newton step solves J dx = -r only
-#: to ||-r - J dx||_2 <= NEWTON_FORCING ||r||_2 (inexact Newton: the exit
-#: test stays on the true residual); a linear solve, which has no outer
-#: correction, to LAGGED_CG_TOL relative
+#: matrix is factorized and held instead. It skips CG and factorizes at once
+#: when more than LAGGED_CG_MAX elements differ between its material mask and
+#: the held LU's: each flipped element adds a rank-<=2 term of large contrast
+#: to the preconditioned operator, and CG spends about one iteration on each
+#: such outlier, so it could not finish within its cap. A Newton step solves
+#: J dx = -r only to ||-r - J dx||_2 <= NEWTON_FORCING ||r||_2 (inexact
+#: Newton: the exit test stays on the true residual); a linear solve, which
+#: has no outer correction, to LAGGED_CG_TOL relative
 LAGGED_CG_MAX = 12
 LAGGED_CG_TOL = 1e-12
 NEWTON_FORCING = 1e-4
+#: the descent's adjoint is solved to ADJOINT_TOL relative: it feeds only
+#: the direction of the descent field, and the descent stops at an angle
+#: theta_tol_deg (1 degree by default). At the square/64 initial design a
+#: solve to 1e-6 turns the normalized field by 2.4e-4 degrees from a solve
+#: to 1e-12, and by 9.7e-3 degrees at 1e-4
+ADJOINT_TOL = 1e-6
 #: line-search halvings of one Newton step before it counts as stalled
 MAX_HALVINGS = 20
 
@@ -276,32 +286,43 @@ class HeldLU:
     """At most one factorization of a free block, held across solves whose
     matrices are near each other: the Newton steps of one solve, the cell
     problems of one chain of table samples, or the state and adjoint solves
-    of one descent. Only its `solve` makes or drops an LU."""
+    of one descent. It keeps the material mask of the matrix it factorized.
+    Only its `solve` makes or drops an LU."""
 
     def __init__(self):
         self.lu = None
+        self.mask = None
 
-    def solve(self, A: sp.csc_matrix, b: np.ndarray, rtol: float) -> np.ndarray:
-        """x with ||b - A x||_2 <= rtol ||b||_2: by _lagged_cg preconditioned
-        with the held LU, or else by a factorization of A, which is held in
-        its place. The old LU is dropped before the new one is made."""
-        x = None if self.lu is None else _lagged_cg(A, self.lu, b, rtol)
+    def solve(self, A: sp.csc_matrix, b: np.ndarray, rtol: float,
+              mask: np.ndarray) -> np.ndarray:
+        """x with ||b - A x||_2 <= rtol ||b||_2, A assembled with the
+        per-element material mask `mask`: by _lagged_cg preconditioned with
+        the held LU, or else by a factorization of A, which is held in its
+        place with `mask`. CG is not tried when more than LAGGED_CG_MAX
+        elements differ between `mask` and the held LU's. The old LU is
+        dropped before the new one is made."""
+        x = None
+        if self.lu is not None and \
+                np.count_nonzero(mask != self.mask) <= LAGGED_CG_MAX:
+            x = _lagged_cg(A, self.lu, b, rtol)
         if x is None:
             self.lu = None
-            self.lu = factorize(A)
+            self.lu, self.mask = factorize(A), np.array(mask, dtype=bool)
             x = self.lu.solve(b)
         return x
 
 
 def solve_free(A: sp.csc_matrix, b: np.ndarray, mesh: TriMesh,
-               held: HeldLU = None) -> np.ndarray:
-    """Solve A x = b for a stiffness block A on the free DOFs of `mesh` and
-    nodal b (n,) through `held` (a fresh HeldLU by default) to LAGGED_CG_TOL
-    relative; x (n,) is zero on the Dirichlet boundary."""
+               mask: np.ndarray, held: HeldLU = None,
+               rtol: float = LAGGED_CG_TOL) -> np.ndarray:
+    """Solve A x = b for a stiffness block A on the free DOFs of `mesh`,
+    assembled with the per-element material mask `mask`, and nodal b (n,)
+    through `held` (a fresh HeldLU by default) to `rtol` relative; x (n,)
+    is zero on the Dirichlet boundary."""
     held = HeldLU() if held is None else held
     free, _ = _free_block(mesh)
     x = np.zeros(mesh.n_nodes)
-    x[free] = held.solve(A, np.asarray(b, dtype=float)[free], LAGGED_CG_TOL)
+    x[free] = held.solve(A, np.asarray(b, dtype=float)[free], rtol, mask)
     return x
 
 
@@ -318,9 +339,9 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     + TOL_REL ||F[free]||_2 within MAX_NEWTON steps; each step is halved (up
     to MAX_HALVINGS times) until the residual norm strictly decreases. x0
     (zero by default) is the start on the free DOFs. Each step solves with
-    its Jacobian through `held` (HeldLU.solve, to NEWTON_FORCING relative),
-    so an LU that `held` brings from a nearby matrix, such as the previous
-    table sample's, preconditions even the first step. Returns (x,
+    its Jacobian through `held` (HeldLU.solve, to NEWTON_FORCING relative,
+    with `mask`), so an LU that `held` brings from a nearby matrix, such as
+    the previous table sample's, preconditions even the first step. Returns (x,
     iterations, residual_norm).
     """
     free, _ = _free_block(mesh)
@@ -345,7 +366,7 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
             break
         dx = np.zeros(mesh.n_nodes)
         dx[free] = held.solve(assemble_jacobian(mesh, curve, mask, g), -r[free],
-                              NEWTON_FORCING)
+                              NEWTON_FORCING, mask)
         step = 1.0
         for _ in range(MAX_HALVINGS):
             g_try, r_try, rn_try = residual(x + step * dx)
@@ -402,8 +423,8 @@ def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray,
                   held: HeldLU = None) -> np.ndarray:
     """Linear adjoint solve: the system matrix is the state Jacobian,
     assembled here at the converged state (only accepted designs need it),
-    solved through `held` (a fresh HeldLU by default) to LAGGED_CG_TOL
-    relative.
+    solved through `held` (a fresh HeldLU by default, given the state's
+    ferro mask) to ADJOINT_TOL relative.
 
     `adjoint_rhs` is the literal right-hand-side vector of the linear system
     (for the tracking objective the caller passes the negated objective
@@ -414,4 +435,4 @@ def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray,
     mesh = state.mesh
     jac = assemble_jacobian(mesh, state.curve, state.ferro_mask,
                             mesh.element_gradients(state.field))
-    return solve_free(jac, adjoint_rhs, mesh, held)
+    return solve_free(jac, adjoint_rhs, mesh, state.ferro_mask, held, ADJOINT_TOL)

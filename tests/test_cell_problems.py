@@ -500,6 +500,26 @@ class TestChains:
                                       np.array([1.0, 0.0]), case, disc)
             assert abs(j2 - full) <= 1e-8 * abs(full)
 
+    def test_last_sample_joins_the_chain_before_it(self, marrocco, monkeypatch):
+        # on an n CHAIN + 1 point grid the last sample continues the chain
+        # before it instead of starting cold, whatever the workers
+        grid = np.linspace(0.0, 3.0, 2 * cell_problems.CHAIN + 1)
+        starts = {}
+        solve = cell_problems.solve_direct_variation
+
+        def recorded(curve, grad_u, *args, x0=None, **kwargs):
+            starts[grad_u[0]] = x0
+            return solve(curve, grad_u, *args, x0=x0, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cell_problems, "solve_direct_variation", recorded)
+            serial = build_correction_table(marrocco, CASE_I, grid, self.SPEC)
+        cold = [t for t in grid[1:] if starts[t] is None]
+        assert cold == [grid[1], grid[cell_problems.CHAIN]]
+        parallel = build_correction_table(marrocco, CASE_I, grid, self.SPEC,
+                                          workers=2)
+        np.testing.assert_array_equal(serial.j2_e1, parallel.j2_e1)
+
     def test_failure_names_its_grid_index(self, marrocco, monkeypatch):
         # a sample in the third chain fails: its index is the grid's
         solve = cell_problems.solve_direct_variation

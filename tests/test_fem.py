@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from magtopt import fem, material
+from magtopt import optimizer as op
 from magtopt.cell_problems import DiscSpec
 from magtopt.fem import (SolverError, SourceSpec, assemble_rhs,
                          assemble_rhs_elements, ferro_element_mask,
@@ -300,6 +301,7 @@ class TestHeldLU:
         mesh = state.mesh
         held.lu = fem.factorize(fem.assemble_jacobian(
             mesh, state.curve, state.ferro_mask, mesh.element_gradients(state.field)))
+        held.mask = state.ferro_mask.copy()
         return held
 
     def trial(self, designs, marrocco):
@@ -345,6 +347,9 @@ class TestHeldLU:
         factorize = fem.factorize
         monkeypatch.setattr(fem, "factorize",
                             lambda A: calls.append(A) or factorize(A))
+        # to a linear solve's tolerance: ADJOINT_TOL's effect on the descent
+        # is TestAdjointTolerance's
+        monkeypatch.setattr(fem, "ADJOINT_TOL", fem.LAGGED_CG_TOL)
         p = solve_adjoint(trial, b, held=held)
         # solved by CG on the held LU
         assert calls == []
@@ -365,6 +370,67 @@ class TestHeldLU:
         with pytest.raises(SolverError, match="not symmetric"):
             solve_adjoint(state, np.ones(state.mesh.n_nodes), held=held)
         assert held.lu is lu
+
+    @pytest.mark.parametrize("extra, tries_cg", [(0, True), (1, False)])
+    def test_cg_tried_only_within_lagged_cg_max_flipped_elements(
+            self, designs, marrocco, monkeypatch, extra, tries_cg):
+        # a matrix whose mask differs from the held LU's in more than
+        # LAGGED_CG_MAX elements is factorized without a CG try
+        _, state, order = designs
+        mesh, held = state.mesh, self.held_at(state)
+        mask = self.swapped(state, order[:fem.LAGGED_CG_MAX + extra])
+        A = fem.assemble_jacobian(mesh, marrocco, mask,
+                                  mesh.element_gradients(state.field))
+        b = RNG.normal(size=A.shape[0])
+        tries, lagged_cg = [], fem._lagged_cg
+        monkeypatch.setattr(fem, "_lagged_cg",
+                            lambda *args: tries.append(args) or lagged_cg(*args))
+        x = held.solve(A, b, fem.LAGGED_CG_TOL, mask)
+        assert len(tries) == tries_cg
+        assert np.linalg.norm(b - A @ x) <= 2 * fem.LAGGED_CG_TOL * np.linalg.norm(b)
+        if not tries_cg:
+            # the new LU is held with the mask it was assembled with
+            np.testing.assert_array_equal(held.mask, mask)
+
+
+class TestAdjointTolerance:
+    """The descent's adjoint is solved to ADJOINT_TOL, far looser than a
+    linear solve's LAGGED_CG_TOL, because only the direction of the descent
+    field it feeds matters, and the descent stops at theta_tol_deg."""
+
+    #: largest angle [deg] between the descent fields of an ADJOINT_TOL and a
+    #: LAGGED_CG_TOL adjoint solve, 2000 times below the default
+    #: theta_tol_deg of 1. Measured here: 2.5e-5 at 1e-6, 9.8e-4 at 1e-4,
+    #: and 8.3e-3 from the held LU's solve alone (any tolerance >= 1e-2)
+    MAX_ANGLE_DEG = 5e-4
+
+    def test_descent_field_direction(self, marrocco, tables_coarse,
+                                     monkeypatch):
+        prob = build_benchmark_problem("square", 32)
+        factorize = fem.factorize
+
+        def descent_field(rtol):
+            """The normalized descent field at the initial design, its
+            adjoint solved to rtol by CG on the state solve's held LU, and
+            the factorizations that adjoint solve made."""
+            monkeypatch.setattr(fem, "ADJOINT_TOL", rtol)
+            driver = op.Driver(prob, marrocco, *tables_coarse)
+            psi = op.LevelSetField(
+                driver.space, default_levelset(prob.mesh)[driver.space.nodes])
+            state, _ = driver.solve(psi.normalized())
+            calls = []
+            monkeypatch.setattr(fem, "factorize",
+                                lambda A: calls.append(A) or factorize(A))
+            field, _ = driver.descent_field(state)
+            monkeypatch.setattr(fem, "factorize", factorize)
+            return field.normalized(), len(calls)
+
+        loose, n_loose = descent_field(fem.ADJOINT_TOL)
+        tight, n_tight = descent_field(fem.LAGGED_CG_TOL)
+        assert n_loose == n_tight == 0
+        gap = op.LevelSetField(loose.space, loose.values - tight.values).norm()
+        angle = np.degrees(2.0 * np.arcsin(gap / 2.0))
+        assert 0.0 < angle <= self.MAX_ANGLE_DEG
 
 
 class TestFreeBlock:
@@ -405,9 +471,10 @@ class TestFreeBlock:
     def test_solve_free_matches_spsolve(self, mesh, marrocco):
         gu = RNG.normal(size=(mesh.n_tris, 2))
         free, _ = fem._free_block(mesh)
-        block = fem.assemble_jacobian(mesh, marrocco, mesh.region != Region.AIR_FIXED, gu)
+        mask = mesh.region != Region.AIR_FIXED
+        block = fem.assemble_jacobian(mesh, marrocco, mask, gu)
         b = RNG.normal(size=mesh.n_nodes)
-        x = fem.solve_free(block, b, mesh)
+        x = fem.solve_free(block, b, mesh, mask)
         ref = spla.spsolve(block, b[free])
         assert np.all(x[mesh.dirichlet_nodes()] == 0.0)
         np.testing.assert_allclose(x[free], ref, rtol=0,
