@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem, material
+from .csvio import read_csv
 from .mesh import Boundary, Region, TriMesh, _check_disc, generate_disc_mesh
 
 
@@ -263,11 +264,6 @@ def _table_chain(curve, case, spec: DiscSpec, ts, start: int = 0) -> list:
     return vals
 
 
-def _table_sample(curve, case, spec: DiscSpec, t: float) -> float:
-    """j2_e1 at t: a chain of one sample."""
-    return _table_chain(curve, case, spec, [t])[0]
-
-
 def build_correction_table(curve, case: PerturbationCase, t_grid,
                            disc_spec: DiscSpec, workers: int = 1) -> CorrectionTable:
     """Solve the cell problems for each grid value of t = |grad_u| and tabulate
@@ -328,37 +324,20 @@ def save_table(path, table: CorrectionTable, config_hash: str) -> None:
 
 
 def load_table(path) -> CorrectionTable:
-    """Table from save_table's CSV; ValueError naming the file if malformed,
-    and its line if a j2_e2 value is not zero, which the lookup would drop."""
-    meta = {}
-    rows = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        meta[k] = v
-                continue
-            if line.lower().startswith("t,"):
-                continue
-            try:
-                t, a, b = map(float, line.split(","))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: bad t,j2_e1,j2_e2 row: {exc}") from exc
-            if b != 0.0:
-                raise ValueError(f"{path}:{ln}: " + (
-                    "table j2 values must be finite" if not np.isfinite(b) else
-                    f"j2_e2 = {b:.17g} is not zero: the lookup has no e2 term, "
-                    "so rebuild the table"))
-            rows.append((t, a))
+    """Table from save_table's CSV (csvio.read_csv's dialect); ValueError
+    naming the file if malformed, and the row's t if a j2_e2 value is not
+    zero, which the lookup would drop."""
+    meta, data = read_csv(path, ("t", "j2_e1", "j2_e2"))
+    nonzero = np.flatnonzero(data[:, 2])
+    if nonzero.size:
+        t, b = data[nonzero[0], [0, 2]]
+        raise ValueError(f"{path}: " + (
+            "table j2 values must be finite" if not np.isfinite(b) else
+            f"j2_e2 = {b:.17g} at t = {t:.17g} is not zero: the lookup has no "
+            "e2 term, so rebuild the table"))
     missing = [k for k in ("case", "radius", "h0", "curve") if k not in meta]
     if missing:
         raise ValueError(f"{path}: table header lacks {', '.join(missing)}")
-    data = np.asarray(rows, dtype=float).reshape(-1, 2)
     try:
         return CorrectionTable(PerturbationCase(meta["case"]), data[:, 0],
                                data[:, 1], float(meta["radius"]),

@@ -339,7 +339,7 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     + TOL_REL ||F[free]||_2 within MAX_NEWTON steps; each step is halved (up
     to MAX_HALVINGS times) until the residual norm strictly decreases. x0
     (zero by default) is the start on the free DOFs. Each step solves with
-    its Jacobian through `held` (HeldLU.solve, to NEWTON_FORCING relative,
+    its Jacobian through `held` (solve_free, to NEWTON_FORCING relative,
     with `mask`), so an LU that `held` brings from a nearby matrix, such as
     the previous table sample's, preconditions even the first step. Returns (x,
     iterations, residual_norm).
@@ -364,9 +364,8 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
             return x, it, rnorm
         if it == MAX_NEWTON:
             break
-        dx = np.zeros(mesh.n_nodes)
-        dx[free] = held.solve(assemble_jacobian(mesh, curve, mask, g), -r[free],
-                              NEWTON_FORCING, mask)
+        dx = solve_free(assemble_jacobian(mesh, curve, mask, g), -r, mesh, mask,
+                        held, NEWTON_FORCING)
         step = 1.0
         for _ in range(MAX_HALVINGS):
             g_try, r_try, rn_try = residual(x + step * dx)

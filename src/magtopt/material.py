@@ -16,13 +16,14 @@ read access.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+
+from .csvio import read_csv
 
 # reluctivity of air (vacuum) [m/H]
 NU0 = 1.0e7 / (4.0 * np.pi)
@@ -203,25 +204,10 @@ class SplineCurve:
 
     @classmethod
     def from_csv(cls, path) -> "SplineCurve":
-        """Load two-column CSV `s,nu` (header required, >= 4 rows)."""
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            rows = [(reader.line_num, r) for r in reader
-                    if r and not r[0].lstrip().startswith("#")]
-        if not rows:
-            raise ValueError(f"{path}: empty file")
-        (ln, header), *body = rows
-        if [c.strip().lower() for c in header[:2]] != ["s", "nu"]:
-            raise ValueError(f"{path}: line {ln}: expected header 's,nu'")
-        s, v = [], []
-        for ln, r in body:
-            try:
-                s.append(float(r[0]))
-                v.append(float(r[1]))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: line {ln}: bad row {r!r}") from exc
+        """Load CSV `s,nu` (csvio.read_csv's dialect, >= 4 rows)."""
+        _, data = read_csv(path, ("s", "nu"))
         try:
-            return cls(np.asarray(s), np.asarray(v))
+            return cls(data[:, 0], data[:, 1])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 

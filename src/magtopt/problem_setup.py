@@ -8,13 +8,13 @@ is smooth, so the side only fixes the discrete representative.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fem
+from .csvio import read_csv
 from .mesh import Region, TriMesh, generate_mini_motor, generate_square_benchmark
 
 
@@ -152,26 +152,12 @@ def build_benchmark_problem(kind: str, resolution: int,
 
 
 def load_target_csv(path):
-    """Target override from CSV `theta,b_d` (radians, tesla): the header
-    line `theta,b_d` after any `#` comment lines, then one or more rows of
-    finite values (one row gives a constant target). Returns a callable
-    that interpolates periodically in the midpoint angle."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    # comment lines are skipped, but line numbers count them
-    n_skip = next((i for i, line in enumerate(lines)
-                   if not line.lstrip().startswith("#")), len(lines))
-    header = lines[n_skip] if n_skip < len(lines) else ""
-    if [c.strip().lower() for c in header.split(",")] != ["theta", "b_d"]:
-        raise ValueError(f"{path}: line {n_skip + 1}: expected header 'theta,b_d'")
-    with warnings.catch_warnings():
-        # a file without rows is reported below, not as loadtxt's warning
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=n_skip + 1, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    if data.shape[0] == 0 or data.shape[1] != 2:
+    """Target override from CSV `theta,b_d` (radians, tesla) in
+    csvio.read_csv's dialect: one or more rows of finite values (one row
+    gives a constant target). Returns a callable that interpolates
+    periodically in the midpoint angle."""
+    _, data = read_csv(path, ("theta", "b_d"))
+    if data.shape[0] == 0:
         raise ValueError(f"{path}: need one or more rows of theta,b_d")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: theta,b_d values must be finite")

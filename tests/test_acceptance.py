@@ -16,8 +16,9 @@ from magtopt.fem import solve_state
 from magtopt.material import (NU0, LinearCurve, MarroccoCurve, SplineCurve,
                               flux_jacobian, jacobian_eigenvalues,
                               validate_assumptions)
-from magtopt.mesh import unit_square_mesh
-from magtopt.polarization import matrix_air_in_ferro
+from magtopt.mesh import (Boundary, Region, TriMesh, _polar_mesh, _ring_edges,
+                          _ring_radii, unit_square_mesh)
+from magtopt.polarization import matrix_air_in_ferro, matrix_ferro_in_air
 from magtopt.problem_setup import (assemble_adjoint_rhs, build_benchmark_problem,
                                    eval_objective)
 from magtopt import fem
@@ -312,3 +313,96 @@ def test_criterion_11_assumption_validator(say):
     assert mono.admissibility_ok
     assert not warned.admissibility_ok
     assert warned.warnings
+
+
+#: criterion 12's rings beyond the inclusion's neighbourhood: graded from
+#: r = 0.01 to the outer circle r = 1, shared by every ε, so the field at the
+#: centre does not move with ε
+EXPANSION_RINGS = _ring_radii(0.01, 1.0, 0.0025, 1.1)
+
+
+def expansion_mesh(eps):
+    """The unit disc, Dirichlet on its circle, with 64 sectors and rings
+    every ε/4 up to 2ε (one at ε, the inclusion's boundary), then the shared
+    EXPANSION_RINGS beyond 2ε."""
+    radii = np.concatenate([eps / 4.0 * np.arange(1, 9),
+                            EXPANSION_RINGS[EXPANSION_RINGS > 2.0 * eps]])
+    nodes, tris, ring = _polar_mesh(radii, 64)
+    return TriMesh(nodes, tris, np.full(len(tris), Region.AIR_FIXED, dtype=np.int8),
+                   _ring_edges(ring[-1]),
+                   np.full(64, Boundary.DIRICHLET_OUTER, dtype=np.int8))
+
+
+def expansion(curve, case, j0, eps, disc, table):
+    """One measurement of criterion 12: |grad u0| at the inclusion,
+    (J(Ω_ε) - J(Ω)) / ε², and G's matrix term and its correction from
+    compute_correction and from the table's lookup. Ω is ferro where the
+    centroid radius is below 0.7 (case I) or empty (case II); a coil of
+    current density j0 cos θ on 0.75 < r < 0.85 gives a nearly uniform field
+    at the centre; J = 1/2 sum A_e mean_e(u)^2 over 0.3 < r < 0.5; the
+    perturbed design flips the elements with centroid radius below ε."""
+    mesh = expansion_mesh(eps)
+    r = np.hypot(mesh.centroids[:, 0], mesh.centroids[:, 1])
+    theta = np.arctan2(mesh.centroids[:, 1], mesh.centroids[:, 0])
+    inclusion = r < eps
+    jz = np.where((r > 0.75) & (r < 0.85), j0 * np.cos(theta), 0.0)
+    rhs = fem.assemble_rhs_elements(mesh, jz, np.zeros((mesh.n_tris, 2)))
+    weight = np.where((r > 0.3) & (r < 0.5), mesh.areas, 0.0)
+    ferro = (r < 0.7) if case is CASE_I else np.zeros(mesh.n_tris, dtype=bool)
+    state = solve_state(mesh, curve, rhs=rhs, ferro_mask=ferro)
+    flipped = solve_state(mesh, curve, rhs=rhs, ferro_mask=ferro ^ inclusion)
+    mean = state.field[mesh.tris].mean(axis=1)
+    dj = (0.5 * np.sum(weight * flipped.field[mesh.tris].mean(axis=1) ** 2)
+          - 0.5 * np.sum(weight * mean ** 2))
+    dj_du = np.bincount(mesh.tris.ravel(), weights=np.repeat(weight * mean / 3.0, 3),
+                        minlength=mesh.n_nodes)
+    p = fem.solve_adjoint(state, -dj_du)
+    w = mesh.areas[inclusion] / mesh.areas[inclusion].sum()
+    gu, gp = (w @ mesh.element_gradients(x)[inclusion] for x in (state.field, p))
+    M = (matrix_air_in_ferro if case is CASE_I else matrix_ferro_in_air)(curve, gu)
+    e = gu / np.hypot(*gu)
+    assert abs(gu @ M @ gp - (e @ M @ e) * (gu @ gp)) <= 1e-12 * abs(gu @ M @ gp)
+    return (float(np.hypot(*gu)), dj / eps ** 2, gu @ M @ gp,
+            compute_correction(curve, gu, gp, case, disc), table.lookup(gu, gp)[0])
+
+
+def test_criterion_12_topological_expansion(marrocco, disc_default, table1_default,
+                                            say):
+    """The paper's expansion J(Ω_ε) - J(Ω) = ε² G + o(ε²), with G the matrix
+    term grad u0 . M grad p0 plus the nonlinear correction, at about 3 T,
+    where the correction is needed: without it the ratio misses 1 by 0.3 or
+    more. The correction comes from compute_correction on the default disc
+    and, as a second variant, from the lookup of a default-disc table with
+    the default 0.05 T spacing, at a t inside the table's range.
+
+    The matrix term is d1 (grad u0 . grad p0), d1 being M's eigenvalue along
+    grad u0 (asserted to 1e-12; 5e-16 measured), so d2 never enters G and
+    this criterion cannot check it. d1 is exactly where the case matrices
+    differ from tests/oracles.py's polarization_general: their contrast
+    factor is (nu0 - lam1) in case I and (lam1 - nu0) in case II, where the
+    oracle has lam2 (lam1 = nu(t), lam2 = (nu(s) s)' at t = |grad u0|)."""
+    t0 = time.perf_counter()
+    table2 = build_correction_table(marrocco, CASE_II, np.linspace(0.0, 3.2, 65),
+                                    DiscSpec())
+    lines, ok = [], True
+    for case, j0, table in ((CASE_I, 1.2e8, table1_default),
+                            (CASE_II, 1.75e8, table2)):
+        for eps in (0.02, 0.01):
+            t, dj, matrix, corr, corr_table = expansion(marrocco, case, j0, eps,
+                                                        disc_default, table)
+            full = dj / (matrix + corr)
+            tabled = dj / (matrix + corr_table)
+            alone = dj / matrix
+            ok &= (abs(full - 1.0) <= 0.02 and abs(alone - 1.0) >= 0.3
+                   and abs(tabled - 1.0) <= 0.02 and t < table.t[-1])
+            lines.append(f"case {case.value} at {t:.2f} T, eps {eps}: ratio "
+                         f"{full:.4f} full G, {tabled:.4f} table G, {alone:.4f} "
+                         "matrix term alone")
+    dt = time.perf_counter() - t0
+    ok &= dt < 10.0
+    say(f"ACCEPTANCE 12 {'PASS' if ok else 'FAIL'}: expansion (J_eps - J) / "
+        f"(eps^2 G) within 0.02 of 1 with the full G, >= 0.3 off with the matrix "
+        f"term alone, runtime {dt:.1f}s (< 10s)")
+    for line in lines:
+        say(f"              {line}")
+    assert ok

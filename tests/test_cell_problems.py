@@ -214,7 +214,7 @@ class TestTables:
     @pytest.mark.parametrize("header, body, message", [
         ("# case=I radius=100 h0=0.3 curve=x\n", "", ": empty table"),
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,0.5\n",
-         ":4: bad t,j2_e1,j2_e2 row"),
+         r": line 4: bad row \['1', '0.5'\]$"),
         ("# case=III radius=100 h0=0.3 curve=x\n", "0,0,0\n", "'III'"),
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\nnan,0.5,0\n2,0.1,0\n",
          ": table grid must be strictly increasing, without NaN"),
@@ -223,7 +223,7 @@ class TestTables:
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,0.5,inf\n",
          ": table j2 values must be finite"),
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,0.5,1e-3\n",
-         ":4: j2_e2 = 0.001 is not zero: the lookup has no e2 term, "
+         ": j2_e2 = 0.001 at t = 1 is not zero: the lookup has no e2 term, "
          "so rebuild the table"),
     ], ids=["header_only", "short_row", "unknown_case", "nan_grid", "nan_j2",
             "inf_j2", "nonzero_e2"])
@@ -382,7 +382,7 @@ class TestTableSample:
         separate = 4.0 * float(np.einsum("e,ei,ei->", quarter.areas[nonlin],
                                          s_el, e1 + gk))
         calls.clear()
-        shared = cell_problems._table_sample(marrocco, CASE_I, spec, 3.0)
+        shared = cell_problems._table_chain(marrocco, CASE_I, spec, [3.0])[0]
         assert n_direct >= 2
         assert len(calls) == n_direct
         assert shared == separate
@@ -451,7 +451,7 @@ class TestQuarterDisc:
             full_e1, full_e2 = (compute_correction(marrocco, np.array([t, 0.0]),
                                                    gp, case, disc)
                                 for gp in np.eye(2))
-            e1 = cell_problems._table_sample(marrocco, case, self.SPEC, t)
+            e1 = cell_problems._table_chain(marrocco, case, self.SPEC, [t])[0]
             assert abs(e1 - full_e1) <= 1e-9 * abs(full_e1)
             # on the full disc, e2 vanishes by symmetry up to round-off
             assert abs(full_e2) <= 1e-9 * abs(full_e1)

@@ -159,13 +159,16 @@ class TestBenchmarks:
                                              0.3 * np.sin(2 * th),
                                              period=2 * np.pi), atol=1e-12)
 
-    @pytest.mark.parametrize("header", ["", "0.0,0.5", "theta,b", "theta,b_d,x"],
+    @pytest.mark.parametrize("header, line", [("", 2), ("0.0,0.5", 1), ("theta,b", 1),
+                                              ("theta,b_d,x", 1)],
                              ids=["empty", "data_row", "wrong_name", "three_columns"])
-    def test_target_csv_header_required(self, tmp_path, header):
+    def test_target_csv_header_required(self, tmp_path, header, line):
+        # a blank first line is skipped, so the data row after it is read as
+        # the header
         p = tmp_path / "target.csv"
         p.write_text(header + "\n3.14159,-0.5\n")
-        with pytest.raises(ValueError,
-                           match=f"^{re.escape(str(p))}: line 1: expected header 'theta,b_d'$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line {line}: "
+                           "expected header 'theta,b_d'$"):
             load_target_csv(p)
 
     def test_target_csv_skips_comment_lines_before_the_header(self, tmp_path):
