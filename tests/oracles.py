@@ -1,15 +1,24 @@
 """Oracles that tests compare the library against: the general
-polarization derivation that its two case matrices come from (the disk and
-ellipse closed forms, and the reduction of an anisotropic background to
-them), closed forms for its numerical solves, pointwise twins of its batched
-sensitivity assembly, a plain reader for its mesh export and a per-edge loop
-for its gap-edge element choice. No library code needs them."""
+polarization derivation (the disk and ellipse closed forms, and the
+reduction of an anisotropic background to them), the full 2x2 case matrices
+whose eigenvalue d1 along grad u the library returns, closed forms for its
+numerical solves, pointwise twins of its batched sensitivity assembly, a
+plain reader for its mesh export and a per-edge loop for its gap-edge
+element choice. No library code needs them.
+
+The case matrices do not all come from polarization_general: their d2
+agrees with its eigenvalue across grad u, but their d1 has the contrast
+factor (nu0 - lam1) in case I and (lam1 - nu0) in case II where
+polarization_general has lam2 (lam1 = nu(t), lam2 = (nu(s) s)' at
+t = |grad u|). So d1 is polarization_general's eigenvalue along grad u
+times (nu0 - lam1)/(nu0 - lam2) in case I and (lam1 - nu0)/(lam2 - nu0) in
+case II; criterion 12's expansion checks the library's factor."""
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from magtopt import polarization
+from magtopt import material
 
 
 class ContrastError(ValueError):
@@ -114,6 +123,52 @@ def polarization_general(A, A_tilde) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def aligned_frame(curve, grad_u):
+    """(lam1, lam2, e) at grad_u (..., 2): the flux-Jacobian eigenvalues and
+    e = grad_u/|grad_u| (e1 at 0, where lam1 = lam2 makes it frame-free)."""
+    grad_u = np.asarray(grad_u, dtype=float)
+    t = np.hypot(grad_u[..., 0], grad_u[..., 1])
+    lam1, lam2 = material.jacobian_eigenvalues(curve, t)
+    e = np.where((t > 0.0)[..., None], grad_u, [1.0, 0.0])
+    return lam1, lam2, e / np.hypot(e[..., 0], e[..., 1])[..., None]
+
+
+def in_frame(e, d1, d2):
+    """R diag(d1, d2) R^T for R = [e, e_perp], as d2 I + (d1 - d2) e e^T."""
+    d1, d2 = np.asarray(d1)[..., None, None], np.asarray(d2)[..., None, None]
+    return d2 * np.eye(2) + (d1 - d2) * e[..., :, None] * e[..., None, :]
+
+
+def full_matrix_air_in_ferro(curve, grad_u) -> np.ndarray:
+    """Sensitivity matrix for an air disk nucleating in ferromagnetic
+    material at local field gradient grad_u (|w| = pi):
+
+        (nu0 - lam1) |w| R diag( (lam2+g)/(nu0+g), (lam1+g)/(nu0+g) ) R^T,
+
+    g = sqrt(lam1 lam2), lam1 = nu(|grad_u|), lam2 = (nu(s) s)'|_{|grad_u|},
+    R = [e, e_perp], e = grad_u/|grad_u|. Positive definite whenever
+    lam1, lam2 < nu0. grad_u (..., 2) gives (..., 2, 2).
+    """
+    lam1, lam2, e = aligned_frame(curve, grad_u)
+    nu0 = curve.nu_air
+    g = np.sqrt(lam1 * lam2)
+    c = (nu0 - lam1) * np.pi / (nu0 + g)
+    return in_frame(e, c * (lam2 + g), c * (lam1 + g))
+
+
+def full_matrix_ferro_in_air(curve, grad_u) -> np.ndarray:
+    """Sensitivity matrix for a ferromagnetic disk nucleating in air:
+
+        2 |w| nu0 R diag( (lam1-nu0)/(lam2+nu0), (lam1-nu0)/(lam1+nu0) ) R^T,
+
+    negative definite whenever lam1 < nu0. grad_u (..., 2) gives (..., 2, 2).
+    """
+    lam1, lam2, e = aligned_frame(curve, grad_u)
+    nu0 = curve.nu_air
+    c = 2.0 * np.pi * nu0 * (lam1 - nu0)
+    return in_frame(e, c / (lam2 + nu0), c / (lam1 + nu0))
+
+
 def analytic_adjoint_variation(curve, grad_u, grad_p, x):
     """Closed-form adjoint variation for the ferro-in-air arrangement.
 
@@ -125,7 +180,7 @@ def analytic_adjoint_variation(curve, grad_u, grad_p, x):
     """
     grad_p = np.asarray(grad_p, dtype=float)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    lam1, lam2, e1 = polarization._aligned_frame(curve, grad_u)
+    lam1, lam2, e1 = aligned_frame(curve, grad_u)
     nu0 = curve.nu_air
     e2 = np.array([-e1[1], e1[0]])
     a1 = (nu0 - lam2) / (nu0 + lam2)
@@ -145,7 +200,7 @@ def g_ferro_to_air(curve, grad_u, grad_p, table) -> float:
     grad_u/grad_p: the matrix term plus the case-I table's correction."""
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
-    M = polarization.matrix_air_in_ferro(curve, grad_u)
+    M = full_matrix_air_in_ferro(curve, grad_u)
     return float(grad_u @ M @ grad_p) + float(table.lookup(grad_u, grad_p)[0])
 
 
@@ -153,7 +208,7 @@ def g_air_to_ferro(curve, grad_u, grad_p, table) -> float:
     """Sensitivity to a ferromagnetic disk nucleating in air."""
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
-    M = polarization.matrix_ferro_in_air(curve, grad_u)
+    M = full_matrix_ferro_in_air(curve, grad_u)
     return float(grad_u @ M @ grad_p) + float(table.lookup(grad_u, grad_p)[0])
 
 

@@ -588,19 +588,25 @@ class TestWorkers:
 class TestMatrixTermCrossValidation:
     """The closed-form sensitivity matrices re-derived through FEM: the
     matrix term equals the contrast-weighted integral of the adjoint data
-    over the inclusion, column by column."""
+    over the inclusion, column by column. The FEM matrix is compared with
+    tests/oracles.py's full case matrix, and its eigenvalue along grad u
+    with the library's d1."""
 
     def test_fem_matches_closed_forms(self, marrocco, disc_coarse):
         from magtopt.polarization import matrix_air_in_ferro, matrix_ferro_in_air
+        from oracles import full_matrix_air_in_ferro, full_matrix_ferro_in_air
 
         incl = disc_coarse.region == Region.DESIGN
         areas = disc_coarse.areas[incl][:, None]
         for t, ang in ((1.5, 0.0), (0.9, 0.7)):
             gu = t * np.array([np.cos(ang), np.sin(ang)])
             lam1 = float(marrocco.nu(t))
-            for case, closed_fn, contrast in (
-                    (CASE_I, matrix_air_in_ferro, NU0 - lam1),
-                    (CASE_II, matrix_ferro_in_air, lam1 - NU0)):
+            e = gu / t
+            for case, closed_fn, d1_fn, contrast in (
+                    (CASE_I, full_matrix_air_in_ferro, matrix_air_in_ferro,
+                     NU0 - lam1),
+                    (CASE_II, full_matrix_ferro_in_air, matrix_ferro_in_air,
+                     lam1 - NU0)):
                 M_fem = np.zeros((2, 2))
                 for j, gp in enumerate((np.array([1.0, 0.0]),
                                         np.array([0.0, 1.0]))):
@@ -611,3 +617,5 @@ class TestMatrixTermCrossValidation:
                 M_closed = closed_fn(marrocco, gu)
                 rel = np.abs(M_fem - M_closed).max() / np.abs(M_closed).max()
                 assert rel <= 0.02
+                d1 = d1_fn(marrocco, gu)
+                assert abs(e @ M_fem @ e - d1) <= 0.02 * abs(d1)

@@ -547,7 +547,7 @@ class TestOtherCommands:
         rc = cli.main(["selftest", "--config", str(cfg),
                        "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_SOLVER
-        assert ("FAIL  case matrices at zero field equal their disk forms"
+        assert ("FAIL  both case factors d1 at zero field equal their disk forms"
                 in capsys.readouterr().out)
 
     def test_selftest_catches_a_wrong_flux_jacobian(self, tmp_path, capsys,

@@ -3,7 +3,8 @@ import pytest
 
 from magtopt.material import NU0, LinearCurve
 from magtopt.polarization import matrix_air_in_ferro, matrix_ferro_in_air
-from oracles import (Anisotropy2, ContrastError, polarization_disk,
+from oracles import (Anisotropy2, ContrastError, full_matrix_air_in_ferro,
+                     full_matrix_ferro_in_air, polarization_disk,
                      polarization_ellipse, polarization_general)
 
 RNG = np.random.default_rng(11)
@@ -109,11 +110,15 @@ class TestGeneral:
 
 
 class TestCaseMatrices:
+    """The library's case factors d1: the eigenvalue of each case matrix
+    along grad u, one scalar per gradient."""
+
     def test_linear_limit_case1(self, linear_stub):
         lam = linear_stub.nu_linear
-        expected = 2 * np.pi * lam * (NU0 - lam) / (NU0 + lam) * np.eye(2)
+        expected = 2 * np.pi * lam * (NU0 - lam) / (NU0 + lam)
         out = matrix_air_in_ferro(linear_stub, np.array([0.7, -0.2]))
-        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-9)
+        assert out.shape == ()
+        assert out == pytest.approx(expected, rel=1e-12)
 
     def test_zero_contrast_case1(self):
         curve = LinearCurve(nu_linear=NU0)
@@ -127,44 +132,129 @@ class TestCaseMatrices:
 
     def test_linear_limit_case2(self, linear_stub):
         lam = linear_stub.nu_linear
-        expected = 2 * np.pi * NU0 * (lam - NU0) / (lam + NU0) * np.eye(2)
+        expected = 2 * np.pi * NU0 * (lam - NU0) / (lam + NU0)
         out = matrix_ferro_in_air(linear_stub, np.array([0.3, 0.9]))
-        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-6)
+        assert out.shape == ()
+        assert out == pytest.approx(expected, rel=1e-12)
 
     def test_generic_entries_by_scalar_evaluation(self):
+        lam1, lam2 = 1000.0, 2000.0
+        curve = FrameCurve(lam1, lam2)
+        gu_pt = np.array([1.5, 0.0])
+        g = np.sqrt(lam1 * lam2)
+        assert matrix_air_in_ferro(curve, gu_pt) == pytest.approx(
+            np.pi * (NU0 - lam1) * (lam2 + g) / (NU0 + g), rel=1e-13)
+        assert matrix_ferro_in_air(curve, gu_pt) == pytest.approx(
+            2 * np.pi * NU0 * (lam1 - NU0) / (lam2 + NU0), rel=1e-13)
+
+    def test_rotation_covariance(self, marrocco):
+        """A scalar of |grad u|: invariant under rotating grad u."""
+        stack = np.array([[1.2, 0.5], [0.0, 0.0], [-0.4, 2.1]])
+        for gu in (stack[0], stack):
+            for th in (0.3, 1.1, 2.0):
+                for d1 in (matrix_air_in_ferro, matrix_ferro_in_air):
+                    np.testing.assert_allclose(d1(marrocco, gu @ rotation(th)),
+                                               d1(marrocco, gu), rtol=1e-12)
+
+    def test_at_zero_gradient_frame_free(self, marrocco):
+        """At grad u = 0, lam1 = lam2 and d1 is the isotropic disk form."""
+        lam = float(marrocco.nu(0.0))
+        assert matrix_air_in_ferro(marrocco, np.zeros(2)) == pytest.approx(
+            2 * np.pi * lam * (NU0 - lam) / (NU0 + lam), rel=1e-12)
+        assert matrix_ferro_in_air(marrocco, np.zeros(2)) == pytest.approx(
+            2 * np.pi * NU0 * (lam - NU0) / (NU0 + lam), rel=1e-12)
+
+    def test_definiteness(self, marrocco):
+        """d1 > 0 for an air disk in ferro, < 0 for a ferro disk in air."""
+        gu = RNG.normal(scale=1.0, size=(20, 2))
+        assert np.all(matrix_air_in_ferro(marrocco, gu) > 0)
+        assert np.all(matrix_ferro_in_air(marrocco, gu) < 0)
+
+    def test_stacked_shape_matches_pointwise(self, marrocco):
+        stack = np.vstack([RNG.normal(size=(10, 2)), np.zeros((1, 2))])
+        for d1 in (matrix_air_in_ferro, matrix_ferro_in_air):
+            out = d1(marrocco, stack)
+            assert out.shape == (stack.shape[0],)
+            assert d1(marrocco, stack.reshape(1, 11, 2)).shape == (1, 11)
+            for row, d1_row in zip(stack, out):
+                assert d1(marrocco, row) == d1_row
+
+    def test_ratio_to_general_eigenvalue(self, marrocco):
+        """d1 / (e . P e) is exactly (nu0 - lam1)/(nu0 - lam2) in case I and
+        (lam1 - nu0)/(lam2 - nu0) in case II, P being polarization_general's
+        matrix and e = grad u/|grad u|. In the saturation band (5-8 T here),
+        lam1 < nu0 < lam2 makes the contrast indefinite, so
+        polarization_general refuses it; there e . P e is its closed form,
+        which TestCrossValidation ties to polarization_general below 3 T."""
+        from magtopt.material import flux_jacobian, jacobian_eigenvalues
+        for t in np.concatenate([RNG.uniform(0.1, 3.0, 10), [5.0, 6.0, 8.0]]):
+            ang = RNG.uniform(0, 2 * np.pi)
+            e = np.array([np.cos(ang), np.sin(ang)])
+            lam1, lam2 = (float(v) for v in jacobian_eigenvalues(marrocco, t))
+            J = flux_jacobian(marrocco, t * e)
+            if lam2 < NU0:
+                p1 = e @ polarization_general(J, NU0 * np.eye(2)) @ e
+                p2 = e @ polarization_general(NU0 * np.eye(2), J) @ e
+            else:
+                for pair in ((J, NU0 * np.eye(2)), (NU0 * np.eye(2), J)):
+                    with pytest.raises(ContrastError):
+                        polarization_general(*pair)
+                g = np.sqrt(lam1 * lam2)
+                p1 = np.pi * (lam2 + g) * (NU0 - lam2) / (NU0 + g)
+                p2 = 2 * np.pi * NU0 * (lam2 - NU0) / (lam2 + NU0)
+            assert matrix_air_in_ferro(marrocco, t * e) / p1 == pytest.approx(
+                (NU0 - lam1) / (NU0 - lam2), rel=1e-10)
+            assert matrix_ferro_in_air(marrocco, t * e) / p2 == pytest.approx(
+                (lam1 - NU0) / (lam2 - NU0), rel=1e-10)
+
+
+class TestOracleCaseMatrices:
+    """tests/oracles.py's full case matrices R diag(d1, d2) R^T, and their
+    eigenvalue along grad u against the library's d1."""
+
+    def test_diagonal_entries_in_aligned_frame(self):
         lam1, lam2 = 1000.0, 2000.0
         curve = FrameCurve(lam1, lam2)
         gu_pt = np.array([1.5, 0.0])  # aligned frame: R = I
         g = np.sqrt(lam1 * lam2)
         m1 = np.pi * (NU0 - lam1) * np.array(
             [(lam2 + g) / (NU0 + g), (lam1 + g) / (NU0 + g)])
-        np.testing.assert_allclose(matrix_air_in_ferro(curve, gu_pt), np.diag(m1),
-                                   rtol=1e-13, atol=1e-9)
+        np.testing.assert_allclose(full_matrix_air_in_ferro(curve, gu_pt),
+                                   np.diag(m1), rtol=1e-13, atol=1e-9)
         m2 = 2 * np.pi * NU0 * np.array(
             [(lam1 - NU0) / (lam2 + NU0), (lam1 - NU0) / (lam1 + NU0)])
-        np.testing.assert_allclose(matrix_ferro_in_air(curve, gu_pt), np.diag(m2),
-                                   rtol=1e-13, atol=1e-9)
+        np.testing.assert_allclose(full_matrix_ferro_in_air(curve, gu_pt),
+                                   np.diag(m2), rtol=1e-13, atol=1e-9)
+
+    def test_eigenvalue_along_grad_u_is_library_d1(self, marrocco):
+        gu = np.vstack([RNG.normal(scale=2.0, size=(20, 2)), [[5.0, 1.0]]])
+        e = gu / np.hypot(gu[:, 0], gu[:, 1])[:, None]
+        for full, d1 in ((full_matrix_air_in_ferro, matrix_air_in_ferro),
+                         (full_matrix_ferro_in_air, matrix_ferro_in_air)):
+            np.testing.assert_allclose(
+                np.einsum("ei,eij,ej->e", e, full(marrocco, gu), e),
+                d1(marrocco, gu), rtol=1e-12, atol=0.0)
 
     def test_rotation_covariance(self, marrocco):
         stack = np.array([[1.2, 0.5], [0.0, 0.0], [-0.4, 2.1]])
         for gu in (stack[0], stack):
             for th in (0.3, 1.1, 2.0):
                 R = rotation(th)
-                for mat in (matrix_air_in_ferro, matrix_ferro_in_air):
+                for mat in (full_matrix_air_in_ferro, full_matrix_ferro_in_air):
                     M1 = mat(marrocco, gu @ R)  # R^T applied to each gradient
                     M2 = R.T @ mat(marrocco, gu) @ R
                     np.testing.assert_allclose(M1, M2, rtol=1e-10, atol=1e-6)
 
     def test_at_zero_gradient_frame_free(self, marrocco):
-        M = matrix_air_in_ferro(marrocco, np.zeros(2))
+        M = full_matrix_air_in_ferro(marrocco, np.zeros(2))
         assert M[0, 0] == pytest.approx(M[1, 1])
         assert M[0, 1] == 0.0
 
     def test_definiteness(self, marrocco):
         for _ in range(20):
             gu_pt = RNG.normal(scale=1.0, size=2)
-            ev1 = np.linalg.eigvalsh(matrix_air_in_ferro(marrocco, gu_pt))
-            ev2 = np.linalg.eigvalsh(matrix_ferro_in_air(marrocco, gu_pt))
+            ev1 = np.linalg.eigvalsh(full_matrix_air_in_ferro(marrocco, gu_pt))
+            ev2 = np.linalg.eigvalsh(full_matrix_ferro_in_air(marrocco, gu_pt))
             assert np.all(ev1 > 0)
             assert np.all(ev2 < 0)
 
@@ -172,11 +262,11 @@ class TestCaseMatrices:
         points = [RNG.normal(size=2) for _ in range(10)]
         stack = np.vstack(points + [np.zeros(2)])
         for gu in points + [stack]:
-            for mat in (matrix_air_in_ferro, matrix_ferro_in_air):
+            for mat in (full_matrix_air_in_ferro, full_matrix_ferro_in_air):
                 M = mat(marrocco, gu)
                 np.testing.assert_allclose(M, np.swapaxes(M, -1, -2),
                                            rtol=1e-13, atol=1e-7)
-        for mat in (matrix_air_in_ferro, matrix_ferro_in_air):
+        for mat in (full_matrix_air_in_ferro, full_matrix_ferro_in_air):
             M = mat(marrocco, stack)
             assert M.shape == (stack.shape[0], 2, 2)
             for row, M_row in zip(stack, M):
@@ -185,7 +275,10 @@ class TestCaseMatrices:
 
 
 class TestCrossValidation:
-    """polarization_general against the closed forms of both material swaps."""
+    """polarization_general against its closed forms for both material
+    swaps. These differ from the case matrices along grad u: the contrast
+    factor there is (nu0 - lam2) in case I and (lam2 - nu0) in case II,
+    where the case matrices' d1 has lam1 (see tests/oracles.py)."""
 
     def test_case1_closed_form(self, marrocco):
         from magtopt.material import flux_jacobian, jacobian_eigenvalues
