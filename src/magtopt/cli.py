@@ -217,7 +217,7 @@ def cmd_solve(cfg, args) -> int:
     curve = build_curve(cfg)
     out = _prepare_out(args.out, args.force)
     prob = _build_problem(cfg)
-    res = fem.solve_state(prob.mesh, curve, levelset=None, sources=prob.sources)
+    res = fem.solve_state(prob.mesh, curve, sources=prob.sources)
     j = problem_setup.eval_objective(prob.mesh, res.field, prob.objective)
     log.info("state solved in %d Newton iterations, objective %.6e",
              res.iterations, j)

@@ -399,23 +399,28 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
                 x0: np.ndarray = None, held: HeldLU = None) -> StateResult:
     """solve_quasilinear without offset, to ||r||_2 <= TOL_ABS + TOL_REL
     ||F||_2, with the material law on the ferro elements, through `held`
-    (a fresh HeldLU by default).
+    (a fresh HeldLU by default), from the Newton start `x0` on the free DOFs
+    (zero by default), e.g. the field of a nearby design.
 
-    Either `sources` or a pre-assembled load vector `rhs` must be given.
-    `ferro_mask` overrides the level-set material indicator with an explicit
-    per-element boolean array (single-element perturbation studies).
-    `x0` is the Newton start on the free DOFs (zero by default), e.g. the
-    field of a nearby design.
+    The material is `ferro_mask`, bool of shape (n_tris,) (else ValueError),
+    or the centroid sign of a nodal `levelset` (all-ferro if both are None);
+    the load is `rhs`, or `sources`. The descent (optimizer.Driver) passes
+    ferro_mask and rhs, cmd_solve sources alone; the levelset form serves
+    perfbench's fresh-J check and tests.
     """
     if rhs is None:
         if sources is None:
             raise ValueError("need sources or rhs")
         rhs = assemble_rhs(mesh, sources)
-    ferro = ferro_element_mask(mesh, levelset) if ferro_mask is None \
-        else np.asarray(ferro_mask, dtype=bool)
-    u, iterations, rnorm = solve_quasilinear(mesh, curve, ferro, rhs, TOL_ABS,
-                                             x0=x0, held=held)
-    return StateResult(mesh, u, iterations, rnorm, ferro, curve)
+    if ferro_mask is None:
+        ferro_mask = ferro_element_mask(mesh, levelset)
+    ferro_mask = np.asarray(ferro_mask)
+    if ferro_mask.dtype != bool or ferro_mask.shape != (mesh.n_tris,):
+        raise ValueError(f"ferro_mask is {ferro_mask.dtype} of shape {ferro_mask.shape}: "
+                         f"it must be bool of shape ({mesh.n_tris},)")
+    u, iterations, rnorm = solve_quasilinear(mesh, curve, ferro_mask, rhs,
+                                             TOL_ABS, x0=x0, held=held)
+    return StateResult(mesh, u, iterations, rnorm, ferro_mask, curve)
 
 
 def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray,

@@ -173,16 +173,23 @@ class Driver:
         self.rhs = fem.assemble_rhs(problem.mesh, problem.sources)
         self.held = fem.HeldLU()
 
-    def solve(self, psi: LevelSetField,
+    def solve(self, ferro_mask: np.ndarray,
               x0: np.ndarray = None) -> tuple[fem.StateResult, float]:
-        """State solve and objective at psi; x0 is the Newton start (zero
-        by default)."""
-        res = fem.solve_state(self.problem.mesh, self.curve,
-                              levelset=psi.expand(), rhs=self.rhs, x0=x0,
-                              held=self.held)
-        j = problem_setup.eval_objective(self.problem.mesh, res.field,
-                                         self.problem.objective)
-        return res, j
+        """State solve and objective of a per-element ferro mask. x0 is the
+        Newton start (zero by default); a solve from x0 that fails is
+        retried once from a cold start, whose failure propagates."""
+        mesh = self.problem.mesh
+        try:
+            res = fem.solve_state(mesh, self.curve, rhs=self.rhs,
+                                  ferro_mask=ferro_mask, x0=x0, held=self.held)
+        except fem.SolverError as exc:
+            if x0 is None:
+                raise
+            log.info("warm-started state solve failed (residual %s): %s; "
+                     "retrying from a cold start", exc.residual_norm, exc)
+            return self.solve(ferro_mask)
+        return res, problem_setup.eval_objective(mesh, res.field,
+                                                 self.problem.objective)
 
     def descent_field(self, state: fem.StateResult) -> tuple[LevelSetField, int]:
         """Descent field at the solved design over the design nodes, with its
@@ -192,19 +199,6 @@ class Driver:
         p = fem.solve_adjoint(state, -gvec, held=self.held)
         td = topo_derivative.assemble_generalized_td(state, p, *self.tables)
         return self.space.average(td.element_values), td.n_clamped
-
-
-def _solve_trial(driver: Driver, trial: LevelSetField, u0, kappa: float,
-                 k: int):
-    """State solve of a kappa trial started from u0; a warm start that fails
-    is retried once from a cold start, whose failure propagates."""
-    try:
-        return driver.solve(trial, x0=u0)
-    except fem.SolverError as exc:
-        log.info("warm-started state solve failed in trial kappa=%g at "
-                 "iteration %d (residual %s): %s; retrying from a cold start",
-                 kappa, k, exc.residual_norm, exc)
-    return driver.solve(trial)
 
 
 def step(state: OptState, descent: LevelSetField, driver: Driver,
@@ -236,7 +230,8 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
     while kappa >= KAPPA_MIN:
         trial = slerp(state.psi, g, theta, kappa)
         try:
-            res, j_try = _solve_trial(driver, trial, u0, kappa, state.k + 1)
+            res, j_try = driver.solve(
+                fem.ferro_element_mask(driver.problem.mesh, trial.expand()), u0)
         except fem.SolverError as exc:
             log.warning("state solve failed in trial kappa=%g at iteration %d "
                         "(residual %s): %s; trial rejected",
@@ -274,7 +269,7 @@ def run(problem: Problem, curve, table_air_in_ferro: CorrectionTable,
         else np.asarray(levelset0, dtype=float)
     psi = LevelSetField(driver.space, seed[driver.space.nodes]).normalized()
 
-    res, j0 = driver.solve(psi)
+    res, j0 = driver.solve(fem.ferro_element_mask(problem.mesh, psi.expand()))
     state = OptState(psi, j0, solution=res)
     log.info("initial objective %.6e", j0)
 

@@ -420,3 +420,47 @@ def test_criterion_12_topological_expansion(marrocco, disc_default, table1_defau
     for line in lines:
         say(f"              {line}")
     assert ok
+
+
+def test_criterion_13_table_error_budget(marrocco, say):
+    """The paper's main ingredient, a sufficiently fast decay of the direct
+    variation as |x| -> infinity, shows as a truncation error that falls
+    as R^-p with p about 2. Each sample is the t row of a two-point table
+    from build_correction_table, the quarter-disc code that builds the
+    tables, at t = 1.5 and 2.5 T in both cases.
+
+    Truncation: R = 50, 200 and 1000 on the default mesh give p, and the
+    Richardson estimate q (j200 - j1000) / (1 - q), q = 0.2^p, of the
+    R = 1000 error. Discretization: h0 / n_theta = 0.1/64, 0.05/128 (the
+    default) and 0.025/256 at R = 1000 give the observed mesh order, and
+    the default mesh's Richardson error is reported unbounded."""
+    t0 = time.perf_counter()
+
+    def sample(case, t, **spec):
+        return build_correction_table(marrocco, case, [0.0, t],
+                                      DiscSpec(**spec)).j2_e1[1]
+
+    lines, ok = [], True
+    for case in (CASE_I, CASE_II):
+        for t in (1.5, 2.5):
+            j50, j200, j1000 = (sample(case, t, radius=r) for r in (50.0, 200.0, 1000.0))
+            p = np.log((j50 - j1000) / (j200 - j1000)) / np.log(4.0)
+            q = 0.2 ** p
+            truncation = abs(q * (j200 - j1000) / (1.0 - q) / j1000)
+            coarse = sample(case, t, h0=0.1, n_theta=64)
+            fine = sample(case, t, h0=0.025, n_theta=256)
+            order = np.log2((coarse - j1000) / (j1000 - fine))
+            r = 2.0 ** order
+            mesh_error = abs((j1000 - fine) * r / (r - 1.0) / j1000)
+            ok &= 1.8 <= p <= 2.2 and truncation <= 1e-4 and order >= 1.3
+            lines.append(f"case {case.value} at {t} T: truncation exponent "
+                         f"{p:.3f}, R = 1000 error {truncation:.1e}; mesh order "
+                         f"{order:.2f}, default-mesh error {mesh_error:.1e}")
+    dt = time.perf_counter() - t0
+    ok &= dt < 3.0
+    say(f"ACCEPTANCE 13 {'PASS' if ok else 'FAIL'}: table error budget, truncation "
+        f"exponent in [1.8, 2.2], R = 1000 truncation error <= 1e-4 relative, mesh "
+        f"order >= 1.3, runtime {dt:.1f}s (< 3s)")
+    for line in lines:
+        say(f"              {line}")
+    assert ok

@@ -115,6 +115,20 @@ class TestStateSolve:
         scale = np.abs(cold.field).max()
         assert np.abs(res.field - cold.field).max() <= 1e-9 * scale
 
+    def test_malformed_ferro_mask_refused(self, bench, marrocco, monkeypatch):
+        # a cast to bool reads True, a level set or floats as a mask with the
+        # law on every element, magnet and air included
+        rhs = assemble_rhs(bench, SourceSpec(magnetization=np.array([0.0, 3e6])))
+        mask = ferro_element_mask(bench)
+        space = op.DesignSpace(bench)
+        levelset = op.LevelSetField(space, np.ones(space.nodes.size))
+        monkeypatch.setattr(fem, "solve_quasilinear", None)
+        for bad in (True, np.full(bench.n_tris, 0.5), mask.astype(float),
+                    mask[:-1], np.append(mask, True), mask[None, :], levelset):
+            with pytest.raises(ValueError, match=r"^ferro_mask is .*: it must "
+                               rf"be bool of shape \({bench.n_tris},\)$"):
+                solve_state(bench, marrocco, rhs=rhs, ferro_mask=bad)
+
     def test_ferro_coefficient_within_law_bounds(self, bench, marrocco):
         res = solve_state(bench, marrocco,
                           sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
@@ -415,9 +429,8 @@ class TestAdjointTolerance:
             the factorizations that adjoint solve made."""
             monkeypatch.setattr(fem, "ADJOINT_TOL", rtol)
             driver = op.Driver(prob, marrocco, *tables_coarse)
-            psi = op.LevelSetField(
-                driver.space, default_levelset(prob.mesh)[driver.space.nodes])
-            state, _ = driver.solve(psi.normalized())
+            state, _ = driver.solve(ferro_element_mask(
+                prob.mesh, default_levelset(prob.mesh)))
             calls = []
             monkeypatch.setattr(fem, "factorize",
                                 lambda A: calls.append(A) or factorize(A))

@@ -124,7 +124,7 @@ class TestStepAndRun:
         driver = op.Driver(square16, marrocco, Z1, Z2)
         seed = default_levelset(square16.mesh)
         psi = op.LevelSetField(driver.space, seed[driver.space.nodes]).normalized()
-        res, j0 = driver.solve(psi)
+        res, j0 = driver.solve(fem.ferro_element_mask(square16.mesh, psi.expand()))
         solves = []
         monkeypatch.setattr(fem, "solve_state", lambda *a, **k: solves.append(a))
         # a descent field parallel to the current design: theta = 0, which a
@@ -142,7 +142,7 @@ class TestStepAndRun:
         driver = op.Driver(square16, marrocco, Z1, Z2)
         seed = default_levelset(square16.mesh)
         psi = op.LevelSetField(driver.space, seed[driver.space.nodes]).normalized()
-        res, j0 = driver.solve(psi)
+        res, j0 = driver.solve(fem.ferro_element_mask(square16.mesh, psi.expand()))
         state = op.OptState(psi, j0, res)
         solves = []
         monkeypatch.setattr(fem, "solve_state", lambda *a, **k: solves.append(a))
@@ -275,9 +275,12 @@ class TestFailedTrial:
         # every smaller kappa raises J here, so only a retry of the failed
         # kappa = 0.1 trial lets the run continue
         options = op.OptimizerOptions(kappa_start=0.1, max_iter=1)
-        with caplog.at_level(logging.WARNING, logger="magtopt.optimizer"):
+        with caplog.at_level(logging.INFO, logger="magtopt.optimizer"):
             state = op.run(prob, marrocco, Z1, Z2, options)
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+        retries = [r.getMessage() for r in caplog.records
+                   if "retrying from a cold start" in r.getMessage()]
+        assert len(retries) == 1 and "residual 1.5" in retries[0]
         assert starts[0] is None and starts[1] is not None and starts[2] is None
         assert state.k == 1
         assert state.records[0].kappa == options.kappa_start
@@ -291,6 +294,56 @@ class TestFailedTrial:
         monkeypatch.setattr(fem, "solve_state", fails)
         with pytest.raises(fem.SolverError, match="injected failure"):
             op.run(prob, marrocco, Z1, Z2, op.OptimizerOptions(max_iter=2))
+
+
+class TestMaskContract:
+    """The descent decides each design's material mask and hands fem that
+    mask, never a level set."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, marrocco, tables_coarse):
+        """A square/16 descent: the keyword arguments of every fem.solve_state
+        call, and (mask, x0, result, J) of every Driver.solve call."""
+        prob = build_benchmark_problem("square", 16)
+        state_kwargs, solves = [], []
+        solve_state, solve = fem.solve_state, op.Driver.solve
+
+        def recorded_state(*args, **kwargs):
+            state_kwargs.append(kwargs)
+            return solve_state(*args, **kwargs)
+
+        def recorded_solve(driver, ferro_mask, x0=None):
+            res, j = solve(driver, ferro_mask, x0)
+            solves.append((ferro_mask, x0, res, j))
+            return res, j
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "solve_state", recorded_state)
+            mp.setattr(op.Driver, "solve", recorded_solve)
+            op.run(prob, marrocco, *tables_coarse, op.OptimizerOptions())
+        return prob, state_kwargs, solves
+
+    def test_every_state_solve_gets_a_mask(self, recorded):
+        prob, state_kwargs, solves = recorded
+        assert len(state_kwargs) == len(solves) >= 10
+        for kwargs in state_kwargs:
+            assert "levelset" not in kwargs and "sources" not in kwargs
+            assert kwargs["ferro_mask"].dtype == bool
+            assert kwargs["ferro_mask"].shape == (prob.mesh.n_tris,)
+
+    def test_trial_with_the_designs_mask_reproduces_the_design(self, recorded):
+        # such a trial is rejected by construction, so skipping it would
+        # change the solve counts and nothing else
+        _, _, solves = recorded
+        designs = {id(res.field): (res, j) for _, _, res, j in solves}
+        same = [(res, j, *designs[id(x0)]) for mask, x0, res, j in solves
+                if x0 is not None
+                and np.array_equal(mask, designs[id(x0)][0].ferro_mask)]
+        assert len(same) >= 5
+        for res, j, design, j_design in same:
+            assert res.iterations == 0
+            np.testing.assert_array_equal(res.field, design.field)
+            assert j == j_design
 
 
 class TestWarmStart:
