@@ -57,11 +57,7 @@ class DiscSpec:
     n_theta: int = 128
 
     def __post_init__(self):
-        _check_disc(self.radius, 1.0, self.growth, self.h0, self.n_theta)
-
-    def build(self) -> TriMesh:
-        return generate_disc_mesh(self.radius, 1.0, self.growth,
-                                  self.h0, self.n_theta)
+        _check_disc(self.radius, self.growth, self.h0, self.n_theta)
 
 
 _mesh_cache: dict = {}
@@ -70,7 +66,8 @@ _mesh_cache: dict = {}
 def disc_mesh(spec: DiscSpec) -> TriMesh:
     """Memoized mesh for a disc spec (meshes are immutable)."""
     if spec not in _mesh_cache:
-        _mesh_cache[spec] = spec.build()
+        _mesh_cache[spec] = generate_disc_mesh(spec.radius, spec.growth,
+                                               spec.h0, spec.n_theta)
     return _mesh_cache[spec]
 
 
@@ -103,18 +100,18 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
 def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
                             disc: TriMesh, held: fem.HeldLU = None) -> np.ndarray:
     """Linear solve for the variation of the adjoint state, whose matrix is
-    the direct-variation Jacobian at h = 0, through `held` (fem.solve_free;
-    an empty one is left holding that matrix's LU); nodal values (n,)."""
+    the direct-variation Jacobian at h = 0, through `held`
+    (fem.solve_jacobian; an empty one is left holding that matrix's LU);
+    nodal values (n,)."""
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
-    jac = fem.assemble_jacobian(disc, curve, nonlin,
-                                np.broadcast_to(grad_u, (disc.n_tris, 2)))
     contrast = curve.nu_air * np.eye(2) - material.flux_jacobian(curve, grad_u)
     f_el = np.zeros((disc.n_tris, 2))
     f_el[inclusion] = sign * grad_p @ contrast.T
     rhs = fem.assemble_flux_divergence(disc, f_el)
-    return fem.solve_free(jac, rhs, disc, nonlin, held)
+    return fem.solve_jacobian(disc, curve, nonlin,
+                              np.broadcast_to(grad_u, (disc.n_tris, 2)), rhs, held)
 
 
 def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
@@ -122,25 +119,25 @@ def compute_correction(curve, grad_u, grad_p, case: PerturbationCase,
     """Correction term: the material nonlinearity evaluated at the direct
     variation, integrated against the adjoint data over the nonlinear side
     (exterior for air-in-ferro, inclusion for ferro-in-air), by centroid
-    quadrature. Solves both cell problems (nodal values) through one
-    fem.HeldLU, the adjoint variation first: the LU of the h = 0 Jacobian it
-    leaves there preconditions the direct variation's first Newton step.
-    """
-    grad_u = np.asarray(grad_u, dtype=float)
-    grad_p = np.asarray(grad_p, dtype=float)
-    held = fem.HeldLU()
+    quadrature; one cold _sample."""
+    return _sample(curve, np.asarray(grad_u, dtype=float),
+                   np.asarray(grad_p, dtype=float), case, disc, fem.HeldLU())[0]
+
+
+def _sample(curve, grad_u, grad_p, case, disc, held, x0=None) -> tuple:
+    """(correction term, direct variation) at the 2-vectors grad_u, grad_p.
+    Solves both cell problems (nodal values) through `held`, the adjoint
+    variation first: the LU of the h = 0 Jacobian it leaves in an empty
+    `held` preconditions the direct variation's first Newton step, which
+    starts at x0 (zero by default)."""
     adjoint = solve_adjoint_variation(curve, grad_u, grad_p, case, disc, held)
-    direct = solve_direct_variation(curve, grad_u, case, disc, held)
-    return _integral(curve, grad_u, grad_p, case, disc, direct, adjoint)
-
-
-def _integral(curve, grad_u, grad_p, case, disc, direct, adjoint) -> float:
-    """compute_correction's quadrature, given both variations."""
+    direct = solve_direct_variation(curve, grad_u, case, disc, held, x0=x0)
     _, nonlin, _ = _sides(disc, case)
     gh = disc.element_gradients(direct)[nonlin]
     gk = disc.element_gradients(adjoint)[nonlin]
     s_el = material.nonlinearity(curve, np.broadcast_to(grad_u, gh.shape), gh)
-    return float(np.einsum("e,ei,ei->", disc.areas[nonlin], s_el, grad_p + gk))
+    value = float(np.einsum("e,ei,ei->", disc.areas[nonlin], s_el, grad_p + gk))
+    return value, direct
 
 
 # ---------------------------------------------------------------------------
@@ -229,38 +226,30 @@ def _quarter(disc: TriMesh) -> TriMesh:
 
 
 #: samples per chain: build_correction_table continues the cell solves along
-#: t within a chain and restarts them at every CHAIN-th grid index, except
-#: that a last chain of one sample joins the chain before it
+#: t within a chain and restarts them at every CHAIN-th grid index
 CHAIN = 5
 
 
-def _table_chain(curve, case, spec: DiscSpec, ts, start: int = 0) -> list:
-    """j2_e1 at ts[start:start + CHAIN], and at the last grid value too when
-    that alone would be left for a chain of its own; each value is 4 times
-    the quarter disc's e1 correction (module docstring), 0 at t = 0. The
-    samples are continued along t: one fem.HeldLU serves every solve of the
-    chain, and each sample solves its adjoint variation first, then its
-    direct variation from the previous sample's. SolverError names the
-    failed sample by its index in ts."""
-    stop = start + CHAIN
-    if stop == len(ts) - 1:
-        stop += 1
+def _table_chain(curve, case, spec: DiscSpec, ts, start: int, stop: int) -> list:
+    """j2_e1 at ts[start:stop], each 4 times the quarter disc's e1 correction
+    (module docstring), 0 at t = 0. The samples are continued along t: one
+    fem.HeldLU serves every _sample of the chain, and each direct variation
+    starts at the previous sample's. SolverError names the failed sample by
+    its index in ts."""
+    quarter = _quarter(disc_mesh(spec))
     e1, held, direct, vals = np.array([1.0, 0.0]), fem.HeldLU(), None, []
-    for i in range(start, min(stop, len(ts))):
+    for i in range(start, stop):
         t = ts[i]
         if t == 0.0:
             vals.append(0.0)
             continue
-        quarter = _quarter(disc_mesh(spec))
-        grad_u = np.array([t, 0.0])
         try:
-            adjoint = solve_adjoint_variation(curve, grad_u, e1, case, quarter, held)
-            direct = solve_direct_variation(curve, grad_u, case, quarter, held,
-                                            x0=direct)
+            value, direct = _sample(curve, np.array([t, 0.0]), e1, case, quarter,
+                                    held, x0=direct)
         except fem.SolverError as exc:
             raise fem.SolverError(f"table sample {i} (t = {t:g}) failed: {exc}",
                                   residual_norm=exc.residual_norm) from exc
-        vals.append(4.0 * _integral(curve, grad_u, e1, case, quarter, direct, adjoint))
+        vals.append(4.0 * value)
     return vals
 
 
@@ -292,14 +281,17 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
         raise ValueError(f"n_theta = {disc_spec.n_theta} is not a multiple of 4: "
                          "the disc axes must be mesh lines for the quarter-disc solve")
     ts = t_grid.tolist()
+    if len(ts) == 1:   # the zero row alone: no cell problem, no disc mesh
+        return table
     chain = functools.partial(_table_chain, curve, case, disc_spec, ts)
     # no chain starts at the last index, which the chain before it takes
-    starts = range(0, max(len(ts) - 1, 1), CHAIN)
+    starts = range(0, len(ts) - 1, CHAIN)
+    stops = [*starts[1:], len(ts)]
     workers = min(workers, len(starts))
     with (cf.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        chains = map(chain, starts) if pool is None else pool.map(chain, starts)
-        vals = [v for c in chains for v in c]
+        run = map if pool is None else pool.map
+        vals = [v for c in run(chain, starts, stops) for v in c]
     return replace(table, j2_e1=vals)
 
 

@@ -48,7 +48,7 @@ def load_config(path) -> dict:
     cfg = dict(DEFAULTS)
     if path:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise ValueError(f"cannot read config: {exc}") from exc
         seen = {}

@@ -3,7 +3,8 @@ correction tables). Text from `#` to the end of a line is a comment, blank
 lines are skipped and line numbers count every line. The `key=value` tokens
 of whole-line comments before the header are the file's metadata, each key
 given once. The first other line is the header, exactly the expected names
-ignoring case and spaces; every later line holds that many numbers."""
+ignoring case and spaces; every later line holds that many numbers. Files
+are UTF-8, and a leading byte-order mark is dropped."""
 from __future__ import annotations
 
 import numpy as np
@@ -15,7 +16,7 @@ def read_csv(path, header: tuple) -> tuple:
     file and the line that breaks the dialect."""
     meta, lines, rows, width, n = {}, {}, [], None, 0
     expected = f"expected header '{','.join(header)}'"
-    with open(path) as f:
+    with open(path, encoding="utf-8-sig") as f:
         for n, line in enumerate(f, start=1):
             text, _, comment = line.partition("#")
             cells = text.split(",")

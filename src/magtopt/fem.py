@@ -312,17 +312,18 @@ class HeldLU:
         return x
 
 
-def solve_free(A: sp.csc_matrix, b: np.ndarray, mesh: TriMesh,
-               mask: np.ndarray, held: HeldLU = None,
-               rtol: float = LAGGED_CG_TOL) -> np.ndarray:
-    """Solve A x = b for a stiffness block A on the free DOFs of `mesh`,
-    assembled with the per-element material mask `mask`, and nodal b (n,)
-    through `held` (a fresh HeldLU by default) to `rtol` relative; x (n,)
-    is zero on the Dirichlet boundary."""
+def solve_jacobian(mesh: TriMesh, curve, mask: np.ndarray, grad: np.ndarray,
+                   b: np.ndarray, held: HeldLU = None,
+                   rtol: float = LAGGED_CG_TOL) -> np.ndarray:
+    """Solve J x = b for J = assemble_jacobian(mesh, curve, mask, grad) on the
+    free DOFs of `mesh` and nodal b (n,), through `held` (a fresh HeldLU by
+    default) with that same `mask`, to `rtol` relative; x (n,) is zero on
+    the Dirichlet boundary."""
     held = HeldLU() if held is None else held
     free, _ = _free_block(mesh)
     x = np.zeros(mesh.n_nodes)
-    x[free] = held.solve(A, np.asarray(b, dtype=float)[free], rtol, mask)
+    x[free] = held.solve(assemble_jacobian(mesh, curve, mask, grad),
+                         np.asarray(b, dtype=float)[free], rtol, mask)
     return x
 
 
@@ -339,8 +340,8 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     + TOL_REL ||F[free]||_2 within MAX_NEWTON steps; each step is halved (up
     to MAX_HALVINGS times) until the residual norm strictly decreases. x0
     (zero by default) is the start on the free DOFs. Each step solves with
-    its Jacobian through `held` (solve_free, to NEWTON_FORCING relative,
-    with `mask`), so an LU that `held` brings from a nearby matrix, such as
+    its Jacobian through `held` (solve_jacobian, to NEWTON_FORCING
+    relative), so an LU that `held` brings from a nearby matrix, such as
     the previous table sample's, preconditions even the first step. Returns (x,
     iterations, residual_norm).
     """
@@ -364,8 +365,7 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
             return x, it, rnorm
         if it == MAX_NEWTON:
             break
-        dx = solve_free(assemble_jacobian(mesh, curve, mask, g), -r, mesh, mask,
-                        held, NEWTON_FORCING)
+        dx = solve_jacobian(mesh, curve, mask, g, -r, held, NEWTON_FORCING)
         step = 1.0
         for _ in range(MAX_HALVINGS):
             g_try, r_try, rn_try = residual(x + step * dx)
@@ -436,7 +436,6 @@ def solve_adjoint(state: StateResult, adjoint_rhs: np.ndarray,
     assemble_stiffness refuses a non-symmetric coefficient with SolverError
     before `held` is touched. Returns the nodal adjoint p (n,).
     """
-    mesh = state.mesh
-    jac = assemble_jacobian(mesh, state.curve, state.ferro_mask,
-                            mesh.element_gradients(state.field))
-    return solve_free(jac, adjoint_rhs, mesh, state.ferro_mask, held, ADJOINT_TOL)
+    grad = state.mesh.element_gradients(state.field)
+    return solve_jacobian(state.mesh, state.curve, state.ferro_mask, grad,
+                          adjoint_rhs, held, ADJOINT_TOL)

@@ -258,13 +258,13 @@ def _ring_edges(ring: np.ndarray) -> np.ndarray:
     return np.column_stack([ring, np.roll(ring, -1)])
 
 
-def _check_disc(radius: float, inclusion_radius: float, growth: float,
-                h0: float, n_theta: int) -> None:
+def _check_disc(radius: float, growth: float, h0: float, n_theta: int) -> None:
     """ValueError naming the first disc-mesh parameter that is out of range:
     unguarded, these divide by zero, build non-finite nodes or, for h0 < 0,
     add rings without end."""
-    if not (np.isfinite(radius) and radius > inclusion_radius > 0.0):
-        raise ValueError(f"radius = {radius:g} is not finite and > inclusion_radius > 0")
+    if not (np.isfinite(radius) and radius > 1.0):
+        raise ValueError(f"radius = {radius:g} is not finite and > 1, the "
+                         "inclusion's radius")
     if not 1.0 <= growth < np.inf:
         raise ValueError(f"growth = {growth:g} is not finite and >= 1")
     if not 0.0 < h0 < np.inf:
@@ -273,24 +273,24 @@ def _check_disc(radius: float, inclusion_radius: float, growth: float,
         raise ValueError(f"n_theta = {n_theta} is less than 3")
 
 
-def generate_disc_mesh(radius: float, inclusion_radius: float = 1.0,
-                       growth: float = 1.15, h0: float = 0.05,
-                       n_theta: int = 128) -> TriMesh:
-    """Disc mesh centered at the origin with an exactly-polygonal inclusion ring.
+def generate_disc_mesh(radius: float, growth: float, h0: float,
+                       n_theta: int) -> TriMesh:
+    """Disc mesh centered at the origin around the cell problems' unit-disk
+    inclusion, with an exactly-polygonal inclusion ring.
 
     Nodes are placed on concentric circles; one circle sits exactly at
-    |x| = inclusion_radius, radial spacing grows geometrically (factor
-    `growth`) from h0 at the inclusion toward the outer boundary. Triangles
-    inside the inclusion are tagged DESIGN, the exterior AIR_FIXED; the outer
-    circle is the Dirichlet boundary. ValueError naming the parameter if one
-    is out of range (_check_disc).
+    |x| = 1, radial spacing grows geometrically (factor `growth`) from h0 at
+    the inclusion toward the outer boundary. Triangles inside the inclusion
+    are tagged DESIGN, the exterior AIR_FIXED; the outer circle is the
+    Dirichlet boundary. ValueError naming the parameter if one is out of
+    range (_check_disc).
     """
-    _check_disc(radius, inclusion_radius, growth, h0, n_theta)
-    radii = _ring_radii(inclusion_radius, radius, h0, growth)
+    _check_disc(radius, growth, h0, n_theta)
+    radii = _ring_radii(1.0, radius, h0, growth)
     nodes, tris, ring = _polar_mesh(radii, n_theta)
     cen = nodes[tris].mean(axis=1)
     rc = np.hypot(cen[:, 0], cen[:, 1])
-    reg = np.where(rc < inclusion_radius, int(Region.DESIGN),
+    reg = np.where(rc < 1.0, int(Region.DESIGN),
                    int(Region.AIR_FIXED)).astype(np.int8)
     bedges = _ring_edges(ring[-1])
     btags = np.full(n_theta, Boundary.DIRICHLET_OUTER, dtype=np.int8)

@@ -382,7 +382,7 @@ class TestTableSample:
         separate = 4.0 * float(np.einsum("e,ei,ei->", quarter.areas[nonlin],
                                          s_el, e1 + gk))
         calls.clear()
-        shared = cell_problems._table_chain(marrocco, CASE_I, spec, [3.0])[0]
+        shared = cell_problems._table_chain(marrocco, CASE_I, spec, [3.0], 0, 1)[0]
         assert n_direct >= 2
         assert len(calls) == n_direct
         assert shared == separate
@@ -451,7 +451,7 @@ class TestQuarterDisc:
             full_e1, full_e2 = (compute_correction(marrocco, np.array([t, 0.0]),
                                                    gp, case, disc)
                                 for gp in np.eye(2))
-            e1 = cell_problems._table_chain(marrocco, case, self.SPEC, [t])[0]
+            e1 = cell_problems._table_chain(marrocco, case, self.SPEC, [t], 0, 1)[0]
             assert abs(e1 - full_e1) <= 1e-9 * abs(full_e1)
             # on the full disc, e2 vanishes by symmetry up to round-off
             assert abs(full_e2) <= 1e-9 * abs(full_e1)
@@ -473,7 +473,7 @@ class TestQuarterDisc:
             DiscSpec(**kwargs)
 
     def test_cut_refuses_unaligned_disc(self):
-        disc = DiscSpec(radius=200.0, h0=0.2, n_theta=30).build()
+        disc = disc_mesh(DiscSpec(radius=200.0, h0=0.2, n_theta=30))
         with pytest.raises(ValueError, match="not a quarter"):
             cell_problems._quarter(disc)
 
@@ -557,8 +557,10 @@ class TestWorkers:
                                    workers=workers)
         assert calls == []
 
+    @pytest.mark.parametrize("n, chains", [(13, 3), (11, 2)])
     def test_pool_never_larger_than_the_number_of_chains(self, marrocco,
-                                                         monkeypatch):
+                                                         monkeypatch, n, chains):
+        # 11 points are two chains: the last sample joins the second
         sizes = []
 
         class SerialPool:
@@ -572,17 +574,43 @@ class TestWorkers:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *items):
+                return map(fn, *items)
 
         monkeypatch.setattr(cell_problems.cf, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cell_problems, "_table_chain",
-                            lambda curve, case, spec, ts, start:
-                            ts[start:start + cell_problems.CHAIN])
-        grid, spec = TestChains.GRID, TestChains.SPEC
-        table = build_correction_table(marrocco, CASE_I, grid, spec, workers=500)
-        assert sizes == [-(-len(grid) // cell_problems.CHAIN)]
+                            lambda curve, case, spec, ts, start, stop:
+                            ts[start:stop])
+        grid = np.linspace(0.0, 3.0, n)
+        table = build_correction_table(marrocco, CASE_I, grid, TestChains.SPEC,
+                                       workers=500)
+        assert sizes == [chains]
         np.testing.assert_array_equal(table.j2_e1, grid)
+
+    def test_chains_cover_the_grid(self, marrocco, monkeypatch):
+        # solves nothing: each chain returns its slice of the grid
+        chain = cell_problems.CHAIN
+        cuts = []
+
+        def sliced(curve, case, spec, ts, start, stop):
+            cuts.append((start, stop))
+            return ts[start:stop]
+
+        monkeypatch.setattr(cell_problems, "_table_chain", sliced)
+        for n in range(1, 3 * chain + 3):
+            cuts.clear()
+            grid = np.linspace(0.0, 3.0, n)
+            table = build_correction_table(marrocco, CASE_I, grid,
+                                           TestChains.SPEC)
+            # in order and without a gap or an overlap
+            np.testing.assert_array_equal(table.j2_e1, grid)
+            if n == 1:   # the zero row alone, without a chain
+                assert cuts == []
+                continue
+            assert cuts[0][0] == 0 and cuts[-1][1] == n
+            assert [stop for _, stop in cuts[:-1]] == [start for start, _ in cuts[1:]]
+            assert all(start != n - 1 for start, _ in cuts)
+            assert all(stop - start <= chain + 1 for start, stop in cuts)
 
 
 class TestMatrixTermCrossValidation:

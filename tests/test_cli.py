@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import re
 from pathlib import Path
@@ -67,6 +68,14 @@ class TestConfig:
         p = tmp_path / "ok.cfg"
         p.write_text("\n# comment\nresolution = 24  # trailing\n\n")
         assert cli.load_config(p)["resolution"] == "24"
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # as a "UTF-8 with BOM" save writes it, before the first key
+        text = "resolution = 24\ncurve = linear\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert cli.load_config(marked) == cli.load_config(plain)
 
     def test_hash_stable_and_sensitive(self, tmp_path):
         p = write_config(tmp_path)

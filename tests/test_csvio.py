@@ -1,5 +1,6 @@
 """The one CSV dialect of the three input files: the spline law, the tracking
 target and the correction tables all read through csvio.read_csv."""
+import codecs
 import re
 
 import numpy as np
@@ -36,6 +37,17 @@ def test_blank_line_before_header_and_inline_comments_accepted(tmp_path, kind):
     noted = write(tmp_path, "\n" + meta + "\n" + header + "  # columns\n"
                   + "".join(f"{r}  # note\n\n" for r in rows), "noted.csv")
     np.testing.assert_array_equal(values(load(noted)), values(load(plain)))
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_byte_order_mark_accepted(tmp_path, kind):
+    # as a spreadsheet's "CSV UTF-8" save writes it, before the first line
+    meta, header, rows, load, values = READERS[kind]
+    text = (meta + header + "\n" + "\n".join(rows) + "\n").encode()
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    np.testing.assert_array_equal(values(load(marked)), values(load(plain)))
 
 
 @pytest.mark.parametrize("kind", READERS)

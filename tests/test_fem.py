@@ -5,14 +5,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from magtopt import fem, material
+from magtopt import cell_problems, fem, material
 from magtopt import optimizer as op
-from magtopt.cell_problems import DiscSpec
+from magtopt.cell_problems import CorrectionTable, DiscSpec, PerturbationCase
 from magtopt.fem import (SolverError, SourceSpec, assemble_rhs,
                          assemble_rhs_elements, ferro_element_mask,
                          solve_adjoint, solve_state)
 from magtopt.material import NU0, LinearCurve
-from magtopt.mesh import Region, generate_square_benchmark, unit_square_mesh
+from magtopt.mesh import (Region, generate_disc_mesh, generate_square_benchmark,
+                          unit_square_mesh)
 from magtopt.problem_setup import build_benchmark_problem, default_levelset
 
 RNG = np.random.default_rng(5)
@@ -407,6 +408,44 @@ class TestHeldLU:
             np.testing.assert_array_equal(held.mask, mask)
 
 
+class TestOneMaskPerSystem:
+    """fem.solve_jacobian assembles each Jacobian and solves it with the
+    same material mask, so the mask a HeldLU keeps is its matrix's."""
+
+    def test_every_solve_gets_the_mask_of_its_jacobian(self, marrocco,
+                                                       monkeypatch):
+        events = []
+        assemble, solve = fem.assemble_jacobian, fem.HeldLU.solve
+
+        def assembled(mesh, curve, mask, grad):
+            A = assemble(mesh, curve, mask, grad)
+            events.append(("assemble", A, mask))
+            return A
+
+        def solved(held, A, b, rtol, mask):
+            events.append(("solve", A, mask))
+            return solve(held, A, b, rtol, mask)
+
+        monkeypatch.setattr(fem, "assemble_jacobian", assembled)
+        monkeypatch.setattr(fem.HeldLU, "solve", solved)
+        zeros = [CorrectionTable.zeros(case) for case in PerturbationCase]
+        state = op.run(build_benchmark_problem("square", 16), marrocco, *zeros,
+                       op.OptimizerOptions(max_iter=2))
+        n_descent = len(events)
+        cell_problems._table_chain(marrocco, PerturbationCase.AIR_IN_FERRO,
+                                   DiscSpec(radius=200.0, h0=0.2, n_theta=32),
+                                   [1.0, 2.0, 3.0], 0, 3)
+        assert state.k == 2
+        assert n_descent >= 20 and len(events) - n_descent >= 6
+        # each solve follows the assembly of its own matrix
+        assert [kind for kind, _, _ in events] == \
+            ["assemble", "solve"] * (len(events) // 2)
+        for (_, assembled_A, assembled_mask), (_, A, mask) in zip(events[::2],
+                                                                   events[1::2]):
+            assert A is assembled_A
+            np.testing.assert_array_equal(mask, assembled_mask)
+
+
 class TestAdjointTolerance:
     """The descent's adjoint is solved to ADJOINT_TOL, far looser than a
     linear solve's LAGGED_CG_TOL, because only the direction of the descent
@@ -481,13 +520,13 @@ class TestFreeBlock:
         assert block.shape == (free.size, free.size)
         assert abs(block - ref[np.ix_(free, free)]).max() <= 1e-14 * abs(ref).max()
 
-    def test_solve_free_matches_spsolve(self, mesh, marrocco):
+    def test_solve_jacobian_matches_spsolve(self, mesh, marrocco):
         gu = RNG.normal(size=(mesh.n_tris, 2))
         free, _ = fem._free_block(mesh)
         mask = mesh.region != Region.AIR_FIXED
         block = fem.assemble_jacobian(mesh, marrocco, mask, gu)
         b = RNG.normal(size=mesh.n_nodes)
-        x = fem.solve_free(block, b, mesh, mask)
+        x = fem.solve_jacobian(mesh, marrocco, mask, gu, b)
         ref = spla.spsolve(block, b[free])
         assert np.all(x[mesh.dirichlet_nodes()] == 0.0)
         np.testing.assert_allclose(x[free], ref, rtol=0,
@@ -563,7 +602,7 @@ class TestFreeBlock:
     def test_order_repeats_on_fresh_meshes(self):
         # serial and parallel table builds order their own disc meshes
         for build in (lambda: generate_square_benchmark(16),
-                      DiscSpec(radius=200.0, h0=0.2, n_theta=32).build):
+                      lambda: generate_disc_mesh(200.0, 1.15, 0.2, 32)):
             a, b = build(), build()
             free, _ = fem._free_block(a)
             assert np.array_equal(free, fem._free_block(b)[0])

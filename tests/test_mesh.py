@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from magtopt.cell_problems import DiscSpec
+from magtopt.cell_problems import DiscSpec, disc_mesh
 from magtopt.mesh import (Boundary, Region, TriMesh,
                           generate_disc_mesh, generate_mini_motor,
                           generate_square_benchmark, save_mesh,
@@ -94,42 +94,42 @@ class TestSquareBenchmark:
 
 class TestDiscMesh:
     def test_inclusion_ring_exact(self):
-        mesh = generate_disc_mesh(50.0, 1.0, 1.15, h0=0.1, n_theta=64)
+        mesh = generate_disc_mesh(50.0, 1.15, h0=0.1, n_theta=64)
         r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
         ring = np.isclose(r, 1.0, atol=1e-12)
         assert ring.sum() == 64
 
     def test_total_area_close_to_disc(self):
-        mesh = generate_disc_mesh(10.0, 1.0, 1.2, h0=0.2, n_theta=64)
+        mesh = generate_disc_mesh(10.0, 1.2, h0=0.2, n_theta=64)
         assert abs(mesh.areas.sum() - np.pi * 100.0) <= 0.01 * np.pi * 100.0
 
     def test_inclusion_area(self):
-        mesh = generate_disc_mesh(10.0, 1.0, 1.2, h0=0.2, n_theta=64)
+        mesh = generate_disc_mesh(10.0, 1.2, h0=0.2, n_theta=64)
         incl = mesh.region == Region.DESIGN
         assert abs(mesh.areas[incl].sum() - np.pi) <= 0.01 * np.pi
 
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
-            generate_disc_mesh(1.0, 2.0)
+            generate_disc_mesh(1.0, 1.15, 0.05, 128)
         with pytest.raises(ValueError):
-            generate_disc_mesh(10.0, 1.0, growth=0.9)
+            generate_disc_mesh(10.0, growth=0.9, h0=0.05, n_theta=128)
 
     @pytest.mark.parametrize("name, value", [
         ("h0", 0.0), ("h0", -0.1), ("h0", np.nan), ("h0", np.inf),
         ("n_theta", 0), ("n_theta", -4), ("n_theta", 2),
-        ("radius", np.inf), ("radius", np.nan),
+        ("radius", np.inf), ("radius", np.nan), ("radius", 1.0), ("radius", 0.5),
         ("growth", np.nan), ("growth", np.inf)])
     def test_bad_input_names_its_parameter(self, name, value):
         # unguarded, these divide by zero, fail inside numpy, build a mesh
-        # with non-finite nodes or, for h0 < 0, add rings without end
-        kwargs = dict(radius=10.0, inclusion_radius=1.0, growth=1.2, h0=0.25,
-                      n_theta=32)
+        # with non-finite nodes or, for h0 < 0, add rings without end; a
+        # radius up to 1 leaves no room outside the unit inclusion
+        kwargs = dict(radius=10.0, growth=1.2, h0=0.25, n_theta=32)
         kwargs[name] = value
         with pytest.raises(ValueError, match=f"^{name} = "):
             generate_disc_mesh(**kwargs)
 
     def test_euler_relation(self):
-        mesh = generate_disc_mesh(10.0, 1.0, 1.3, h0=0.25, n_theta=32)
+        mesh = generate_disc_mesh(10.0, 1.3, h0=0.25, n_theta=32)
         assert euler_characteristic(mesh) == 1
 
 
@@ -214,7 +214,7 @@ class TestLayoutPinned:
         "square/64": lambda: generate_square_benchmark(64),
         "mini_motor/24": lambda: generate_mini_motor(24),
         "mini_motor/96": lambda: generate_mini_motor(96),
-        "disc/default": lambda: DiscSpec().build(),
+        "disc/default": lambda: disc_mesh(DiscSpec()),
     }
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
