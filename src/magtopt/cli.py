@@ -111,8 +111,16 @@ def build_curve(cfg: dict):
 
 
 def disc_spec(cfg: dict) -> DiscSpec:
-    return DiscSpec(radius=_parse(cfg, "disc_radius"), h0=_parse(cfg, "h0"),
-                    growth=_parse(cfg, "growth"), n_theta=_parse(cfg, "n_theta", int))
+    """The config's DiscSpec; ValueError naming the config key of the first
+    disc parameter out of range (the mesher calls `disc_radius` `radius`)."""
+    try:
+        return DiscSpec(radius=_parse(cfg, "disc_radius"), h0=_parse(cfg, "h0"),
+                        growth=_parse(cfg, "growth"),
+                        n_theta=_parse(cfg, "n_theta", int))
+    except ValueError as exc:
+        if str(exc).startswith("radius = "):
+            raise ValueError(f"disc_{exc}") from None
+        raise
 
 
 def _prepare_out(out: str, force: bool) -> Path:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .csvio import read_csv
 
@@ -158,6 +157,10 @@ class SplineCurve:
             raise ValueError("spline samples must have s >= 0, nu > 0")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "values", v)
+        # imported here, not at module level: scipy.interpolate pulls in
+        # scipy.optimize, .spatial and .special, about 20 MB that no run on
+        # the analytic laws needs
+        from scipy.interpolate import CubicSpline
         object.__setattr__(self, "_spline", CubicSpline(s, v, extrapolate=False))
 
     @property

@@ -175,7 +175,9 @@ class TestBuildTables:
         assert "n_theta = 30" in caplog.text
         assert not (out / "j2_case1.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [("h0", "0"), ("n_theta", "0")])
+    @pytest.mark.parametrize("key, value", [
+        ("h0", "0"), ("n_theta", "0"), ("disc_radius", "0.5"),
+        ("disc_radius", "1"), ("disc_radius", "inf")])
     def test_bad_disc_rejected(self, tmp_path, caplog, key, value):
         cfg = write_config(tmp_path, **{key: value})
         out = tmp_path / "out"
@@ -184,7 +186,9 @@ class TestBuildTables:
         assert f"{key} = {value} " in caplog.text
         assert list(out.glob("*.csv")) == []
 
-    @pytest.mark.parametrize("key, value", [("h0", "0"), ("n_theta", "0")])
+    @pytest.mark.parametrize("key, value", [
+        ("h0", "0"), ("n_theta", "0"), ("disc_radius", "0.5"),
+        ("disc_radius", "1"), ("disc_radius", "inf")])
     def test_bad_disc_rejected_without_samples(self, tmp_path, caplog, key, value):
         # t_max = 0 solves no sample and meshes no disc
         cfg = write_config(tmp_path, t_max="0", **{key: value})

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +297,27 @@ class TestSplineCurve:
         slope = curve.nu(ss) + curve.nu_prime(ss) * ss  # (nu s)'
         np.testing.assert_allclose(slope, NU0, rtol=1e-12)
         assert abs(curve.nu(1e8) - NU0) < 1e-4 * NU0
+
+    def test_scipy_interpolate_loaded_only_for_a_spline(self):
+        # a fresh interpreter: other tests in this process build spline curves
+        script = """
+import sys
+import numpy as np
+import magtopt.material, magtopt.cli, magtopt.optimizer, magtopt.cell_problems
+heavy = ("scipy.interpolate", "scipy.optimize", "scipy.spatial", "scipy.special")
+loaded = [m for m in heavy if m in sys.modules]
+assert not loaded, loaded
+curve = magtopt.material.SplineCurve([0.0, 1.0, 2.0, 3.0],
+                                     [3000.0, 3100.0, 3500.0, 5000.0])
+assert "scipy.interpolate" in sys.modules
+s = np.array([0.5, 2.5, 10.0])
+assert np.all(np.isfinite(curve.nu(s))) and np.all(np.isfinite(curve.nu_prime(s)))
+"""
+        src = str(Path(material.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_spline_derivatives_match_fd(self):
         s = np.linspace(0.0, 2.0, 15)
