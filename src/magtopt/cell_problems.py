@@ -1,8 +1,8 @@
 """Exterior transmission problems at unit scale and the nonlinear correction
 term of the sensitivity formulas.
 
-A unit-disk inclusion sits at the origin of a large truncated disc (default
-radius 1000, homogeneous Dirichlet outer boundary; the fields decay like
+A unit-disk inclusion sits at the origin of a large truncated disc (a
+mesh.DiscSpec; homogeneous Dirichlet outer boundary; the fields decay like
 1/|x| or faster, so truncation is benign). Two material arrangements:
 
   AIR_IN_FERRO ("I")   linear air inside the inclusion, nonlinear law outside
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import fem, material
 from .csvio import read_csv
-from .mesh import Boundary, Region, TriMesh, _check_disc, generate_disc_mesh
+from .mesh import Boundary, DiscSpec, Region, TriMesh, generate_disc_mesh
 
 
 class PerturbationCase(enum.Enum):
@@ -46,28 +46,13 @@ class PerturbationCase(enum.Enum):
     FERRO_IN_AIR = "II"
 
 
-@dataclass(frozen=True)
-class DiscSpec:
-    """Truncated-disc discretization parameters around the unit inclusion;
-    ValueError at construction if generate_disc_mesh would refuse them, so a
-    table build with no sample to solve refuses them too."""
-    radius: float = 1000.0
-    h0: float = 0.05
-    growth: float = 1.15
-    n_theta: int = 128
-
-    def __post_init__(self):
-        _check_disc(self.radius, self.growth, self.h0, self.n_theta)
-
-
 _mesh_cache: dict = {}
 
 
 def disc_mesh(spec: DiscSpec) -> TriMesh:
     """Memoized mesh for a disc spec (meshes are immutable)."""
     if spec not in _mesh_cache:
-        _mesh_cache[spec] = generate_disc_mesh(spec.radius, spec.growth,
-                                               spec.h0, spec.n_theta)
+        _mesh_cache[spec] = generate_disc_mesh(spec)
     return _mesh_cache[spec]
 
 
@@ -84,16 +69,25 @@ def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
                            x0: np.ndarray = None) -> np.ndarray:
     """The nonlinear transmission problem for the variation H of the direct
     state: fem.solve_quasilinear with offset w = grad_u on the nonlinear side,
-    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2, from x0 (zero by default; a
-    table chain passes the previous sample's H), through `held` (a fresh
-    fem.HeldLU by default); nodal values (n,)."""
+    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2 max(1, 1e-2 nu_air / c), c the
+    contrast |nu_air - nu(|grad_u|)|, from x0 (zero by default; a table chain
+    passes the previous sample's H), through `held` (a fresh fem.HeldLU by
+    default); nodal values (n,)."""
     grad_u = np.asarray(grad_u, dtype=float)
     inclusion, nonlin, sign = _sides(disc, case)
     nu_u0 = float(curve.nu(np.hypot(grad_u[0], grad_u[1])))
     f_el = np.zeros((disc.n_tris, 2))
     f_el[inclusion] = sign * (curve.nu_air - nu_u0) * grad_u
     rhs = fem.assemble_flux_divergence(disc, f_el)
-    return fem.solve_quasilinear(disc, curve, nonlin, rhs, 1e-14, w=grad_u,
+    # F vanishes with c as the law saturates (past 10 T on the default law),
+    # while the residual's round-off floor stays near nu_air |grad_u|; c = 0
+    # leaves F = 0, which x = 0 solves
+    contrast, tol_abs = abs(curve.nu_air - nu_u0), 1e-14
+    if 0.0 < contrast < 1e-2 * curve.nu_air:
+        free, _ = fem._free_block(disc)
+        tol_abs += (fem.TOL_REL * (1e-2 * curve.nu_air / contrast - 1.0)
+                    * np.linalg.norm(rhs[free]))
+    return fem.solve_quasilinear(disc, curve, nonlin, rhs, tol_abs, w=grad_u,
                                  x0=x0, held=held)[0]
 
 
@@ -199,16 +193,14 @@ class CorrectionTable:
 
 
 def _quarter(disc: TriMesh) -> TriMesh:
-    """The sector {x >= 0, y >= 0} of a disc mesh whose n_theta is a multiple
-    of 4: its triangles and nodes, renumbered, with the outer arc and the
-    y-axis (centre node included) as the Dirichlet boundary; the x-axis keeps
-    the natural condition. Cached on the disc mesh."""
+    """The sector {x >= 0, y >= 0} of a disc mesh (whose n_theta DiscSpec
+    makes a multiple of 4): its triangles and nodes, renumbered, with the
+    outer arc and the y-axis (centre node included) as the Dirichlet
+    boundary; the x-axis keeps the natural condition. Cached on the disc
+    mesh."""
     if "quarter" not in disc._cache:
         cen = disc.centroids
         keep = (cen[:, 0] > 0.0) & (cen[:, 1] > 0.0)
-        if 4 * np.count_nonzero(keep) != disc.n_tris:
-            raise ValueError(f"quarter cut kept {np.count_nonzero(keep)} of "
-                             f"{disc.n_tris} triangles, not a quarter")
         used = np.unique(disc.tris[keep])
         loc = np.full(disc.n_nodes, -1, dtype=np.int64)
         loc[used] = np.arange(used.size)
@@ -257,9 +249,9 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
                            disc_spec: DiscSpec, workers: int = 1) -> CorrectionTable:
     """Solve the cell problems for each grid value of t = |grad_u| and tabulate
     the correction. The t = 0 row is exact zeros by theory.
-    Each sample is solved on the quarter disc, which needs disc_spec.n_theta
-    to be a multiple of 4. A grid that breaks that rule or CorrectionTable's,
-    or workers below 1, raises ValueError before any solve.
+    Each sample is solved on the quarter disc. A grid that breaks
+    CorrectionTable's rules, or workers below 1, raises ValueError before
+    any solve.
 
     The grid is solved in chains of CHAIN consecutive samples, starting at
     grid indices 0, CHAIN, 2 CHAIN, ... (_table_chain), where a last chain of
@@ -277,9 +269,6 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
     # the zero-valued table applies the grid rules before any solve
     table = CorrectionTable(case, t_grid, np.zeros(t_grid.shape), disc_spec.radius,
                             disc_spec.h0, curve.cache_key())
-    if disc_spec.n_theta % 4 != 0:
-        raise ValueError(f"n_theta = {disc_spec.n_theta} is not a multiple of 4: "
-                         "the disc axes must be mesh lines for the quarter-disc solve")
     ts = t_grid.tolist()
     if len(ts) == 1:   # the zero row alone: no cell problem, no disc mesh
         return table

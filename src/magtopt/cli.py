@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cell_problems, fem, material, optimizer, problem_setup, vtkio
-from .cell_problems import DiscSpec, PerturbationCase
+from .cell_problems import PerturbationCase
+from .mesh import DiscSpec
 
 log = logging.getLogger("magtopt.cli")
 
@@ -112,7 +113,7 @@ def build_curve(cfg: dict):
 
 def disc_spec(cfg: dict) -> DiscSpec:
     """The config's DiscSpec; ValueError naming the config key of the first
-    disc parameter out of range (the mesher calls `disc_radius` `radius`)."""
+    disc parameter out of range (DiscSpec calls `disc_radius` `radius`)."""
     try:
         return DiscSpec(radius=_parse(cfg, "disc_radius"), h0=_parse(cfg, "h0"),
                         growth=_parse(cfg, "growth"),
@@ -190,8 +191,9 @@ def cmd_build_tables(cfg, args) -> int:
 def _load_or_build_tables(cfg, curve, out: Path):
     """Tables from the configured paths if both exist, else freshly built;
     if only one exists, ValueError, since a build would overwrite it.
-    A loaded table must match the curve and its slot's case."""
-    paths = _table_paths(cfg, out)
+    A loaded table must match the curve, its slot's case and the configured
+    disc's radius and h0 (the ones its file records)."""
+    spec, paths = disc_spec(cfg), _table_paths(cfg, out)
     missing = [p for p in paths if not p.exists()]
     if len(missing) == 1:
         present, = set(paths) - set(missing)
@@ -209,6 +211,12 @@ def _load_or_build_tables(cfg, curve, out: Path):
         if table.curve_hash != curve.cache_key():
             raise ValueError(f"{path}: table built for curve {table.curve_hash}, "
                              f"not the configured curve {curve.cache_key()}")
+        for key, built, configured in (("disc_radius", table.radius, spec.radius),
+                                       ("h0", table.h0, spec.h0)):
+            if built != configured:
+                raise ValueError(f"{path}: table built on a disc with {key} = "
+                                 f"{built!r}, not the configured {key} = "
+                                 f"{configured!r}")
     return tables
 
 

@@ -103,7 +103,7 @@ class MarroccoCurve:
 @dataclass(frozen=True)
 class LinearCurve:
     """Constant reluctivity nu(s) = nu_linear: the linear stub."""
-    nu_linear: float = 1000.0
+    nu_linear: float
     nu_air = NU0
 
     def __post_init__(self):

@@ -258,42 +258,50 @@ def _ring_edges(ring: np.ndarray) -> np.ndarray:
     return np.column_stack([ring, np.roll(ring, -1)])
 
 
-def _check_disc(radius: float, growth: float, h0: float, n_theta: int) -> None:
-    """ValueError naming the first disc-mesh parameter that is out of range:
-    unguarded, these divide by zero, build non-finite nodes or, for h0 < 0,
-    add rings without end."""
-    if not (np.isfinite(radius) and radius > 1.0):
-        raise ValueError(f"radius = {radius:g} is not finite and > 1, the "
-                         "inclusion's radius")
-    if not 1.0 <= growth < np.inf:
-        raise ValueError(f"growth = {growth:g} is not finite and >= 1")
-    if not 0.0 < h0 < np.inf:
-        raise ValueError(f"h0 = {h0:g} is not finite and positive")
-    if n_theta < 3:
-        raise ValueError(f"n_theta = {n_theta} is less than 3")
+@dataclass(frozen=True)
+class DiscSpec:
+    """Truncated disc around the cell problems' unit inclusion
+    (generate_disc_mesh), and every rule on it: ValueError at construction
+    naming the first field out of range. Unguarded, these divide by zero,
+    build non-finite nodes, cut a quarter sector that is not the disc's
+    exact restriction or, for h0 < 0, add rings without end."""
+    radius: float
+    h0: float
+    growth: float
+    n_theta: int
+
+    def __post_init__(self):
+        if not (np.isfinite(self.radius) and self.radius > 1.0):
+            raise ValueError(f"radius = {self.radius:g} is not finite and > 1, "
+                             "the inclusion's radius")
+        if not 0.0 < self.h0 < np.inf:
+            raise ValueError(f"h0 = {self.h0:g} is not finite and positive")
+        if not 1.0 <= self.growth < np.inf:
+            raise ValueError(f"growth = {self.growth:g} is not finite and >= 1")
+        if not (self.n_theta > 0 and self.n_theta % 4 == 0):
+            raise ValueError(f"n_theta = {self.n_theta} is not a positive "
+                             "multiple of 4: the disc's axes must be mesh lines "
+                             "for the quarter-disc solve")
 
 
-def generate_disc_mesh(radius: float, growth: float, h0: float,
-                       n_theta: int) -> TriMesh:
-    """Disc mesh centered at the origin around the cell problems' unit-disk
-    inclusion, with an exactly-polygonal inclusion ring.
+def generate_disc_mesh(spec: DiscSpec) -> TriMesh:
+    """Disc mesh of `spec` centered at the origin around the cell problems'
+    unit-disk inclusion, with an exactly-polygonal inclusion ring.
 
     Nodes are placed on concentric circles; one circle sits exactly at
-    |x| = 1, radial spacing grows geometrically (factor `growth`) from h0 at
-    the inclusion toward the outer boundary. Triangles inside the inclusion
-    are tagged DESIGN, the exterior AIR_FIXED; the outer circle is the
-    Dirichlet boundary. ValueError naming the parameter if one is out of
-    range (_check_disc).
+    |x| = 1, radial spacing grows geometrically (factor spec.growth) from
+    spec.h0 at the inclusion toward the outer boundary. Triangles inside the
+    inclusion are tagged DESIGN, the exterior AIR_FIXED; the outer circle is
+    the Dirichlet boundary.
     """
-    _check_disc(radius, growth, h0, n_theta)
-    radii = _ring_radii(1.0, radius, h0, growth)
-    nodes, tris, ring = _polar_mesh(radii, n_theta)
+    radii = _ring_radii(1.0, spec.radius, spec.h0, spec.growth)
+    nodes, tris, ring = _polar_mesh(radii, spec.n_theta)
     cen = nodes[tris].mean(axis=1)
     rc = np.hypot(cen[:, 0], cen[:, 1])
     reg = np.where(rc < 1.0, int(Region.DESIGN),
                    int(Region.AIR_FIXED)).astype(np.int8)
     bedges = _ring_edges(ring[-1])
-    btags = np.full(n_theta, Boundary.DIRICHLET_OUTER, dtype=np.int8)
+    btags = np.full(spec.n_theta, Boundary.DIRICHLET_OUTER, dtype=np.int8)
     return TriMesh(nodes, tris, reg, bedges, btags)
 
 

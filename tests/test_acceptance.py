@@ -3,12 +3,13 @@ line with its measured quantities. Tolerances are fixed here, not tuned at
 runtime. Heavy artifacts (default-resolution correction tables, the
 end-to-end runs) are session-cached fixtures."""
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from magtopt import optimizer as op
-from magtopt.cell_problems import (DiscSpec, CorrectionTable, PerturbationCase,
+from magtopt.cell_problems import (CorrectionTable, PerturbationCase,
                                    build_correction_table, compute_correction,
                                    disc_mesh, eval_correction, solve_direct_variation,
                                    solve_adjoint_variation)
@@ -44,12 +45,12 @@ def rotation(theta):
 
 
 @pytest.fixture(scope="session")
-def run_tables(marrocco):
+def run_tables(marrocco, default_spec):
     """Both correction tables for the end-to-end run: 21-point grid to 2.5 T
     at the default disc resolution."""
     grid = np.linspace(0.0, 2.5, 21)
-    t1 = build_correction_table(marrocco, CASE_I, grid, DiscSpec())
-    t2 = build_correction_table(marrocco, CASE_II, grid, DiscSpec())
+    t1 = build_correction_table(marrocco, CASE_I, grid, default_spec)
+    t2 = build_correction_table(marrocco, CASE_II, grid, default_spec)
     return t1, t2
 
 
@@ -175,13 +176,13 @@ def test_criterion_05_adjoint_consistency(marrocco, say):
     assert worst <= 1e-5
 
 
-def test_criterion_06_cell_oracle(marrocco, say):
+def test_criterion_06_cell_oracle(marrocco, default_spec, say):
     gu_pt = np.array([1.5, 0.0])
     gp_pt = np.array([0.3, 0.8])
     errs = []
     # the default disc in the middle, h0 halved and n_theta doubled per step
-    for spec in (DiscSpec(h0=0.1, n_theta=64), DiscSpec(),
-                 DiscSpec(h0=0.025, n_theta=256)):
+    for spec in (replace(default_spec, h0=0.1, n_theta=64), default_spec,
+                 replace(default_spec, h0=0.025, n_theta=256)):
         mesh = disc_mesh(spec)
         K = solve_adjoint_variation(marrocco, gu_pt, gp_pt, CASE_II, mesh)
         exact = analytic_adjoint_variation(marrocco, gu_pt, gp_pt, mesh.nodes)
@@ -262,11 +263,12 @@ def test_criterion_08_table_fidelity(marrocco, table1_default, disc_default, say
     assert worst <= 0.03
 
 
-def test_criterion_09_truncation_robustness(marrocco, disc_default, say):
+def test_criterion_09_truncation_robustness(marrocco, disc_default, default_spec,
+                                            say):
     gu_pt = np.array([1.0, 0.0])
     gp_pt = np.array([1.0, 0.0])
     j_1000 = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_default)
-    spec500 = DiscSpec(radius=500.0)
+    spec500 = replace(default_spec, radius=500.0)
     j_500 = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_mesh(spec500))
     rel = abs(j_1000 - j_500) / abs(j_1000)
     ok = rel <= 0.01
@@ -371,8 +373,8 @@ def expansion(curve, case, j0, eps, disc, table):
             None if table is None else table.lookup(gu, gp)[0])
 
 
-def test_criterion_12_topological_expansion(marrocco, disc_default, table1_default,
-                                            say):
+def test_criterion_12_topological_expansion(marrocco, disc_default, default_spec,
+                                            table1_default, say):
     """The paper's expansion J(Ω_ε) - J(Ω) = ε² G + o(ε²), with G the matrix
     term grad u0 . M grad p0 plus the nonlinear correction, at about 3 T,
     where the correction is needed: without it the ratio misses 1 by 0.3 or
@@ -392,7 +394,7 @@ def test_criterion_12_topological_expansion(marrocco, disc_default, table1_defau
     than 1."""
     t0 = time.perf_counter()
     table2 = build_correction_table(marrocco, CASE_II, np.linspace(0.0, 3.2, 65),
-                                    DiscSpec())
+                                    default_spec)
     lines, ok = [], True
     for case, j0, table in ((CASE_I, 1.2e8, table1_default),
                             (CASE_II, 1.75e8, table2),
@@ -422,7 +424,7 @@ def test_criterion_12_topological_expansion(marrocco, disc_default, table1_defau
     assert ok
 
 
-def test_criterion_13_table_error_budget(marrocco, say):
+def test_criterion_13_table_error_budget(marrocco, default_spec, say):
     """The paper's main ingredient, a sufficiently fast decay of the direct
     variation as |x| -> infinity, shows as a truncation error that falls
     as R^-p with p about 2. Each sample is the t row of a two-point table
@@ -438,7 +440,7 @@ def test_criterion_13_table_error_budget(marrocco, say):
 
     def sample(case, t, **spec):
         return build_correction_table(marrocco, case, [0.0, t],
-                                      DiscSpec(**spec)).j2_e1[1]
+                                      replace(default_spec, **spec)).j2_e1[1]
 
     lines, ok = [], True
     for case in (CASE_I, CASE_II):
@@ -461,6 +463,47 @@ def test_criterion_13_table_error_budget(marrocco, say):
     say(f"ACCEPTANCE 13 {'PASS' if ok else 'FAIL'}: table error budget, truncation "
         f"exponent in [1.8, 2.2], R = 1000 truncation error <= 1e-4 relative, mesh "
         f"order >= 1.3, runtime {dt:.1f}s (< 3s)")
+    for line in lines:
+        say(f"              {line}")
+    assert ok
+
+
+def test_criterion_14_lookup_error_in_f(marrocco, default_spec, table1_default,
+                                        table2_default, say):
+    """The table lookup's error in the descent's terms. Each element's
+    sensitivity is sign F(t) (grad u . grad p), F(t) = d1(t) + j2(t)/t at
+    t = |grad u|, so a table's error reaches the descent as F's relative
+    error, not j2's. Fresh samples at every third midpoint of the default
+    61-point grid, built with build_correction_table on those midpoints,
+    give F; d1 plus the default table's lookup is compared with it, for
+    both cases on the default disc. The same samples continue to 3.5 and
+    3.99 T, beyond the grid, where the lookup clamps; that error is
+    reported unbounded."""
+    t0 = time.perf_counter()
+    lines, ok = [], True
+    for case, table, d1, bound in (
+            (CASE_I, table1_default, matrix_air_in_ferro, 1.5e-3),
+            (CASE_II, table2_default, matrix_ferro_in_air, 2e-4)):
+        mids = (0.5 * (table.t[1:] + table.t[:-1]))[::3]
+        fresh = build_correction_table(marrocco, case, [0.0, *mids, 3.5, 3.99],
+                                       default_spec)
+        t = fresh.t[1:]
+        gu = np.column_stack([t, np.zeros_like(t)])
+        d1_t = d1(marrocco, gu)
+        exact = d1_t + fresh.j2_e1[1:] / t
+        # grad p = e1 / t makes grad u . grad p = 1, so the lookup is j2 / t
+        looked_up = d1_t + table.lookup(gu, gu / (t * t)[:, None])[0]
+        err = np.abs(looked_up - exact) / np.abs(exact)
+        worst = int(np.argmax(err[:-2]))
+        ok &= err[worst] <= bound
+        lines.append(f"case {case.value}: max rel err {err[worst]:.2e} at "
+                     f"{t[worst]:.3f} T (tol {bound:g}); clamped "
+                     f"{err[-2]:.3f} at 3.5 T, {err[-1]:.3f} at 3.99 T")
+    dt = time.perf_counter() - t0
+    ok &= dt < 1.0
+    say(f"ACCEPTANCE 14 {'PASS' if ok else 'FAIL'}: default table lookup vs "
+        f"fresh samples at every third grid midpoint, error in F = d1 + j2/t "
+        f"within its bound per case, runtime {dt:.2f}s (< 1s)")
     for line in lines:
         say(f"              {line}")
     assert ok

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,17 +7,19 @@ from scipy.spatial import cKDTree
 
 from magtopt import cell_problems, fem, material
 from magtopt.fem import SolverError
-from magtopt.cell_problems import (DiscSpec, CorrectionTable, PerturbationCase,
+from magtopt.cell_problems import (CorrectionTable, PerturbationCase,
                                    build_correction_table, compute_correction,
                                    disc_mesh, eval_correction, load_table, save_table,
                                    solve_direct_variation, solve_adjoint_variation)
 from magtopt.material import NU0, LinearCurve
-from magtopt.mesh import Region
+from magtopt.mesh import DiscSpec, Region
 from oracles import analytic_adjoint_variation
 
 CASE_I = PerturbationCase.AIR_IN_FERRO
 CASE_II = PerturbationCase.FERRO_IN_AIR
 RNG = np.random.default_rng(9)
+#: a small disc for the tests that check the solvers rather than the tables
+SMALL_SPEC = DiscSpec(radius=200.0, h0=0.2, growth=1.15, n_theta=32)
 
 
 def rotation(theta):
@@ -171,15 +174,13 @@ class TestComputeJ2:
 class TestTables:
     def test_zero_row_and_grid_echo(self, marrocco):
         grid = np.array([0.0, 0.8, 1.6])
-        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
-        table = build_correction_table(marrocco, CASE_I, grid, spec)
+        table = build_correction_table(marrocco, CASE_I, grid, SMALL_SPEC)
         np.testing.assert_array_equal(table.t, grid)
         assert table.j2_e1[0] == 0.0
 
     def test_linear_stub_all_zero(self, linear_stub):
         grid = np.array([0.0, 1.0, 2.0])
-        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
-        table = build_correction_table(linear_stub, CASE_I, grid, spec)
+        table = build_correction_table(linear_stub, CASE_I, grid, SMALL_SPEC)
         assert np.abs(table.j2_e1).max() < 1e-9
 
     def test_e2_column_is_symmetry_zero(self, tables_coarse):
@@ -255,12 +256,12 @@ class TestTables:
         # CorrectionTable's grid rules, applied before the first solve
         calls = []
         monkeypatch.setattr(fem, "factorize", lambda A: calls.append(A))
-        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
         for grid, match in (([0.0, 2.0, 1.0], "strictly increasing"),
                             ([0.0, np.nan, 1.0], "strictly increasing"),
                             ([0.5, 1.0], "zero row"), ([], "empty table")):
             with pytest.raises(ValueError, match=match):
-                build_correction_table(marrocco, CASE_I, np.array(grid), spec)
+                build_correction_table(marrocco, CASE_I, np.array(grid),
+                                       SMALL_SPEC)
         assert calls == []
 
 
@@ -321,16 +322,15 @@ class TestEvalJ2:
             assert interp == pytest.approx(direct, rel=0.03)
 
     @pytest.mark.parametrize("case, bound", [(CASE_I, 1e-6), (CASE_II, 1e-12)])
-    def test_rotated_pairs_match_full_disc(self, marrocco, disc_coarse, case,
-                                           bound):
+    def test_rotated_pairs_match_full_disc(self, marrocco, disc_coarse,
+                                           coarse_spec, case, bound):
         # the one-column lookup against full-disc solves at pairs that no
         # mesh symmetry aligns (the coarse disc's angles are multiples of
         # pi/32), on a table whose one nonzero sample is t itself, solved on
-        # the quarter of that disc (conftest's COARSE_SPEC)
+        # the quarter of that disc
         t = 2.0
-        spec = DiscSpec(radius=1000.0, h0=0.1, growth=1.15, n_theta=64)
-        assert disc_mesh(spec) is disc_coarse
-        table = build_correction_table(marrocco, case, [0.0, t], spec)
+        assert disc_mesh(coarse_spec) is disc_coarse
+        table = build_correction_table(marrocco, case, [0.0, t], coarse_spec)
         for a, b in ((0.3, 1.1), (2.0, -0.5), (-1.2, 2.9)):
             gu_pt = t * np.array([np.cos(a), np.sin(a)])
             gp_pt = np.array([np.cos(b), np.sin(b)])
@@ -344,15 +344,30 @@ class TestEvalJ2:
 
 
 class TestTruncation:
-    def test_radius_500_vs_1000(self, marrocco):
+    def test_radius_500_vs_1000(self, marrocco, coarse_spec):
         # coarse angular/h0 settings; the truncation effect is what varies
-        s1000 = DiscSpec(radius=1000.0, h0=0.1, n_theta=64)
-        s500 = DiscSpec(radius=500.0, h0=0.1, n_theta=64)
+        s500 = dataclasses.replace(coarse_spec, radius=500.0)
+        assert coarse_spec.radius == 1000.0
         gu_pt = np.array([1.0, 0.0])
         gp_pt = np.array([1.0, 0.0])
-        ja = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_mesh(s1000))
+        ja = compute_correction(marrocco, gu_pt, gp_pt, CASE_I,
+                                disc_mesh(coarse_spec))
         jb = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_mesh(s500))
         assert abs(ja - jb) <= 0.01 * abs(ja)
+
+
+class TestSaturation:
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_samples_converge_at_14_and_20_T(self, marrocco, coarse_spec, case):
+        # past about 10 T the contrast nu_air - nu(t), and with it the
+        # direct variation's right-hand side, vanishes while the residual's
+        # round-off floor stays near nu_air t; case I stalled there against
+        # a tolerance relative to the right-hand side alone
+        j14, j20 = (build_correction_table(marrocco, case, [0.0, t],
+                                           coarse_spec).j2_e1[1]
+                    for t in (14.0, 20.0))
+        # the law turns into air, and the correction with it
+        assert 0.0 < abs(j20) < abs(j14)
 
 
 class TestTableSample:
@@ -361,8 +376,7 @@ class TestTableSample:
         # variation share one factorization of the h = 0 Jacobian; at 3 T,
         # deep in saturation, the direct solve also factorizes a later
         # Jacobian, so the sharing is seen next to the lagged factorizations
-        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
-        quarter = cell_problems._quarter(disc_mesh(spec))
+        quarter = cell_problems._quarter(disc_mesh(SMALL_SPEC))
         grad_u, e1 = np.array([3.0, 0.0]), np.array([1.0, 0.0])
         calls = []
         factorize = fem.factorize
@@ -382,7 +396,8 @@ class TestTableSample:
         separate = 4.0 * float(np.einsum("e,ei,ei->", quarter.areas[nonlin],
                                          s_el, e1 + gk))
         calls.clear()
-        shared = cell_problems._table_chain(marrocco, CASE_I, spec, [3.0], 0, 1)[0]
+        shared = cell_problems._table_chain(marrocco, CASE_I, SMALL_SPEC, [3.0],
+                                            0, 1)[0]
         assert n_direct >= 2
         assert len(calls) == n_direct
         assert shared == separate
@@ -392,8 +407,7 @@ class TestTableSample:
         # at most one LU of the disc at a time: where the direct solve of
         # the quarter disc at 3 T falls back to factorizing a later
         # Jacobian, the h = 0 LU it started from is already dropped
-        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
-        quarter = cell_problems._quarter(disc_mesh(spec))
+        quarter = cell_problems._quarter(disc_mesh(SMALL_SPEC))
         alive, at_start = [0], []
         factorize = fem.factorize
 
@@ -426,7 +440,7 @@ class TestQuarterDisc:
     """Table samples solve the aligned cell problems on the quarter sector
     {x >= 0, y >= 0} of the disc mesh."""
 
-    SPEC = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+    SPEC = SMALL_SPEC
 
     def test_cut_is_a_quarter(self):
         disc = disc_mesh(self.SPEC)
@@ -456,33 +470,25 @@ class TestQuarterDisc:
             # on the full disc, e2 vanishes by symmetry up to round-off
             assert abs(full_e2) <= 1e-9 * abs(full_e1)
 
-    def test_n_theta_not_multiple_of_4_rejected(self, marrocco, monkeypatch):
-        calls = []
-        monkeypatch.setattr(fem, "factorize", lambda A: calls.append(A))
-        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=30)
-        with pytest.raises(ValueError, match="n_theta = 30"):
-            build_correction_table(marrocco, CASE_I, np.array([0.0, 1.0]), spec)
-        assert calls == []
+    def test_n_theta_not_multiple_of_4_rejected(self):
+        # no disc mesh, and so no quarter cut or table sample, exists for an
+        # n_theta whose axes are not mesh lines
+        with pytest.raises(ValueError,
+                           match="n_theta = 30 is not a positive multiple of 4"):
+            dataclasses.replace(self.SPEC, n_theta=30)
 
     @pytest.mark.parametrize("field, value", [
         ("h0", 0.0), ("n_theta", 0), ("radius", 1.0), ("growth", np.nan)])
     def test_spec_refuses_what_the_mesher_refuses(self, field, value):
-        kwargs = dict(radius=200.0, h0=0.2, n_theta=32)
-        kwargs[field] = value
         with pytest.raises(ValueError, match=field):
-            DiscSpec(**kwargs)
-
-    def test_cut_refuses_unaligned_disc(self):
-        disc = disc_mesh(DiscSpec(radius=200.0, h0=0.2, n_theta=30))
-        with pytest.raises(ValueError, match="not a quarter"):
-            cell_problems._quarter(disc)
+            dataclasses.replace(self.SPEC, **{field: value})
 
 
 class TestChains:
     """build_correction_table continues the cell solves along t in chains of
     CHAIN samples that restart at fixed grid indices."""
 
-    SPEC = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
+    SPEC = SMALL_SPEC
     #: three chains at CHAIN = 5, the last one short
     GRID = np.linspace(0.0, 3.0, 13)
 
@@ -551,10 +557,9 @@ class TestWorkers:
         calls = []
         monkeypatch.setattr(cell_problems, "_table_chain",
                             lambda *a: calls.append(a))
-        spec = DiscSpec(radius=200.0, h0=0.2, n_theta=32)
         with pytest.raises(ValueError, match="workers"):
-            build_correction_table(marrocco, CASE_I, np.array([0.0, 1.0]), spec,
-                                   workers=workers)
+            build_correction_table(marrocco, CASE_I, np.array([0.0, 1.0]),
+                                   SMALL_SPEC, workers=workers)
         assert calls == []
 
     @pytest.mark.parametrize("n, chains", [(13, 3), (11, 2)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from magtopt import cli, fem, material, polarization, problem_setup
-from magtopt.cell_problems import DiscSpec, load_table
+from magtopt.cell_problems import load_table
 from magtopt.mesh import Region, TriMesh
 from magtopt.optimizer import OptimizerOptions
 from oracles import read_meshv1
@@ -97,12 +97,11 @@ class TestConfig:
         assert documented == cli.DEFAULTS
 
     def test_defaults_match_the_library(self):
-        curve, disc, opts = material.MarroccoCurve(), DiscSpec(), OptimizerOptions()
+        # the disc and nu_linear have no library default: DEFAULTS is their
+        # only statement
+        curve, opts = material.MarroccoCurve(), OptimizerOptions()
         library = {
             "alpha": curve.alpha, "c": curve.c, "tau": curve.tau,
-            "nu_linear": material.LinearCurve().nu_linear,
-            "disc_radius": disc.radius, "h0": disc.h0, "growth": disc.growth,
-            "n_theta": disc.n_theta,
             "kappa_start": opts.kappa_start, "theta_tol_deg": opts.theta_tol_deg,
             "max_iter": opts.max_iter,
         }
@@ -176,7 +175,7 @@ class TestBuildTables:
         assert not (out / "j2_case1.csv").exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("h0", "0"), ("n_theta", "0"), ("disc_radius", "0.5"),
+        ("h0", "0"), ("n_theta", "0"), ("n_theta", "2"), ("disc_radius", "0.5"),
         ("disc_radius", "1"), ("disc_radius", "inf")])
     def test_bad_disc_rejected(self, tmp_path, caplog, key, value):
         cfg = write_config(tmp_path, **{key: value})
@@ -187,7 +186,7 @@ class TestBuildTables:
         assert list(out.glob("*.csv")) == []
 
     @pytest.mark.parametrize("key, value", [
-        ("h0", "0"), ("n_theta", "0"), ("disc_radius", "0.5"),
+        ("h0", "0"), ("n_theta", "0"), ("n_theta", "2"), ("disc_radius", "0.5"),
         ("disc_radius", "1"), ("disc_radius", "inf")])
     def test_bad_disc_rejected_without_samples(self, tmp_path, caplog, key, value):
         # t_max = 0 solves no sample and meshes no disc
@@ -447,6 +446,45 @@ class TestTableGuards:
                        "--force"])
         assert rc == cli.EXIT_CONFIG
         assert "not the configured curve" in caplog.text
+        assert not (out / "iterations.csv").exists()
+
+    def _run_on_tables(self, tmp_path, built, configured):
+        """(exit code, table path, output dir) of `optimize` under the
+        overrides `configured`, reading the tables that build-tables wrote
+        under the overrides `built`."""
+        tables = tmp_path / "tables"
+        assert cli.main(["build-tables", "--out", str(tables), "--config",
+                         str(write_config(tmp_path, name="built.cfg", **built))]) == 0
+        paths = {f"table_case{i}": str(tables / f"j2_case{i}.csv") for i in (1, 2)}
+        run = write_config(tmp_path, **configured, **paths)
+        out = tmp_path / "out"
+        rc = cli.main(["optimize", "--config", str(run), "--out", str(out)])
+        return rc, paths["table_case1"], out
+
+    @pytest.mark.parametrize("key, built, configured", [
+        ("disc_radius", "100", "200"), ("h0", "0.3", "0.25")])
+    def test_tables_for_another_disc_rejected(self, tmp_path, caplog, key,
+                                              built, configured):
+        rc, path, out = self._run_on_tables(tmp_path, {key: built},
+                                            {key: configured})
+        assert rc == cli.EXIT_CONFIG
+        # the file's h0 = 0.29999999999999999 reads as the float 0.3
+        assert (f"{path}: table built on a disc with {key} = {float(built)!r}, "
+                f"not the configured {key} = {float(configured)!r}") in caplog.text
+        assert not (out / "iterations.csv").exists()
+
+    def test_tables_for_the_configured_disc_load(self, tmp_path):
+        # the file records h0 = 0.10000000000000001, the float 0.1
+        rc, path, out = self._run_on_tables(tmp_path, {"h0": "0.1"}, {"h0": "0.1"})
+        assert "h0=0.10000000000000001 " in Path(path).read_text()
+        assert rc == 0
+        assert (out / "iterations.csv").exists()
+        assert not (out / "j2_case1.csv").exists()
+
+    def test_disc_keys_checked_when_loading_tables(self, tmp_path, caplog):
+        rc, _, out = self._run_on_tables(tmp_path, {}, {"n_theta": "30"})
+        assert rc == cli.EXIT_CONFIG
+        assert "n_theta = 30 is not a positive multiple of 4" in caplog.text
         assert not (out / "iterations.csv").exists()
 
     def test_case2_table_in_case1_slot_rejected(self, tmp_path, caplog):

@@ -7,13 +7,13 @@ import scipy.sparse.linalg as spla
 
 from magtopt import cell_problems, fem, material
 from magtopt import optimizer as op
-from magtopt.cell_problems import CorrectionTable, DiscSpec, PerturbationCase
+from magtopt.cell_problems import CorrectionTable, PerturbationCase
 from magtopt.fem import (SolverError, SourceSpec, assemble_rhs,
                          assemble_rhs_elements, ferro_element_mask,
                          solve_adjoint, solve_state)
 from magtopt.material import NU0, LinearCurve
-from magtopt.mesh import (Region, generate_disc_mesh, generate_square_benchmark,
-                          unit_square_mesh)
+from magtopt.mesh import (DiscSpec, Region, generate_disc_mesh,
+                          generate_square_benchmark, unit_square_mesh)
 from magtopt.problem_setup import build_benchmark_problem, default_levelset
 
 RNG = np.random.default_rng(5)
@@ -433,7 +433,8 @@ class TestOneMaskPerSystem:
                        op.OptimizerOptions(max_iter=2))
         n_descent = len(events)
         cell_problems._table_chain(marrocco, PerturbationCase.AIR_IN_FERRO,
-                                   DiscSpec(radius=200.0, h0=0.2, n_theta=32),
+                                   DiscSpec(radius=200.0, h0=0.2, growth=1.15,
+                                            n_theta=32),
                                    [1.0, 2.0, 3.0], 0, 3)
         assert state.k == 2
         assert n_descent >= 20 and len(events) - n_descent >= 6
@@ -602,7 +603,8 @@ class TestFreeBlock:
     def test_order_repeats_on_fresh_meshes(self):
         # serial and parallel table builds order their own disc meshes
         for build in (lambda: generate_square_benchmark(16),
-                      lambda: generate_disc_mesh(200.0, 1.15, 0.2, 32)):
+                      lambda: generate_disc_mesh(
+                          DiscSpec(radius=200.0, h0=0.2, growth=1.15, n_theta=32))):
             a, b = build(), build()
             free, _ = fem._free_block(a)
             assert np.array_equal(free, fem._free_block(b)[0])

@@ -357,7 +357,7 @@ class TestCurveValidation:
         # every saved table records its curve's key and is checked against it
         # on load, so a changed key would reject every table built before
         curves = {"f3188233973e": MarroccoCurve(),
-                  "00c69be38bdc": LinearCurve(),
+                  "00c69be38bdc": LinearCurve(nu_linear=1000.0),
                   "08f0bdc04093": SplineCurve([0, 1, 2, 3], [100, 200, 300, 400])}
         for key, curve in curves.items():
             assert curve.cache_key() == key

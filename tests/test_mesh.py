@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from magtopt.cell_problems import DiscSpec, disc_mesh
-from magtopt.mesh import (Boundary, Region, TriMesh,
+from magtopt.cell_problems import disc_mesh
+from magtopt.cli import DEFAULTS, disc_spec
+from magtopt.mesh import (Boundary, DiscSpec, Region, TriMesh,
                           generate_disc_mesh, generate_mini_motor,
                           generate_square_benchmark, save_mesh,
                           unit_square_mesh, MINI_MOTOR_RADII,
@@ -94,25 +95,28 @@ class TestSquareBenchmark:
 
 class TestDiscMesh:
     def test_inclusion_ring_exact(self):
-        mesh = generate_disc_mesh(50.0, 1.15, h0=0.1, n_theta=64)
+        mesh = generate_disc_mesh(DiscSpec(radius=50.0, h0=0.1, growth=1.15,
+                                           n_theta=64))
         r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
         ring = np.isclose(r, 1.0, atol=1e-12)
         assert ring.sum() == 64
 
     def test_total_area_close_to_disc(self):
-        mesh = generate_disc_mesh(10.0, 1.2, h0=0.2, n_theta=64)
+        mesh = generate_disc_mesh(DiscSpec(radius=10.0, h0=0.2, growth=1.2,
+                                           n_theta=64))
         assert abs(mesh.areas.sum() - np.pi * 100.0) <= 0.01 * np.pi * 100.0
 
     def test_inclusion_area(self):
-        mesh = generate_disc_mesh(10.0, 1.2, h0=0.2, n_theta=64)
+        mesh = generate_disc_mesh(DiscSpec(radius=10.0, h0=0.2, growth=1.2,
+                                           n_theta=64))
         incl = mesh.region == Region.DESIGN
         assert abs(mesh.areas[incl].sum() - np.pi) <= 0.01 * np.pi
 
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
-            generate_disc_mesh(1.0, 1.15, 0.05, 128)
+            DiscSpec(radius=1.0, h0=0.05, growth=1.15, n_theta=128)
         with pytest.raises(ValueError):
-            generate_disc_mesh(10.0, growth=0.9, h0=0.05, n_theta=128)
+            DiscSpec(radius=10.0, h0=0.05, growth=0.9, n_theta=128)
 
     @pytest.mark.parametrize("name, value", [
         ("h0", 0.0), ("h0", -0.1), ("h0", np.nan), ("h0", np.inf),
@@ -121,15 +125,17 @@ class TestDiscMesh:
         ("growth", np.nan), ("growth", np.inf)])
     def test_bad_input_names_its_parameter(self, name, value):
         # unguarded, these divide by zero, fail inside numpy, build a mesh
-        # with non-finite nodes or, for h0 < 0, add rings without end; a
-        # radius up to 1 leaves no room outside the unit inclusion
-        kwargs = dict(radius=10.0, growth=1.2, h0=0.25, n_theta=32)
+        # with non-finite nodes, cut a sector that is not a quarter or, for
+        # h0 < 0, add rings without end; a radius up to 1 leaves no room
+        # outside the unit inclusion
+        kwargs = dict(radius=10.0, h0=0.25, growth=1.2, n_theta=32)
         kwargs[name] = value
         with pytest.raises(ValueError, match=f"^{name} = "):
-            generate_disc_mesh(**kwargs)
+            DiscSpec(**kwargs)
 
     def test_euler_relation(self):
-        mesh = generate_disc_mesh(10.0, 1.3, h0=0.25, n_theta=32)
+        mesh = generate_disc_mesh(DiscSpec(radius=10.0, h0=0.25, growth=1.3,
+                                           n_theta=32))
         assert euler_characteristic(mesh) == 1
 
 
@@ -214,7 +220,7 @@ class TestLayoutPinned:
         "square/64": lambda: generate_square_benchmark(64),
         "mini_motor/24": lambda: generate_mini_motor(24),
         "mini_motor/96": lambda: generate_mini_motor(96),
-        "disc/default": lambda: disc_mesh(DiscSpec()),
+        "disc/default": lambda: disc_mesh(disc_spec(DEFAULTS)),
     }
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
