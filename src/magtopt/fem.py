@@ -282,48 +282,40 @@ def _lagged_cg(A: sp.csc_matrix, lu, b: np.ndarray, rtol: float = LAGGED_CG_TOL)
         r -= alpha * Ap
 
 
+@dataclass
 class HeldLU:
     """At most one factorization of a free block, held across solves whose
     matrices are near each other: the Newton steps of one solve, the cell
     problems of one chain of table samples, or the state and adjoint solves
-    of one descent. It keeps the material mask of the matrix it factorized.
-    Only its `solve` makes or drops an LU."""
-
-    def __init__(self):
-        self.lu = None
-        self.mask = None
-
-    def solve(self, A: sp.csc_matrix, b: np.ndarray, rtol: float,
-              mask: np.ndarray) -> np.ndarray:
-        """x with ||b - A x||_2 <= rtol ||b||_2, A assembled with the
-        per-element material mask `mask`: by _lagged_cg preconditioned with
-        the held LU, or else by a factorization of A, which is held in its
-        place with `mask`. CG is not tried when more than LAGGED_CG_MAX
-        elements differ between `mask` and the held LU's. The old LU is
-        dropped before the new one is made."""
-        x = None
-        if self.lu is not None and \
-                np.count_nonzero(mask != self.mask) <= LAGGED_CG_MAX:
-            x = _lagged_cg(A, self.lu, b, rtol)
-        if x is None:
-            self.lu = None
-            self.lu, self.mask = factorize(A), np.array(mask, dtype=bool)
-            x = self.lu.solve(b)
-        return x
+    of one descent. `lu` factorizes a matrix assembled with the material
+    mask `mask`. Only solve_jacobian makes, drops or stores an LU."""
+    lu: object = None
+    mask: np.ndarray = None
 
 
 def solve_jacobian(mesh: TriMesh, curve, mask: np.ndarray, grad: np.ndarray,
                    b: np.ndarray, held: HeldLU = None,
                    rtol: float = LAGGED_CG_TOL) -> np.ndarray:
-    """Solve J x = b for J = assemble_jacobian(mesh, curve, mask, grad) on the
-    free DOFs of `mesh` and nodal b (n,), through `held` (a fresh HeldLU by
-    default) with that same `mask`, to `rtol` relative; x (n,) is zero on
-    the Dirichlet boundary."""
+    """x with ||b - J x||_2 <= rtol ||b||_2 on the free DOFs of `mesh`, for
+    J = assemble_jacobian(mesh, curve, mask, grad) and nodal b (n,); x (n,)
+    is zero on the Dirichlet boundary. Solved by _lagged_cg preconditioned
+    with the LU that `held` (a fresh HeldLU by default) keeps, or else by a
+    factorization of J, which `held` keeps in its place with `mask`. CG is
+    not tried when more than LAGGED_CG_MAX elements differ between `mask`
+    and the held LU's. The old LU is dropped before the new one is made."""
     held = HeldLU() if held is None else held
     free, _ = _free_block(mesh)
-    x = np.zeros(mesh.n_nodes)
-    x[free] = held.solve(assemble_jacobian(mesh, curve, mask, grad),
-                         np.asarray(b, dtype=float)[free], rtol, mask)
+    A = assemble_jacobian(mesh, curve, mask, grad)
+    b, x = np.asarray(b, dtype=float)[free], np.zeros(mesh.n_nodes)
+    x_free = None
+    if held.lu is not None and \
+            np.count_nonzero(mask != held.mask) <= LAGGED_CG_MAX:
+        x_free = _lagged_cg(A, held.lu, b, rtol)
+    if x_free is None:
+        held.lu = None
+        held.lu, held.mask = factorize(A), np.array(mask, dtype=bool)
+        x_free = held.lu.solve(b)
+    x[free] = x_free
     return x
 
 

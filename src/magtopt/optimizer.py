@@ -191,18 +191,19 @@ class Driver:
         return res, problem_setup.eval_objective(mesh, res.field,
                                                  self.problem.objective)
 
-    def descent_field(self, state: fem.StateResult) -> tuple[LevelSetField, int]:
-        """Descent field at the solved design over the design nodes, with its
-        count of clamped table lookups."""
+    def descent_field(self, state: fem.StateResult) -> tuple[
+            LevelSetField, topo_derivative.TopoDerivField]:
+        """Descent field at the solved design over the design nodes, and the
+        per-element sensitivities it averages."""
         gvec = problem_setup.assemble_adjoint_rhs(self.problem.mesh, state.field,
                                                   self.problem.objective)
         p = fem.solve_adjoint(state, -gvec, held=self.held)
         td = topo_derivative.assemble_generalized_td(state, p, *self.tables)
-        return self.space.average(td.element_values), td.n_clamped
+        return self.space.average(td.element_values), td
 
 
 def step(state: OptState, descent: LevelSetField, driver: Driver,
-         options: OptimizerOptions) -> OptState:
+         options: OptimizerOptions, element_values: np.ndarray) -> OptState:
     """One accepted descent iteration (or a terminal state).
 
     Computes theta between the current psi and the normalized descent field,
@@ -213,7 +214,9 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
     solve that fails is retried once from a cold start; a trial whose cold
     solve fails too is rejected like one that does not decrease the
     objective (with a logged warning). Underflow of kappa marks a stall,
-    theta at or below tolerance marks convergence.
+    theta at or below tolerance marks convergence. `element_values` are the
+    DESIGN-element sensitivities that `descent` averages; a stall logs what
+    they and the trials show (_log_stall).
     """
     if descent.norm() == 0.0:
         state.status = "converged"
@@ -227,11 +230,16 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
 
     u0 = state.solution.field
     kappa = options.kappa_start
+    # the kappas of the trials whose mask differs from the design's
+    changed, n_trials = [], 0
     while kappa >= KAPPA_MIN:
         trial = slerp(state.psi, g, theta, kappa)
+        mask = fem.ferro_element_mask(driver.problem.mesh, trial.expand())
+        n_trials += 1
+        if not np.array_equal(mask, state.solution.ferro_mask):
+            changed.append(kappa)
         try:
-            res, j_try = driver.solve(
-                fem.ferro_element_mask(driver.problem.mesh, trial.expand()), u0)
+            res, j_try = driver.solve(mask, u0)
         except fem.SolverError as exc:
             log.warning("state solve failed in trial kappa=%g at iteration %d "
                         "(residual %s): %s; trial rejected",
@@ -248,7 +256,30 @@ def step(state: OptState, descent: LevelSetField, driver: Driver,
                 return state
         kappa *= 0.5
     state.status = "stalled"
+    _log_stall(state, driver, element_values, changed, n_trials)
     return state
+
+
+def _log_stall(state: OptState, driver: Driver, element_values: np.ndarray,
+               changed: list, n_trials: int) -> None:
+    """Log why the design `state` stalled: the design elements whose flip
+    alone is predicted to lower J, the smallest kappa of the `changed` ones
+    (the trials whose mask differs from the design's), and how the n_trials
+    trials went. A flip's sensitivity is the element's value on ferro
+    elements and its negative on air ones (topo_derivative); area / pi times
+    it is the flip's first-order change of J. Every trial was rejected, so
+    one that changed the mask raised J or failed, and one that did not
+    reproduced the design."""
+    elements = driver.space.elements
+    ferro = state.solution.ferro_mask[elements]
+    predicted = np.where(ferro, element_values, -element_values) < 0.0
+    area = driver.problem.mesh.areas[elements][predicted].sum()
+    log.info("stalled at iteration %d: %d of %d design elements (area %.6g) "
+             "have a flip predicted to lower J; smallest kappa that changed "
+             "the mask: %s; of %d trials, %d raised J or failed and %d "
+             "reproduced the design", state.k, np.count_nonzero(predicted),
+             elements.size, area, f"{min(changed):g}" if changed else "none",
+             n_trials, len(changed), n_trials - len(changed))
 
 
 def run(problem: Problem, curve, table_air_in_ferro: CorrectionTable,
@@ -275,9 +306,9 @@ def run(problem: Problem, curve, table_air_in_ferro: CorrectionTable,
 
     n_clamped = 0
     while state.k < options.max_iter:
-        g, clamped = driver.descent_field(state.solution)
-        n_clamped += clamped
-        step(state, g, driver, options)
+        g, td = driver.descent_field(state.solution)
+        n_clamped += td.n_clamped
+        step(state, g, driver, options, td.element_values)
         if state.status != "running":
             break
         rec = state.records[-1]

@@ -477,12 +477,6 @@ class TestQuarterDisc:
                            match="n_theta = 30 is not a positive multiple of 4"):
             dataclasses.replace(self.SPEC, n_theta=30)
 
-    @pytest.mark.parametrize("field, value", [
-        ("h0", 0.0), ("n_theta", 0), ("radius", 1.0), ("growth", np.nan)])
-    def test_spec_refuses_what_the_mesher_refuses(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            dataclasses.replace(self.SPEC, **{field: value})
-
 
 class TestChains:
     """build_correction_table continues the cell solves along t in chains of

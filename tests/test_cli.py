@@ -166,17 +166,9 @@ class TestBuildTables:
         assert rc == 0
         assert len(load_table(out / "j2_case1.csv").t) == 1
 
-    def test_n_theta_not_multiple_of_4_rejected(self, tmp_path, caplog):
-        cfg = write_config(tmp_path, n_theta="30")
-        out = tmp_path / "out"
-        rc = cli.main(["build-tables", "--config", str(cfg), "--out", str(out)])
-        assert rc == cli.EXIT_CONFIG
-        assert "n_theta = 30" in caplog.text
-        assert not (out / "j2_case1.csv").exists()
-
     @pytest.mark.parametrize("key, value", [
-        ("h0", "0"), ("n_theta", "0"), ("n_theta", "2"), ("disc_radius", "0.5"),
-        ("disc_radius", "1"), ("disc_radius", "inf")])
+        ("h0", "0"), ("n_theta", "0"), ("n_theta", "2"), ("n_theta", "30"),
+        ("disc_radius", "0.5"), ("disc_radius", "1"), ("disc_radius", "inf")])
     def test_bad_disc_rejected(self, tmp_path, caplog, key, value):
         cfg = write_config(tmp_path, **{key: value})
         out = tmp_path / "out"

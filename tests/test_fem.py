@@ -389,62 +389,75 @@ class TestHeldLU:
     @pytest.mark.parametrize("extra, tries_cg", [(0, True), (1, False)])
     def test_cg_tried_only_within_lagged_cg_max_flipped_elements(
             self, designs, marrocco, monkeypatch, extra, tries_cg):
-        # a matrix whose mask differs from the held LU's in more than
+        # a Jacobian whose mask differs from the held LU's in more than
         # LAGGED_CG_MAX elements is factorized without a CG try
         _, state, order = designs
         mesh, held = state.mesh, self.held_at(state)
         mask = self.swapped(state, order[:fem.LAGGED_CG_MAX + extra])
-        A = fem.assemble_jacobian(mesh, marrocco, mask,
-                                  mesh.element_gradients(state.field))
-        b = RNG.normal(size=A.shape[0])
+        grad = mesh.element_gradients(state.field)
+        b = RNG.normal(size=mesh.n_nodes)
         tries, lagged_cg = [], fem._lagged_cg
         monkeypatch.setattr(fem, "_lagged_cg",
                             lambda *args: tries.append(args) or lagged_cg(*args))
-        x = held.solve(A, b, fem.LAGGED_CG_TOL, mask)
+        x = fem.solve_jacobian(mesh, marrocco, mask, grad, b, held)
         assert len(tries) == tries_cg
-        assert np.linalg.norm(b - A @ x) <= 2 * fem.LAGGED_CG_TOL * np.linalg.norm(b)
+        free, _ = fem._free_block(mesh)
+        A = fem.assemble_jacobian(mesh, marrocco, mask, grad)
+        assert np.linalg.norm(b[free] - A @ x[free]) <= \
+            2 * fem.LAGGED_CG_TOL * np.linalg.norm(b[free])
+        assert not x[mesh.dirichlet_nodes()].any()
         if not tries_cg:
             # the new LU is held with the mask it was assembled with
             np.testing.assert_array_equal(held.mask, mask)
 
 
 class TestOneMaskPerSystem:
-    """fem.solve_jacobian assembles each Jacobian and solves it with the
-    same material mask, so the mask a HeldLU keeps is its matrix's."""
+    """fem.solve_jacobian assembles each Jacobian with the material mask it
+    is given and, where it factorizes that Jacobian, holds the LU with that
+    same mask, so the mask a HeldLU keeps is always its LU's matrix's."""
 
     def test_every_solve_gets_the_mask_of_its_jacobian(self, marrocco,
                                                        monkeypatch):
-        events = []
-        assemble, solve = fem.assemble_jacobian, fem.HeldLU.solve
+        assembled, factorized, solves = [], [], []
+        assemble, factorize = fem.assemble_jacobian, fem.factorize
+        solve_jacobian = fem.solve_jacobian
 
-        def assembled(mesh, curve, mask, grad):
+        def recorded_assemble(mesh, curve, mask, grad):
             A = assemble(mesh, curve, mask, grad)
-            events.append(("assemble", A, mask))
+            assembled.append((A, mask.copy()))
             return A
 
-        def solved(held, A, b, rtol, mask):
-            events.append(("solve", A, mask))
-            return solve(held, A, b, rtol, mask)
+        def recorded_factorize(A):
+            # the matrix factorized is the one just assembled
+            last, mask = assembled[-1]
+            assert A is last
+            factorized.append((factorize(A), mask))
+            return factorized[-1][0]
 
-        monkeypatch.setattr(fem, "assemble_jacobian", assembled)
-        monkeypatch.setattr(fem.HeldLU, "solve", solved)
+        def checked_solve(mesh, curve, mask, grad, b, held,
+                          rtol=fem.LAGGED_CG_TOL):
+            x = solve_jacobian(mesh, curve, mask, grad, b, held, rtol)
+            lu, mask = factorized[-1]
+            assert held.lu is lu
+            np.testing.assert_array_equal(held.mask, mask)
+            solves.append(held)
+            return x
+
+        monkeypatch.setattr(fem, "assemble_jacobian", recorded_assemble)
+        monkeypatch.setattr(fem, "factorize", recorded_factorize)
+        monkeypatch.setattr(fem, "solve_jacobian", checked_solve)
         zeros = [CorrectionTable.zeros(case) for case in PerturbationCase]
         state = op.run(build_benchmark_problem("square", 16), marrocco, *zeros,
                        op.OptimizerOptions(max_iter=2))
-        n_descent = len(events)
+        n_descent, f_descent = len(solves), len(factorized)
         cell_problems._table_chain(marrocco, PerturbationCase.AIR_IN_FERRO,
                                    DiscSpec(radius=200.0, h0=0.2, growth=1.15,
                                             n_theta=32),
                                    [1.0, 2.0, 3.0], 0, 3)
         assert state.k == 2
-        assert n_descent >= 20 and len(events) - n_descent >= 6
-        # each solve follows the assembly of its own matrix
-        assert [kind for kind, _, _ in events] == \
-            ["assemble", "solve"] * (len(events) // 2)
-        for (_, assembled_A, assembled_mask), (_, A, mask) in zip(events[::2],
-                                                                   events[1::2]):
-            assert A is assembled_A
-            np.testing.assert_array_equal(mask, assembled_mask)
+        assert n_descent >= 10 and len(solves) - n_descent >= 3
+        assert f_descent >= 2 and len(factorized) > f_descent
+        assert len(assembled) == len(solves)
 
 
 class TestAdjointTolerance:

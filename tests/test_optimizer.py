@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -132,7 +133,8 @@ class TestStepAndRun:
         parallel = op.LevelSetField(driver.space, 2.0 * psi.values)
         for theta_tol_deg in (1.0, 0.0):
             out = op.step(op.OptState(psi, j0, res), parallel, driver,
-                          op.OptimizerOptions(theta_tol_deg=theta_tol_deg))
+                          op.OptimizerOptions(theta_tol_deg=theta_tol_deg),
+                          np.zeros(driver.space.elements.size))
             assert out.status == "converged"
             assert out.k == 0
         assert solves == []
@@ -147,7 +149,8 @@ class TestStepAndRun:
         solves = []
         monkeypatch.setattr(fem, "solve_state", lambda *a, **k: solves.append(a))
         zero = op.LevelSetField(driver.space, np.zeros(driver.space.nodes.size))
-        out = op.step(state, zero, driver, op.OptimizerOptions())
+        out = op.step(state, zero, driver, op.OptimizerOptions(),
+                      np.zeros(driver.space.elements.size))
         assert out.status == "converged"
         assert out.k == 0 and out.records == []
         assert solves == []
@@ -206,6 +209,79 @@ class TestOptions:
         op.OptimizerOptions(kappa_start=op.KAPPA_MIN, theta_tol_deg=0.0,
                             max_iter=0)
         op.OptimizerOptions(kappa_start=1.0)
+
+
+class TestStallLine:
+    """A stalled run logs why it stalled: the flips that the last
+    sensitivities predict to lower J, the smallest kappa that changed the
+    mask and how the final step's trials went."""
+
+    LINE = re.compile(
+        r"stalled at iteration (\d+): (\d+) of (\d+) design elements "
+        r"\(area (\S+)\) have a flip predicted to lower J; smallest kappa "
+        r"that changed the mask: (\S+); of (\d+) trials, (\d+) raised J or "
+        r"failed and (\d+) reproduced the design$")
+
+    def test_logged_facts_match_a_recomputation(self, marrocco, caplog,
+                                                monkeypatch):
+        # square/32 on zero tables stalls after 12 iterations with trials of
+        # both kinds in its final step
+        prob = build_benchmark_problem("square", 32)
+        fields, masks = [], []
+        descent_field, solve = op.Driver.descent_field, op.Driver.solve
+
+        def recorded_field(driver, state):
+            fields.append(descent_field(driver, state))
+            return fields[-1]
+
+        def recorded_solve(driver, ferro_mask, x0=None):
+            masks.append(ferro_mask)
+            return solve(driver, ferro_mask, x0)
+
+        monkeypatch.setattr(op.Driver, "descent_field", recorded_field)
+        monkeypatch.setattr(op.Driver, "solve", recorded_solve)
+        with caplog.at_level(logging.INFO, logger="magtopt.optimizer"):
+            state = op.run(prob, marrocco, Z1, Z2, op.OptimizerOptions())
+        assert state.status == "stalled" and state.k >= 1
+        [logged] = [self.LINE.match(r.getMessage()) for r in caplog.records
+                    if r.getMessage().startswith("stalled")]
+        k, n_pred, n_design, area, min_kappa, n_trials, n_raised, n_same = \
+            logged.groups()
+
+        # a flip is predicted to lower J where the element's material
+        # disagrees with the sign of its sensitivity in the last field
+        descent, td = fields[-1]
+        space = descent.space
+        ferro = state.solution.ferro_mask[space.elements]
+        predicted = np.where(ferro, td.element_values < 0.0,
+                             td.element_values > 0.0)
+        assert (int(k), int(n_pred), int(n_design)) == \
+            (state.k, np.count_nonzero(predicted), space.elements.size)
+        assert float(area) == pytest.approx(
+            prob.mesh.areas[space.elements][predicted].sum(), rel=1e-5)
+        assert int(n_pred) > 0
+
+        # the final step's trials, recomputed from the returned design
+        g = descent.normalized()
+        theta = np.arccos(np.clip(op.l2_inner(state.psi, g), -1.0, 1.0))
+        start = op.OptimizerOptions().kappa_start
+        kappas = [start * 0.5 ** i for i in range(30)
+                  if start * 0.5 ** i >= op.KAPPA_MIN]
+        trial_masks = [fem.ferro_element_mask(
+            prob.mesh, op.slerp(state.psi, g, theta, kappa).expand())
+            for kappa in kappas]
+        for recorded, recomputed in zip(masks[-len(kappas):], trial_masks):
+            np.testing.assert_array_equal(recorded, recomputed)
+        same = [np.array_equal(m, state.solution.ferro_mask) for m in trial_masks]
+        changed = [kappa for kappa, s in zip(kappas, same) if not s]
+        assert (int(n_trials), int(n_raised), int(n_same)) == \
+            (len(kappas), len(changed), same.count(True))
+        assert changed and min_kappa == f"{min(changed):g}"
+        # along the slerp a centroid's level-set sign changes at most once
+        # as kappa grows, so once a trial reproduces the design, every
+        # smaller kappa does too
+        first = same.index(True)
+        assert all(same[first:])
 
 
 class TestClampWarning:
