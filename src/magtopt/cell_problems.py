@@ -64,31 +64,35 @@ def _sides(mesh: TriMesh, case: PerturbationCase):
     return inclusion, inclusion, +1.0
 
 
+def _load(disc: TriMesh, case: PerturbationCase, flux) -> np.ndarray:
+    """The cell problems' load: the constant flux 2-vector `flux` on the
+    inclusion, times the case's sign, through fem.assemble_flux_divergence."""
+    inclusion, _, sign = _sides(disc, case)
+    f_el = np.zeros((disc.n_tris, 2))
+    f_el[inclusion] = sign * flux
+    return fem.assemble_flux_divergence(disc, f_el)
+
+
 def solve_direct_variation(curve, grad_u, case: PerturbationCase, disc: TriMesh,
                            held: fem.HeldLU = None,
                            x0: np.ndarray = None) -> np.ndarray:
     """The nonlinear transmission problem for the variation H of the direct
     state: fem.solve_quasilinear with offset w = grad_u on the nonlinear side,
-    to ||r||_2 <= 1e-14 + fem.TOL_REL ||F||_2 max(1, 1e-2 nu_air / c), c the
+    to ||r||_2 <= 1e-14 + fem.TOL_REL max(1, 1e-2 nu_air / c) ||F||_2, c the
     contrast |nu_air - nu(|grad_u|)|, from x0 (zero by default; a table chain
     passes the previous sample's H), through `held` (a fresh fem.HeldLU by
     default); nodal values (n,)."""
     grad_u = np.asarray(grad_u, dtype=float)
-    inclusion, nonlin, sign = _sides(disc, case)
+    _, nonlin, _ = _sides(disc, case)
     nu_u0 = float(curve.nu(np.hypot(grad_u[0], grad_u[1])))
-    f_el = np.zeros((disc.n_tris, 2))
-    f_el[inclusion] = sign * (curve.nu_air - nu_u0) * grad_u
-    rhs = fem.assemble_flux_divergence(disc, f_el)
+    rhs = _load(disc, case, (curve.nu_air - nu_u0) * grad_u)
     # F vanishes with c as the law saturates (past 10 T on the default law),
     # while the residual's round-off floor stays near nu_air |grad_u|; c = 0
     # leaves F = 0, which x = 0 solves
-    contrast, tol_abs = abs(curve.nu_air - nu_u0), 1e-14
-    if 0.0 < contrast < 1e-2 * curve.nu_air:
-        free, _ = fem._free_block(disc)
-        tol_abs += (fem.TOL_REL * (1e-2 * curve.nu_air / contrast - 1.0)
-                    * np.linalg.norm(rhs[free]))
-    return fem.solve_quasilinear(disc, curve, nonlin, rhs, tol_abs, w=grad_u,
-                                 x0=x0, held=held)[0]
+    contrast = abs(curve.nu_air - nu_u0)
+    scale = max(1.0, 1e-2 * curve.nu_air / contrast) if contrast else 1.0
+    return fem.solve_quasilinear(disc, curve, nonlin, rhs, 1e-14, fem.TOL_REL * scale,
+                                 w=grad_u, x0=x0, held=held)[0]
 
 
 def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
@@ -99,11 +103,9 @@ def solve_adjoint_variation(curve, grad_u, grad_p, case: PerturbationCase,
     nodal values (n,)."""
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
-    inclusion, nonlin, sign = _sides(disc, case)
+    _, nonlin, _ = _sides(disc, case)
     contrast = curve.nu_air * np.eye(2) - material.flux_jacobian(curve, grad_u)
-    f_el = np.zeros((disc.n_tris, 2))
-    f_el[inclusion] = sign * grad_p @ contrast.T
-    rhs = fem.assemble_flux_divergence(disc, f_el)
+    rhs = _load(disc, case, grad_p @ contrast.T)
     return fem.solve_jacobian(disc, curve, nonlin,
                               np.broadcast_to(grad_u, (disc.n_tris, 2)), rhs, held)
 
@@ -198,7 +200,7 @@ def _quarter(disc: TriMesh) -> TriMesh:
     outer arc and the y-axis (centre node included) as the Dirichlet
     boundary; the x-axis keeps the natural condition. Cached on the disc
     mesh."""
-    if "quarter" not in disc._cache:
+    def build():
         cen = disc.centroids
         keep = (cen[:, 0] > 0.0) & (cen[:, 1] > 0.0)
         used = np.unique(disc.tris[keep])
@@ -211,10 +213,9 @@ def _quarter(disc: TriMesh) -> TriMesh:
         axis = np.flatnonzero(np.abs(nodes[:, 0]) <= 1e-12 * r)
         axis = axis[np.argsort(r[axis])]
         bedges = np.vstack([loc[arc], np.column_stack([axis[:-1], axis[1:]])])
-        disc._cache["quarter"] = TriMesh(
-            nodes, loc[disc.tris[keep]], disc.region[keep], bedges,
-            np.full(len(bedges), Boundary.DIRICHLET_OUTER, dtype=np.int8))
-    return disc._cache["quarter"]
+        return TriMesh(nodes, loc[disc.tris[keep]], disc.region[keep], bedges,
+                       np.full(len(bedges), Boundary.DIRICHLET_OUTER, dtype=np.int8))
+    return disc.cached("quarter", build)
 
 
 #: samples per chain: build_correction_table continues the cell solves along
@@ -267,8 +268,8 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
         raise ValueError(f"workers = {workers} must be at least 1")
     t_grid = np.asarray(t_grid, dtype=float)
     # the zero-valued table applies the grid rules before any solve
-    table = CorrectionTable(case, t_grid, np.zeros(t_grid.shape), disc_spec.radius,
-                            disc_spec.h0, curve.cache_key())
+    table = CorrectionTable(case, t_grid, np.zeros(t_grid.shape),
+                            disc_spec.disc_radius, disc_spec.h0, curve.cache_key())
     ts = t_grid.tolist()
     if len(ts) == 1:   # the zero row alone: no cell problem, no disc mesh
         return table

@@ -113,15 +113,9 @@ def build_curve(cfg: dict):
 
 def disc_spec(cfg: dict) -> DiscSpec:
     """The config's DiscSpec; ValueError naming the config key of the first
-    disc parameter out of range (DiscSpec calls `disc_radius` `radius`)."""
-    try:
-        return DiscSpec(radius=_parse(cfg, "disc_radius"), h0=_parse(cfg, "h0"),
-                        growth=_parse(cfg, "growth"),
-                        n_theta=_parse(cfg, "n_theta", int))
-    except ValueError as exc:
-        if str(exc).startswith("radius = "):
-            raise ValueError(f"disc_{exc}") from None
-        raise
+    disc parameter out of range."""
+    return DiscSpec(disc_radius=_parse(cfg, "disc_radius"), h0=_parse(cfg, "h0"),
+                    growth=_parse(cfg, "growth"), n_theta=_parse(cfg, "n_theta", int))
 
 
 def _prepare_out(out: str, force: bool) -> Path:
@@ -153,9 +147,14 @@ def cmd_validate_material(cfg, args) -> int:
 
 
 def _table_paths(cfg, out: Path):
-    p1 = cfg["table_case1"] or str(out / "j2_case1.csv")
-    p2 = cfg["table_case2"] or str(out / "j2_case2.csv")
-    return Path(p1), Path(p2)
+    """The paths of the case I and case II tables; ValueError if they name
+    one file, which would hold only the table written last."""
+    p1 = Path(cfg["table_case1"] or out / "j2_case1.csv")
+    p2 = Path(cfg["table_case2"] or out / "j2_case2.csv")
+    if p1.resolve() == p2.resolve():
+        raise ValueError(f"table_case1 ({p1}) and table_case2 ({p2}) name one "
+                         "file; each case needs its own")
+    return p1, p2
 
 
 def _build_tables(cfg, curve, out: Path):
@@ -211,7 +210,7 @@ def _load_or_build_tables(cfg, curve, out: Path):
         if table.curve_hash != curve.cache_key():
             raise ValueError(f"{path}: table built for curve {table.curve_hash}, "
                              f"not the configured curve {curve.cache_key()}")
-        for key, built, configured in (("disc_radius", table.radius, spec.radius),
+        for key, built, configured in (("disc_radius", table.radius, spec.disc_radius),
                                        ("h0", table.h0, spec.h0)):
             if built != configured:
                 raise ValueError(f"{path}: table built on a disc with {key} = "

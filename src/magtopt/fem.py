@@ -171,7 +171,7 @@ def _free_block(mesh: TriMesh):
     entry count on it (non-singular, being diagonally dominant). Every
     stiffness block on this mesh shares that pattern, so `factorize` needs
     no ordering of its own."""
-    if "free_block" not in mesh._cache:
+    def build():
         dofs = np.setdiff1d(np.arange(mesh.n_nodes), mesh.dirichlet_nodes())
         loc = np.full(mesh.n_nodes, -1, dtype=np.int64)
         loc[dofs] = np.arange(dofs.size)
@@ -184,9 +184,8 @@ def _free_block(mesh: TriMesh):
         dofs = dofs[np.argsort(spla.splu(pattern, permc_spec="MMD_AT_PLUS_A").perm_c)]
         loc[dofs] = np.arange(dofs.size)
         indptr, indices, keys = _pattern(mesh, loc)
-        mesh._cache["free_block"] = (dofs, (indptr, indices)
-                                     + _coefficient_map(mesh, loc, keys))
-    return mesh._cache["free_block"]
+        return dofs, (indptr, indices) + _coefficient_map(mesh, loc, keys)
+    return mesh.cached("free_block", build)
 
 
 def assemble_stiffness(mesh: TriMesh, coeff: np.ndarray) -> sp.csc_matrix:
@@ -320,7 +319,7 @@ def solve_jacobian(mesh: TriMesh, curve, mask: np.ndarray, grad: np.ndarray,
 
 
 def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
-                      tol_abs: float, w: np.ndarray = None,
+                      tol_abs: float, tol_rel: float, w: np.ndarray = None,
                       x0: np.ndarray = None, held: HeldLU = None):
     """Damped Newton for x (zero on the Dirichlet boundary) with
 
@@ -329,7 +328,7 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     on the free DOFs of `mesh`, T_e the material law of `curve` on the
     `mask`ed elements and nu_air elsewhere, w a constant offset 2-vector
     (None: no offset) and F = rhs. Converged when ||r[free]||_2 <= tol_abs
-    + TOL_REL ||F[free]||_2 within MAX_NEWTON steps; each step is halved (up
+    + tol_rel ||F[free]||_2 within MAX_NEWTON steps; each step is halved (up
     to MAX_HALVINGS times) until the residual norm strictly decreases. x0
     (zero by default) is the start on the free DOFs. Each step solves with
     its Jacobian through `held` (solve_jacobian, to NEWTON_FORCING
@@ -338,7 +337,7 @@ def solve_quasilinear(mesh: TriMesh, curve, mask: np.ndarray, rhs: np.ndarray,
     iterations, residual_norm).
     """
     free, _ = _free_block(mesh)
-    tol = tol_abs + TOL_REL * np.linalg.norm(rhs[free])
+    tol = tol_abs + tol_rel * np.linalg.norm(rhs[free])
     held = HeldLU() if held is None else held
     t_w = 0.0 if w is None else material.flux_map(curve, w)
 
@@ -411,7 +410,7 @@ def solve_state(mesh: TriMesh, curve, levelset=None, sources: SourceSpec = None,
         raise ValueError(f"ferro_mask is {ferro_mask.dtype} of shape {ferro_mask.shape}: "
                          f"it must be bool of shape ({mesh.n_tris},)")
     u, iterations, rnorm = solve_quasilinear(mesh, curve, ferro_mask, rhs,
-                                             TOL_ABS, x0=x0, held=held)
+                                             TOL_ABS, TOL_REL, x0=x0, held=held)
     return StateResult(mesh, u, iterations, rnorm, ferro_mask, curve)
 
 

@@ -35,14 +35,14 @@ class TriMesh:
 
     `bedges` lists tagged edges only: the outer Dirichlet boundary plus any
     interior GAP_PROBE polyline. Geometry (areas, P1 basis gradients, centroids)
-    is computed lazily and cached.
+    is computed lazily and kept by `cached`.
     """
     nodes: np.ndarray            # (n, 2) float64
     tris: np.ndarray             # (m, 3) int64, positive signed area
     region: np.ndarray           # (m,) int8 of Region values
     bedges: np.ndarray           # (k, 2) int64 node pairs
     btags: np.ndarray            # (k,) int8 of Boundary values
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -52,41 +52,43 @@ class TriMesh:
     def n_tris(self) -> int:
         return len(self.tris)
 
+    def cached(self, key, build):
+        """build(), computed on the first call with `key` and kept on the
+        mesh: the one memo of data derived from it, which never goes stale
+        because a mesh is not changed after it is made."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     @property
     def areas(self) -> np.ndarray:
-        if "areas" not in self._cache:
-            self._compute_geometry()
-        return self._cache["areas"]
+        return self.cached("geometry", self._geometry)[0]
 
     @property
     def grads(self) -> np.ndarray:
         """P1 basis gradients, shape (m, 3, 2): grads[e, k] = grad(phi_k) on
         element e; a transposed view of grad_op's data."""
-        if "grads" not in self._cache:
-            self._compute_geometry()
-        return self._cache["grads"]
+        return self.cached("geometry", self._geometry)[1]
 
     @property
     def grad_op(self) -> sp.csr_matrix:
         """Sparse (2m, n) gradient operator G: row 2e + i of G @ u is the
         x_i-derivative of the P1 field u on element e. Built on first use
         over the buffer of `grads`, so it adds only its int32 indices."""
-        if "grad_op" not in self._cache:
+        def build():
             m = self.n_tris
             data = self.grads.transpose(0, 2, 1).reshape(-1)
             indices = np.repeat(self.tris, 2, axis=0).reshape(-1).astype(np.int32)
             indptr = np.arange(0, 6 * m + 1, 3, dtype=np.int32)
-            self._cache["grad_op"] = sp.csr_matrix(
-                (data, indices, indptr), shape=(2 * m, self.n_nodes), copy=False)
-        return self._cache["grad_op"]
+            return sp.csr_matrix((data, indices, indptr),
+                                 shape=(2 * m, self.n_nodes), copy=False)
+        return self.cached("grad_op", build)
 
     @property
     def centroids(self) -> np.ndarray:
-        if "centroids" not in self._cache:
-            self._cache["centroids"] = self.nodes[self.tris].mean(axis=1)
-        return self._cache["centroids"]
+        return self.cached("centroids", lambda: self.nodes[self.tris].mean(axis=1))
 
-    def _compute_geometry(self):
+    def _geometry(self):
         p = self.nodes[self.tris]
         v1 = p[:, 1] - p[:, 0]
         v2 = p[:, 2] - p[:, 0]
@@ -102,8 +104,7 @@ class TriMesh:
         b[:, 0, 2] = p[:, 0, 1] - p[:, 1, 1]
         b[:, 1, 2] = p[:, 1, 0] - p[:, 0, 0]
         b /= det[:, None, None]
-        self._cache["areas"] = 0.5 * det
-        self._cache["grads"] = b.transpose(0, 2, 1)
+        return 0.5 * det, b.transpose(0, 2, 1)
 
     def element_gradients(self, u: np.ndarray) -> np.ndarray:
         """Gradient of the P1 field u (n,), constant per element: (m, 2)."""
@@ -265,15 +266,15 @@ class DiscSpec:
     naming the first field out of range. Unguarded, these divide by zero,
     build non-finite nodes, cut a quarter sector that is not the disc's
     exact restriction or, for h0 < 0, add rings without end."""
-    radius: float
+    disc_radius: float
     h0: float
     growth: float
     n_theta: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 1.0):
-            raise ValueError(f"radius = {self.radius:g} is not finite and > 1, "
-                             "the inclusion's radius")
+        if not (np.isfinite(self.disc_radius) and self.disc_radius > 1.0):
+            raise ValueError(f"disc_radius = {self.disc_radius:g} is not finite "
+                             "and > 1, the inclusion's radius")
         if not 0.0 < self.h0 < np.inf:
             raise ValueError(f"h0 = {self.h0:g} is not finite and positive")
         if not 1.0 <= self.growth < np.inf:
@@ -294,7 +295,7 @@ def generate_disc_mesh(spec: DiscSpec) -> TriMesh:
     inclusion are tagged DESIGN, the exterior AIR_FIXED; the outer circle is
     the Dirichlet boundary.
     """
-    radii = _ring_radii(1.0, spec.radius, spec.h0, spec.growth)
+    radii = _ring_radii(1.0, spec.disc_radius, spec.h0, spec.growth)
     nodes, tris, ring = _polar_mesh(radii, spec.n_theta)
     cen = nodes[tris].mean(axis=1)
     rc = np.hypot(cen[:, 0], cen[:, 1])

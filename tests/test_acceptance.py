@@ -268,7 +268,7 @@ def test_criterion_09_truncation_robustness(marrocco, disc_default, default_spec
     gu_pt = np.array([1.0, 0.0])
     gp_pt = np.array([1.0, 0.0])
     j_1000 = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_default)
-    spec500 = replace(default_spec, radius=500.0)
+    spec500 = replace(default_spec, disc_radius=500.0)
     j_500 = compute_correction(marrocco, gu_pt, gp_pt, CASE_I, disc_mesh(spec500))
     rel = abs(j_1000 - j_500) / abs(j_1000)
     ok = rel <= 0.01
@@ -445,7 +445,8 @@ def test_criterion_13_table_error_budget(marrocco, default_spec, say):
     lines, ok = [], True
     for case in (CASE_I, CASE_II):
         for t in (1.5, 2.5):
-            j50, j200, j1000 = (sample(case, t, radius=r) for r in (50.0, 200.0, 1000.0))
+            j50, j200, j1000 = (sample(case, t, disc_radius=r)
+                                for r in (50.0, 200.0, 1000.0))
             p = np.log((j50 - j1000) / (j200 - j1000)) / np.log(4.0)
             q = 0.2 ** p
             truncation = abs(q * (j200 - j1000) / (1.0 - q) / j1000)

@@ -19,7 +19,7 @@ CASE_I = PerturbationCase.AIR_IN_FERRO
 CASE_II = PerturbationCase.FERRO_IN_AIR
 RNG = np.random.default_rng(9)
 #: a small disc for the tests that check the solvers rather than the tables
-SMALL_SPEC = DiscSpec(radius=200.0, h0=0.2, growth=1.15, n_theta=32)
+SMALL_SPEC = DiscSpec(disc_radius=200.0, h0=0.2, growth=1.15, n_theta=32)
 
 
 def rotation(theta):
@@ -346,8 +346,8 @@ class TestEvalJ2:
 class TestTruncation:
     def test_radius_500_vs_1000(self, marrocco, coarse_spec):
         # coarse angular/h0 settings; the truncation effect is what varies
-        s500 = dataclasses.replace(coarse_spec, radius=500.0)
-        assert coarse_spec.radius == 1000.0
+        s500 = dataclasses.replace(coarse_spec, disc_radius=500.0)
+        assert coarse_spec.disc_radius == 1000.0
         gu_pt = np.array([1.0, 0.0])
         gp_pt = np.array([1.0, 0.0])
         ja = compute_correction(marrocco, gu_pt, gp_pt, CASE_I,
@@ -368,6 +368,31 @@ class TestSaturation:
                     for t in (14.0, 20.0))
         # the law turns into air, and the correction with it
         assert 0.0 < abs(j20) < abs(j14)
+
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_direct_variation_meets_the_saturation_tolerance(self, marrocco,
+                                                             disc_coarse, case):
+        # the residual recomputed from the returned field against the exit
+        # rule, whose relative part grows as the contrast c vanishes
+        grad_u = np.array([14.0, 0.0])
+        h = solve_direct_variation(marrocco, grad_u, case, disc_coarse)
+        inclusion = disc_coarse.region == Region.DESIGN
+        nonlin = ~inclusion if case is CASE_I else inclusion
+        contrast = marrocco.nu_air - float(marrocco.nu(14.0))
+        f_el = np.zeros((disc_coarse.n_tris, 2))
+        f_el[inclusion] = (-1.0 if case is CASE_I else 1.0) * contrast * grad_u
+        rhs = fem.assemble_flux_divergence(disc_coarse, f_el)
+        g = disc_coarse.element_gradients(h)
+        flux = marrocco.nu_air * g
+        flux[nonlin] = (material.flux_map(marrocco, grad_u + g[nonlin])
+                        - material.flux_map(marrocco, grad_u))
+        r = fem.assemble_flux_divergence(disc_coarse, flux) - rhs
+        free = np.setdiff1d(np.arange(disc_coarse.n_nodes),
+                            disc_coarse.dirichlet_nodes())
+        scale = 1e-2 * marrocco.nu_air / abs(contrast)
+        assert scale > 1.0
+        assert np.linalg.norm(r[free]) <= \
+            1e-14 + fem.TOL_REL * scale * np.linalg.norm(rhs[free])
 
 
 class TestTableSample:
@@ -453,7 +478,7 @@ class TestQuarterDisc:
     def test_dirichlet_nodes_are_arc_and_y_axis(self):
         quarter = cell_problems._quarter(disc_mesh(self.SPEC))
         x, y = quarter.nodes.T
-        on_arc = np.isclose(np.hypot(x, y), self.SPEC.radius, rtol=1e-12)
+        on_arc = np.isclose(np.hypot(x, y), self.SPEC.disc_radius, rtol=1e-12)
         on_axis = np.abs(x) < 1e-9
         np.testing.assert_array_equal(quarter.dirichlet_nodes(),
                                       np.flatnonzero(on_arc | on_axis))

@@ -486,12 +486,31 @@ class TestTableGuards:
                          "--out", str(tables)]) == 0
         swapped = write_config(tmp_path, name="swapped.cfg",
                                table_case1=str(tables / "j2_case2.csv"),
-                               table_case2=str(tables / "j2_case2.csv"))
+                               table_case2=str(tables / "j2_case1.csv"))
         out = tmp_path / "out"
         rc = cli.main(["optimize", "--config", str(swapped), "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         assert "is case II, expected case I" in caplog.text
         assert not (out / "iterations.csv").exists()
+
+    @pytest.mark.parametrize("command, same", [
+        ("build-tables", "same.csv"), ("optimize", "out/j2_case2.csv")])
+    def test_one_file_for_both_tables_refused(self, tmp_path, caplog, command,
+                                              same):
+        # one file would hold only the table written last: build-tables
+        # wrote case I and then case II over it, and a later optimize found
+        # case II in the case-I slot; "out/j2_case2.csv" is case II's default
+        path = str(tmp_path / same)
+        overrides = {"table_case1": path}
+        if command == "build-tables":
+            overrides["table_case2"] = path
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert (f"table_case1 ({path}) and table_case2 ({path}) name one file"
+                in caplog.text)
+        assert list(tmp_path.rglob("*.csv")) == []
 
     def test_header_only_table_rejected(self, tmp_path, caplog):
         tables = tmp_path / "tables"

@@ -451,7 +451,7 @@ class TestOneMaskPerSystem:
                        op.OptimizerOptions(max_iter=2))
         n_descent, f_descent = len(solves), len(factorized)
         cell_problems._table_chain(marrocco, PerturbationCase.AIR_IN_FERRO,
-                                   DiscSpec(radius=200.0, h0=0.2, growth=1.15,
+                                   DiscSpec(disc_radius=200.0, h0=0.2, growth=1.15,
                                             n_theta=32),
                                    [1.0, 2.0, 3.0], 0, 3)
         assert state.k == 2
@@ -617,7 +617,8 @@ class TestFreeBlock:
         # serial and parallel table builds order their own disc meshes
         for build in (lambda: generate_square_benchmark(16),
                       lambda: generate_disc_mesh(
-                          DiscSpec(radius=200.0, h0=0.2, growth=1.15, n_theta=32))):
+                          DiscSpec(disc_radius=200.0, h0=0.2, growth=1.15,
+                                   n_theta=32))):
             a, b = build(), build()
             free, _ = fem._free_block(a)
             assert np.array_equal(free, fem._free_block(b)[0])

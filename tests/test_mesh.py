@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from magtopt import cell_problems
 from magtopt.cell_problems import disc_mesh
 from magtopt.cli import DEFAULTS, disc_spec
 from magtopt.mesh import (Boundary, DiscSpec, Region, TriMesh,
@@ -95,46 +97,47 @@ class TestSquareBenchmark:
 
 class TestDiscMesh:
     def test_inclusion_ring_exact(self):
-        mesh = generate_disc_mesh(DiscSpec(radius=50.0, h0=0.1, growth=1.15,
+        mesh = generate_disc_mesh(DiscSpec(disc_radius=50.0, h0=0.1, growth=1.15,
                                            n_theta=64))
         r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
         ring = np.isclose(r, 1.0, atol=1e-12)
         assert ring.sum() == 64
 
     def test_total_area_close_to_disc(self):
-        mesh = generate_disc_mesh(DiscSpec(radius=10.0, h0=0.2, growth=1.2,
+        mesh = generate_disc_mesh(DiscSpec(disc_radius=10.0, h0=0.2, growth=1.2,
                                            n_theta=64))
         assert abs(mesh.areas.sum() - np.pi * 100.0) <= 0.01 * np.pi * 100.0
 
     def test_inclusion_area(self):
-        mesh = generate_disc_mesh(DiscSpec(radius=10.0, h0=0.2, growth=1.2,
+        mesh = generate_disc_mesh(DiscSpec(disc_radius=10.0, h0=0.2, growth=1.2,
                                            n_theta=64))
         incl = mesh.region == Region.DESIGN
         assert abs(mesh.areas[incl].sum() - np.pi) <= 0.01 * np.pi
 
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
-            DiscSpec(radius=1.0, h0=0.05, growth=1.15, n_theta=128)
+            DiscSpec(disc_radius=1.0, h0=0.05, growth=1.15, n_theta=128)
         with pytest.raises(ValueError):
-            DiscSpec(radius=10.0, h0=0.05, growth=0.9, n_theta=128)
+            DiscSpec(disc_radius=10.0, h0=0.05, growth=0.9, n_theta=128)
 
     @pytest.mark.parametrize("name, value", [
         ("h0", 0.0), ("h0", -0.1), ("h0", np.nan), ("h0", np.inf),
         ("n_theta", 0), ("n_theta", -4), ("n_theta", 2),
-        ("radius", np.inf), ("radius", np.nan), ("radius", 1.0), ("radius", 0.5),
+        ("disc_radius", np.inf), ("disc_radius", np.nan), ("disc_radius", 1.0),
+        ("disc_radius", 0.5),
         ("growth", np.nan), ("growth", np.inf)])
     def test_bad_input_names_its_parameter(self, name, value):
         # unguarded, these divide by zero, fail inside numpy, build a mesh
         # with non-finite nodes, cut a sector that is not a quarter or, for
         # h0 < 0, add rings without end; a radius up to 1 leaves no room
         # outside the unit inclusion
-        kwargs = dict(radius=10.0, h0=0.25, growth=1.2, n_theta=32)
+        kwargs = dict(disc_radius=10.0, h0=0.25, growth=1.2, n_theta=32)
         kwargs[name] = value
         with pytest.raises(ValueError, match=f"^{name} = "):
             DiscSpec(**kwargs)
 
     def test_euler_relation(self):
-        mesh = generate_disc_mesh(DiscSpec(radius=10.0, h0=0.25, growth=1.3,
+        mesh = generate_disc_mesh(DiscSpec(disc_radius=10.0, h0=0.25, growth=1.3,
                                            n_theta=32))
         assert euler_characteristic(mesh) == 1
 
@@ -142,6 +145,36 @@ class TestDiscMesh:
 @pytest.fixture(scope="module")
 def motor64():
     return generate_mini_motor(64)
+
+
+class TestCached:
+    def test_build_runs_once_per_key_and_mesh(self):
+        meshes = (generate_square_benchmark(8), generate_square_benchmark(8))
+        calls = []
+
+        def build():
+            calls.append(None)
+            return object()
+
+        first = [mesh.cached(key, build) for mesh in meshes for key in ("a", "b")]
+        again = [mesh.cached(key, build) for mesh in meshes for key in ("a", "b")]
+        assert len(calls) == 4
+        assert all(x is y for x, y in zip(first, again))
+        assert len({id(x) for x in first}) == 4
+        # a copy made by dataclasses.replace starts with its own, empty memo
+        assert dataclasses.replace(meshes[0]).cached("a", build) is not first[0]
+        assert len(calls) == 5
+
+        # the quarter disc of the table build is kept on its disc mesh, which
+        # perfbench's build-tables restores between timed units
+        def refuse():
+            raise AssertionError("quarter not kept on its disc mesh")
+
+        disc = generate_disc_mesh(DiscSpec(disc_radius=10.0, h0=0.25, growth=1.3,
+                                           n_theta=32))
+        quarter = cell_problems._quarter(disc)
+        assert disc.cached("quarter", refuse) is quarter
+        assert cell_problems._quarter(disc) is quarter
 
 
 class TestAsciiIO:
