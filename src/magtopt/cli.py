@@ -1,5 +1,5 @@
 """Batch front-end: material validation, correction-table builds, single
-solves, optimization runs, exports, and a quick self-test.
+solves and optimization runs.
 
 Configuration is a flat `key = value` text file (# comments). Verbosity via
 the MAGTOPT_LOG environment variable (DEBUG/INFO/WARNING/ERROR). Exit codes:
@@ -137,8 +137,11 @@ def cmd_validate_material(cfg, args) -> int:
             + report.summary() + "\n")
     (out / "material_report.txt").write_text(text)
     print(report.summary())
-    hard_fail = not (report.bounds_ok and report.c3_smoothness_ok)
-    if hard_fail:
+    if report.m <= 0:
+        log.error("flux map is not strongly monotone: m = %.6g at s = %.6g T",
+                  report.m, report.m_at)
+        return EXIT_CONFIG
+    if not (report.bounds_ok and report.c3_smoothness_ok):
         log.error("material law violates hard assumptions")
         return EXIT_CONFIG
     if not report.admissibility_ok or not report.slope_bounds_ok:
@@ -287,89 +290,11 @@ def cmd_optimize(cfg, args) -> int:
     return EXIT_OK
 
 
-def cmd_export(cfg, args) -> int:
-    out = _prepare_out(args.out, args.force)
-    prob = _build_problem(cfg)
-    vtkio.write_vtk(out / "mesh.vtk", prob.mesh,
-                    cell_data={"region": prob.mesh.region.astype(float)},
-                    title=f"magtopt mesh config={config_hash(cfg)}")
-    from .mesh import save_mesh
-    save_mesh(out / "mesh.txt", prob.mesh)
-    log.info("wrote mesh.vtk and mesh.txt")
-    return EXIT_OK
-
-
-def cmd_selftest(cfg, args) -> int:
-    """Quick property sweep (seed 0); exercises the core identities."""
-    rng = np.random.default_rng(0)
-    curve = build_curve(cfg)
-    failures = []
-
-    def check(name, ok):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    # the flux map's monotonicity and Lipschitz constants m and L: the least
-    # and greatest Jacobian eigenvalue, nu(s) or (nu(s) s)', on the grid
-    # validate-material samples
-    eig = np.concatenate(material.jacobian_eigenvalues(curve, material.ASSUMPTION_GRID))
-    m, L = float(eig.min()), float(eig.max())
-    check(f"monotonicity constant m = {m:.6g} > 0 (Lipschitz constant L = {L:.6g})",
-          m > 0)
-    # |W| log-spaced to 20 T, so that the samples cross the saturation band
-    # where (nu(s) s)' exceeds nu_air
-    a = rng.uniform(0.0, 2.0 * np.pi, 256)
-    W = np.geomspace(1e-2, 20.0, 256)[:, None] * np.column_stack([np.cos(a), np.sin(a)])
-    V = rng.normal(size=(256, 2)) * 0.3
-    # the Jacobian along V against a central difference of the flux map
-    # with a step of 1e-5 |W| along V
-    step = (1e-5 * np.linalg.norm(W, axis=1) / np.linalg.norm(V, axis=1))[:, None] * V
-    fd = (material.flux_map(curve, W + step) - material.flux_map(curve, W - step)) / 2.0
-    dv = np.einsum("eij,ej->ei", material.flux_jacobian(curve, W), step)
-    check("flux Jacobian matches a central difference of the flux map",
-          bool(np.all(np.linalg.norm(fd - dv, axis=1)
-                      <= 1e-6 * np.linalg.norm(dv, axis=1))))
-    tw = material.flux_map(curve, W + V) - material.flux_map(curve, W)
-    vv = (V * V).sum(1)
-    slack = 1e-6   # relative, for round-off and the grid's sampling of m and L
-    check("monotonicity >= m |V|^2",
-          bool(np.all(np.einsum("ei,ei->e", tw, V) >= (1.0 - slack) * m * vv)))
-    check("Lipschitz <= L |V|",
-          bool(np.all(np.hypot(tw[:, 0], tw[:, 1]) <= (1.0 + slack) * L * np.sqrt(vv))))
-
-    from . import polarization
-    lam, nu0 = float(curve.nu(0.0)), curve.nu_air
-    disk_forms = (
-        (polarization.matrix_air_in_ferro,
-         2.0 * np.pi * lam * (nu0 - lam) / (nu0 + lam)),
-        (polarization.matrix_ferro_in_air,
-         2.0 * np.pi * nu0 * (lam - nu0) / (nu0 + lam)))
-    check("both case factors d1 at zero field equal their disk forms",
-          all(abs(matrix(curve, np.zeros(2)) - d) <= 1e-12 * abs(d)
-              for matrix, d in disk_forms))
-
-    from .mesh import generate_square_benchmark
-    mesh = generate_square_benchmark(16)
-    check("benchmark areas sum to 1",
-          abs(mesh.areas.sum() - 1.0) < 1e-12)
-    counts = np.array(list(mesh.edge_use_counts().values()))
-    check("edge conformity (<= 2 uses)", bool(np.all(counts <= 2)))
-    check("no unset regions", bool(np.all(mesh.region >= 0)))
-
-    if failures:
-        log.error("selftest failures: %s", ", ".join(failures))
-        return EXIT_SOLVER
-    return EXIT_OK
-
-
 COMMANDS = {
     "validate-material": cmd_validate_material,
     "build-tables": cmd_build_tables,
     "solve": cmd_solve,
     "optimize": cmd_optimize,
-    "export": cmd_export,
-    "selftest": cmd_selftest,
 }
 
 

@@ -301,6 +301,10 @@ class AssumptionReport:
     delta_nu         min over the grid of nu'(s) s / nu(s)
     admissibility_ok delta_nu > max(threshold_fixed, threshold_contrast);
                      violation is a warning (measured steel data violates it)
+    m, m_at          the flux map's monotonicity constant, the least
+                     jacobian_eigenvalues value min(nu(s), (nu(s) s)') on
+                     the grid, and the s where it occurs; the flux map is
+                     strongly monotone only if m > 0
     """
     bounds_ok: bool
     slope_bounds_ok: bool
@@ -309,6 +313,8 @@ class AssumptionReport:
     threshold_fixed: float
     threshold_contrast: float
     admissibility_ok: bool
+    m: float
+    m_at: float
     warnings: tuple
 
     def summary(self) -> str:
@@ -321,6 +327,8 @@ class AssumptionReport:
             f"{self.threshold_contrast:.6g})",
             f"delta-quotient admissibility       : "
             f"{'ok' if self.admissibility_ok else 'violated (warning, run proceeds)'}",
+            f"monotonicity m = min eigenvalue    : {self.m:.6g} at s = "
+            f"{self.m_at:.6g} T{'' if self.m > 0 else ' (VIOLATED)'}",
         ]
         for w in self.warnings:
             lines.append(f"warning: {w}")
@@ -333,13 +341,14 @@ def validate_assumptions(curve) -> AssumptionReport:
     The checks are infima over all s > 0 in the continuum; sampling on the
     log grid ASSUMPTION_GRID is the generic test. Admissibility violations
     (delta_nu at or below the thresholds) produce a warning and a False flag
-    only.
+    only; m <= 0 is reported, not flagged, and `validate-material` refuses it.
     """
     grid = ASSUMPTION_GRID
     tol = 1e-9 * curve.nu_air
-    nu = np.asarray(curve.nu(grid))
+    nu, slope = jacobian_eigenvalues(curve, grid)
     nup = np.asarray(curve.nu_prime(grid))
-    slope = nu + nup * grid
+    least = np.minimum(nu, slope)
+    i_m = int(np.argmin(least))
     warnings = []
 
     bounds_ok = bool(np.all(nu >= curve.nu_min - tol) and np.all(nu <= curve.nu_air + tol))
@@ -373,4 +382,5 @@ def validate_assumptions(curve) -> AssumptionReport:
             f"delta quotient {delta:.4g} at or below the admissibility threshold; "
             "run proceeds (sufficient condition only)")
     return AssumptionReport(bounds_ok, slope_ok, c3_ok, delta,
-                            DELTA_THRESHOLD_FIXED, r2, a4, tuple(warnings))
+                            DELTA_THRESHOLD_FIXED, r2, a4, float(least[i_m]),
+                            float(grid[i_m]), tuple(warnings))

@@ -117,14 +117,6 @@ class TriMesh:
     def gap_probe_edges(self) -> np.ndarray:
         return self.bedges[self.btags == Boundary.GAP_PROBE]
 
-    def edge_use_counts(self) -> dict:
-        """Map undirected edge -> number of incident triangles (conformity check)."""
-        e = np.concatenate([self.tris[:, [0, 1]], self.tris[:, [1, 2]],
-                            self.tris[:, [2, 0]]])
-        e.sort(axis=1)
-        uniq, counts = np.unique(e, axis=0, return_counts=True)
-        return {tuple(k): int(c) for k, c in zip(uniq, counts)}
-
 
 # ---------------------------------------------------------------------------
 # generators
@@ -362,17 +354,3 @@ def generate_mini_motor(resolution: int = 96) -> TriMesh:
         np.full(resolution, Boundary.DIRICHLET_OUTER, dtype=np.int8),
         np.full(resolution, Boundary.GAP_PROBE, dtype=np.int8)])
     return TriMesh(nodes, tris, reg, bedges, btags)
-
-
-# ---------------------------------------------------------------------------
-# ASCII export (format: see README; floats written with 17 significant digits)
-
-def save_mesh(path, mesh: TriMesh) -> None:
-    with open(path, "w") as f:
-        f.write(f"meshv1\nnodes {mesh.n_nodes}\n")
-        np.savetxt(f, mesh.nodes, fmt="%.17g")
-        f.write(f"tris {mesh.n_tris}\n")
-        np.savetxt(f, np.column_stack([mesh.tris, mesh.region]), fmt="%d")
-        f.write(f"bedges {len(mesh.bedges)}\n")
-        np.savetxt(f, np.column_stack([mesh.bedges, mesh.btags]), fmt="%d")
-

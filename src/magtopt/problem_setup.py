@@ -114,7 +114,8 @@ def square_target(mid: np.ndarray) -> np.ndarray:
 
 
 def motor_target(mid: np.ndarray) -> np.ndarray:
-    """Smoothed rectangular wave in angle, one pole pair, edge width 0.25."""
+    """Smoothed rectangular wave in angle, two pole pairs (two periods of
+    sin(2(theta - pi/6)) around the circle), edge width 0.25."""
     th = np.arctan2(mid[:, 1], mid[:, 0])
     return B_TARGET_AMPLITUDE * np.tanh(np.sin(2.0 * (th - np.pi / 6.0)) / 0.25)
 

@@ -2,8 +2,8 @@
 polarization derivation (the disk and ellipse closed forms, and the
 reduction of an anisotropic background to them), the full 2x2 case matrices
 whose eigenvalue d1 along grad u the library returns, closed forms for its
-numerical solves, pointwise twins of its batched sensitivity assembly, a
-plain reader for its mesh export and a per-edge loop for its gap-edge
+numerical solves, pointwise twins of its batched sensitivity assembly, an
+edge-use count for mesh conformity and a per-edge loop for its gap-edge
 element choice. No library code needs them.
 
 The case matrices do not all come from polarization_general: their d2
@@ -14,7 +14,6 @@ t = |grad u|). So d1 is polarization_general's eigenvalue along grad u
 times (nu0 - lam1)/(nu0 - lam2) in case I and (lam1 - nu0)/(lam2 - nu0) in
 case II; criterion 12's expansion checks the library's factor."""
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -212,21 +211,14 @@ def g_air_to_ferro(curve, grad_u, grad_p, table) -> float:
     return float(grad_u @ M @ grad_p) + float(table.lookup(grad_u, grad_p)[0])
 
 
-def read_meshv1(path):
-    """Arrays (nodes, tris, region, bedges, btags) of a meshv1 file, read
-    without validation; the oracle for `mesh.save_mesh`'s output."""
-    tokens = Path(path).read_text().split()
-    assert tokens[0] == "meshv1"
-    pos, sections = 1, []
-    for name, cols, dtype in (("nodes", 2, float), ("tris", 4, int),
-                              ("bedges", 3, int)):
-        assert tokens[pos] == name
-        end = pos + 2 + int(tokens[pos + 1]) * cols
-        sections.append(np.array(tokens[pos + 2:end], dtype=dtype).reshape(-1, cols))
-        pos = end
-    assert pos == len(tokens)
-    nodes, rows, be = sections
-    return nodes, rows[:, :3], rows[:, 3], be[:, :2], be[:, 2]
+def edge_use_counts(mesh) -> dict:
+    """Map undirected edge -> number of incident triangles of `mesh`: a
+    conforming mesh uses each edge at most twice."""
+    e = np.concatenate([mesh.tris[:, [0, 1]], mesh.tris[:, [1, 2]],
+                        mesh.tris[:, [2, 0]]])
+    e.sort(axis=1)
+    uniq, counts = np.unique(e, axis=0, return_counts=True)
+    return {tuple(k): int(c) for k, c in zip(uniq, counts)}
 
 
 def loop_edge_elements(mesh, edges):

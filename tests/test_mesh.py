@@ -9,10 +9,9 @@ from magtopt.cell_problems import disc_mesh
 from magtopt.cli import DEFAULTS, disc_spec
 from magtopt.mesh import (Boundary, DiscSpec, Region, TriMesh,
                           generate_disc_mesh, generate_mini_motor,
-                          generate_square_benchmark, save_mesh,
-                          unit_square_mesh, MINI_MOTOR_RADII,
-                          MINI_MOTOR_PROBE_RADIUS)
-from oracles import read_meshv1
+                          generate_square_benchmark, unit_square_mesh,
+                          MINI_MOTOR_RADII, MINI_MOTOR_PROBE_RADIUS)
+from oracles import edge_use_counts
 
 
 def euler_characteristic(mesh):
@@ -74,7 +73,7 @@ class TestSquareBenchmark:
 
     def test_edge_conformity(self):
         mesh = generate_square_benchmark(16)
-        counts = mesh.edge_use_counts()
+        counts = edge_use_counts(mesh)
         assert max(counts.values()) == 2
         n_boundary = sum(1 for c in counts.values() if c == 1)
         n_dirichlet = int((mesh.btags == Boundary.DIRICHLET_OUTER).sum())
@@ -177,16 +176,6 @@ class TestCached:
         assert cell_problems._quarter(disc) is quarter
 
 
-class TestAsciiIO:
-    def test_roundtrip_exact(self, tmp_path):
-        mesh = generate_square_benchmark(8)
-        p = tmp_path / "mesh.txt"
-        save_mesh(p, mesh)
-        for got, want in zip(read_meshv1(p), (mesh.nodes, mesh.tris, mesh.region,
-                                              mesh.bedges, mesh.btags)):
-            np.testing.assert_array_equal(got, want)
-
-
 class TestMiniMotor:
     @pytest.fixture()
     def mesh(self, motor64):
@@ -210,7 +199,7 @@ class TestMiniMotor:
         assert MINI_MOTOR_RADII["magnet"] < MINI_MOTOR_PROBE_RADIUS < MINI_MOTOR_RADII["gap_outer"]
 
     def test_conformity(self, mesh):
-        assert max(mesh.edge_use_counts().values()) == 2
+        assert max(edge_use_counts(mesh).values()) == 2
 
 
 class TestDegenerateGeometry:
@@ -232,9 +221,10 @@ def _digest(a):
 
 
 class TestLayoutPinned:
-    """Index arrays of the shipped meshes, pinned byte for byte: a change of
-    vertex order moves every result by round-off. Polar node coordinates are
-    not pinned, since SIMD sin/cos may differ in the last bit across CPUs."""
+    """Index arrays of the shipped meshes, and square/8's node coordinates,
+    pinned byte for byte: a change of vertex order moves every result by
+    round-off. Polar node coordinates are not pinned, since SIMD sin/cos may
+    differ in the last bit across CPUs."""
 
     LAYOUTS = {  # tris, region, bedges, btags
         "square/8": ("d0053571e5c55855", "32d7423f0b7068ec",
@@ -263,8 +253,6 @@ class TestLayoutPinned:
                     for a in ("tris", "region", "bedges", "btags"))
         assert got == self.LAYOUTS[name]
 
-    def test_saved_square_bytes(self, tmp_path):
+    def test_square_nodes(self):
         # square/8 coordinates are exact binary fractions
-        p = tmp_path / "mesh.txt"
-        save_mesh(p, generate_square_benchmark(8))
-        assert hashlib.sha256(p.read_bytes()).hexdigest()[:16] == "d06e950a9ae94410"
+        assert _digest(generate_square_benchmark(8).nodes) == "8ce1f3b8739d5a76"
