@@ -101,52 +101,60 @@ _PAIRS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]).T
 _COEFFS = (0, 1, 3)
 
 
-def _pattern(mesh: TriMesh, loc: np.ndarray):
-    """CSC pattern (indptr, indices) of the stiffness block that holds node i
-    in row and column loc[i] (nodes with loc -1 are left out), and its
-    entries' keys col * n + row, sorted."""
+def _node_pairs(mesh: TriMesh):
+    """The mesh's element node pairs: the distinct pairs (a, b), a <= b, of
+    nodes of one element, sorted, and the flattened (m, 6) element pairs of
+    _PAIRS grouped by the distinct pair they are, each group in element
+    order: group[start[e]:start[e + 1]] are those of pair e."""
+    n = mesh.n_nodes
+    p, q = mesh.tris[:, _PAIRS[0]], mesh.tris[:, _PAIRS[1]]
+    key = (np.minimum(p, q) * n + np.maximum(p, q)).ravel()
+    group = np.argsort(key, kind="stable").astype(np.int32)
+    key = key[group]
+    start = np.flatnonzero(np.diff(key, prepend=-1, append=n * n)).astype(np.int32)
+    key = key[start[:-1]]
+    return (key // n).astype(np.int32), (key % n).astype(np.int32), group, start
+
+
+def _pattern(a: np.ndarray, b: np.ndarray, loc: np.ndarray):
+    """For the distinct node pairs (a, b) of _node_pairs: the CSC pattern
+    (indptr, indices) of the stiffness block that holds node i in row and
+    column loc[i] (nodes with loc -1 are left out), the int32 `mirror` that
+    takes each of its entries to its upper-triangle twin's position among
+    the upper triangle's entries in CSC order, and the pair behind each of
+    those upper entries."""
     n = int(loc.max()) + 1
-    tl = loc[mesh.tris]
-    rows = np.tile(tl, (1, 3)).ravel()
-    cols = np.repeat(tl, 3, axis=1).ravel()
-    inside = (rows >= 0) & (cols >= 0)
-    keys = np.unique(cols[inside] * n + rows[inside])
-    indptr = np.searchsorted(keys // n, np.arange(n + 1))
-    return indptr.astype(np.int32), (keys % n).astype(np.int32), keys
+    i, j = loc[a], loc[b]
+    pair = np.flatnonzero((i >= 0) & (j >= 0))
+    lo, hi = np.minimum(i[pair], j[pair]), np.maximum(i[pair], j[pair])
+    off = np.flatnonzero(lo < hi)
+    # an entry (row lo, col hi) per pair, then its mirror for the off-diagonal
+    row, col = np.concatenate([lo, hi[off]]), np.concatenate([hi, lo[off]])
+    order = np.argsort(col * n + row)
+    source = np.concatenate([np.arange(pair.size), off])[order]
+    upper = order < pair.size
+    position = np.empty(pair.size, dtype=np.int32)
+    position[source[upper]] = np.arange(pair.size, dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+    return (indptr, row[order].astype(np.int32), position[source],
+            pair[source[upper]])
 
 
-def _coefficient_map(mesh: TriMesh, loc: np.ndarray, keys: np.ndarray):
-    """For the block of _pattern(mesh, loc) with entry keys `keys`: the int32
-    `mirror` that takes each entry to its upper-triangle twin, and the CSR
-    map S from the flattened (m, 2, 2) coefficients to the upper triangle's
-    values. An element pair (k, l) adds A_e grad_x(phi_k) grad_x(phi_l)
-    times c00, A_e (grad_x(phi_k) grad_y(phi_l) + grad_y(phi_k)
-    grad_x(phi_l)) times c01 and A_e grad_y(phi_k) grad_y(phi_l) times c11
-    to its entry."""
-    n = int(loc.max()) + 1
-
-    def upper_key(r, c):
-        return np.maximum(r, c) * n + np.minimum(r, c)
-
-    upper = keys[keys % n <= keys // n]
-    mirror = np.searchsorted(upper, upper_key(keys % n, keys // n)).astype(np.int32)
-
-    def sorted_pairs():
-        """S's indptr, and the element pairs (flattened (m, 6)) without a
-        Dirichlet node sorted by their row of S, stably: a row's entries go
-        by element."""
-        a, b = loc[mesh.tris[:, _PAIRS[0]]], loc[mesh.tris[:, _PAIRS[1]]]
-        # a pair with a Dirichlet node takes row upper.size, sorted last
-        row = np.where((a >= 0) & (b >= 0), np.searchsorted(upper, upper_key(a, b)),
-                       upper.size).ravel()
-        indptr = np.zeros(upper.size + 1, dtype=np.int32)
-        np.cumsum(3 * np.bincount(row, minlength=upper.size + 1)[:-1], out=indptr[1:])
-        return indptr, np.argsort(row, kind="stable")[:indptr[-1] // 3]
-
-    # S's arrays are made after sorted_pairs' (m, 6) temporaries are freed,
-    # and one coefficient at a time: this sets the peak memory of the first
-    # solve on a mesh
-    indptr, order = sorted_pairs()
+def _coefficient_map(mesh: TriMesh, group: np.ndarray, start: np.ndarray,
+                     pairs: np.ndarray) -> sp.csr_matrix:
+    """The CSR map S from the flattened (m, 2, 2) coefficients to the values
+    of the upper triangle entries whose node pairs (of _node_pairs, with
+    its `group` and `start`) are `pairs`: a row's entries go by element. An
+    element pair (k, l) adds A_e grad_x(phi_k) grad_x(phi_l) times c00, A_e
+    (grad_x(phi_k) grad_y(phi_l) + grad_y(phi_k) grad_x(phi_l)) times c01
+    and A_e grad_y(phi_k) grad_y(phi_l) times c11 to its entry."""
+    count = start[pairs + 1] - start[pairs]
+    indptr = np.zeros(pairs.size + 1, dtype=np.int32)
+    np.cumsum(3 * count, out=indptr[1:])
+    # each row's group of element pairs, the rows one after the other
+    order = group[np.arange(indptr[-1] // 3)
+                  + np.repeat(start[pairs] - indptr[:-1] // 3, count)]
     (k, l), data = _PAIRS, np.empty((order.size, 3))
     gx, gy = mesh.grads[..., 0], mesh.grads[..., 1]
     for j, (p, q) in enumerate(((gx, gx), (gx, gy), (gy, gy))):
@@ -157,34 +165,44 @@ def _coefficient_map(mesh: TriMesh, loc: np.ndarray, keys: np.ndarray):
         data[:, j] = w.ravel()[order]
     element = (order // k.size).astype(np.int32)
     indices = 4 * element[:, None] + np.array(_COEFFS, dtype=np.int32)
-    return mirror, sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                                 shape=(upper.size, 4 * mesh.n_tris))
+    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                         shape=(pairs.size, 4 * mesh.n_tris))
+
+
+def _fill_reducing_order(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The column order SuperLU's MMD_AT_PLUS_A gives the square CSC pattern
+    (indptr, indices), factorized once with -1 off the diagonal and the
+    column's entry count on it (non-singular, being diagonally dominant)."""
+    count = np.diff(indptr)
+    diagonal = indices == np.repeat(np.arange(count.size), count)
+    pattern = sp.csc_matrix((np.where(diagonal, np.repeat(count, count), -1.0),
+                             indices, indptr), shape=(count.size,) * 2)
+    # perm_c's base is the factorization: no name holds it past this line
+    return np.argsort(spla.splu(pattern, permc_spec="MMD_AT_PLUS_A").perm_c)
 
 
 def _free_block(mesh: TriMesh):
     """The DOFs off the Dirichlet boundary in a fill-reducing order, and the
     stiffness block on them as (indptr, indices, mirror, S): its CSC pattern
     and the map from coefficients to values that assemble_stiffness applies.
-    Computed on first use and cached on the mesh. The order is the column
-    order SuperLU's MMD_AT_PLUS_A gives the block's pattern on the sorted
-    free DOFs, factorized once with -1 off the diagonal and the column's
-    entry count on it (non-singular, being diagonally dominant). Every
-    stiffness block on this mesh shares that pattern, so `factorize` needs
-    no ordering of its own."""
+    Computed on first use and cached on the mesh. The order is the
+    _fill_reducing_order of the block's pattern on the sorted free DOFs.
+    Every stiffness block on this mesh shares that pattern, so `factorize`
+    needs no ordering of its own. Both patterns and S come from one list of
+    the elements' node pairs (_node_pairs)."""
     def build():
+        a, b, group, start = _node_pairs(mesh)
         dofs = np.setdiff1d(np.arange(mesh.n_nodes), mesh.dirichlet_nodes())
         loc = np.full(mesh.n_nodes, -1, dtype=np.int64)
         loc[dofs] = np.arange(dofs.size)
-        indptr, indices, _ = _pattern(mesh, loc)
-        count = np.diff(indptr)
-        diagonal = indices == np.repeat(np.arange(dofs.size), count)
-        pattern = sp.csc_matrix((np.where(diagonal, np.repeat(count, count), -1.0),
-                                 indices, indptr), shape=(dofs.size,) * 2)
-        # perm_c's base is the factorization: no name holds it past this line
-        dofs = dofs[np.argsort(spla.splu(pattern, permc_spec="MMD_AT_PLUS_A").perm_c)]
+        dofs = dofs[_fill_reducing_order(*_pattern(a, b, loc)[:2])]
         loc[dofs] = np.arange(dofs.size)
-        indptr, indices, keys = _pattern(mesh, loc)
-        return dofs, (indptr, indices) + _coefficient_map(mesh, loc, keys)
+        indptr, indices, mirror, pairs = _pattern(a, b, loc)
+        # S is made after the node pairs are dropped: it sets the peak memory
+        # of the first solve on a mesh
+        del a, b
+        return dofs, (indptr, indices, mirror,
+                      _coefficient_map(mesh, group, start, pairs))
     return mesh.cached("free_block", build)
 
 

@@ -326,7 +326,7 @@ class AssumptionReport:
             f"thresholds (fixed, contrast)       : ({self.threshold_fixed:.6g}, "
             f"{self.threshold_contrast:.6g})",
             f"delta-quotient admissibility       : "
-            f"{'ok' if self.admissibility_ok else 'violated (warning, run proceeds)'}",
+            f"{'ok' if self.admissibility_ok else 'violated (warning)'}",
             f"monotonicity m = min eigenvalue    : {self.m:.6g} at s = "
             f"{self.m_at:.6g} T{'' if self.m > 0 else ' (VIOLATED)'}",
         ]
@@ -379,8 +379,8 @@ def validate_assumptions(curve) -> AssumptionReport:
     a4 = bool(delta > max(DELTA_THRESHOLD_FIXED, r2))
     if not a4:
         warnings.append(
-            f"delta quotient {delta:.4g} at or below the admissibility threshold; "
-            "run proceeds (sufficient condition only)")
+            f"delta quotient {delta:.4g} at or below the admissibility threshold "
+            "(a sufficient condition only)")
     return AssumptionReport(bounds_ok, slope_ok, c3_ok, delta,
                             DELTA_THRESHOLD_FIXED, r2, a4, float(least[i_m]),
                             float(grid[i_m]), tuple(warnings))

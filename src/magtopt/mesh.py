@@ -86,7 +86,12 @@ class TriMesh:
 
     @property
     def centroids(self) -> np.ndarray:
-        return self.cached("centroids", lambda: self.nodes[self.tris].mean(axis=1))
+        """(m, 2): the three-corner sum over 3, bit for bit
+        nodes[tris].mean(axis=1) without its (m, 3, 2) gather."""
+        def build():
+            p = self.nodes
+            return (p[self.tris[:, 0]] + p[self.tris[:, 1]] + p[self.tris[:, 2]]) / 3.0
+        return self.cached("centroids", build)
 
     def _geometry(self):
         p = self.nodes[self.tris]
@@ -283,16 +288,19 @@ def generate_disc_mesh(spec: DiscSpec) -> TriMesh:
 
     Nodes are placed on concentric circles; one circle sits exactly at
     |x| = 1, radial spacing grows geometrically (factor spec.growth) from
-    spec.h0 at the inclusion toward the outer boundary. Triangles inside the
-    inclusion are tagged DESIGN, the exterior AIR_FIXED; the outer circle is
-    the Dirichlet boundary.
+    spec.h0 at the inclusion toward the outer boundary. The inclusion is
+    the inscribed n_theta-gon of that circle: the triangles inside it, the
+    centre fan and the 2 n_theta-triangle band between each pair of rings
+    up to |x| = 1, are tagged DESIGN, the exterior AIR_FIXED; the outer
+    circle is the Dirichlet boundary.
     """
     radii = _ring_radii(1.0, spec.disc_radius, spec.h0, spec.growth)
     nodes, tris, ring = _polar_mesh(radii, spec.n_theta)
-    cen = nodes[tris].mean(axis=1)
-    rc = np.hypot(cen[:, 0], cen[:, 1])
-    reg = np.where(rc < 1.0, int(Region.DESIGN),
-                   int(Region.AIR_FIXED)).astype(np.int8)
+    # _polar_mesh lists the fan, then each band outward: the inclusion's
+    # triangles come first, one fan and a band per ring inside |x| = 1
+    n_inside = spec.n_theta * (2 * np.count_nonzero(radii <= 1.0) - 1)
+    reg = np.full(len(tris), int(Region.AIR_FIXED), dtype=np.int8)
+    reg[:n_inside] = Region.DESIGN
     bedges = _ring_edges(ring[-1])
     btags = np.full(spec.n_theta, Boundary.DIRICHLET_OUTER, dtype=np.int8)
     return TriMesh(nodes, tris, reg, bedges, btags)
@@ -331,11 +339,19 @@ def generate_mini_motor(resolution: int = 96) -> TriMesh:
         radii += list(np.linspace(r0, r1, k + 1)[1:])
     radii = np.asarray(radii)
     nodes, tris, ring = _polar_mesh(radii, resolution)
-
-    cen = nodes[tris].mean(axis=1)
+    i_gam = int(np.argmin(np.abs(radii - MINI_MOTOR_PROBE_RADIUS)))
+    bedges = np.vstack([_ring_edges(ring[-1]), _ring_edges(ring[i_gam])])
+    btags = np.concatenate([
+        np.full(resolution, Boundary.DIRICHLET_OUTER, dtype=np.int8),
+        np.full(resolution, Boundary.GAP_PROBE, dtype=np.int8)])
+    # tagged in place through the mesh, whose memo keeps the centroids for
+    # the magnetization's angles
+    mesh = TriMesh(nodes, tris, np.full(len(tris), int(Region.AIR_FIXED), dtype=np.int8),
+                   bedges, btags)
+    cen = mesh.centroids
     rc = np.hypot(cen[:, 0], cen[:, 1])
     tc = np.mod(np.arctan2(cen[:, 1], cen[:, 0]), 2.0 * np.pi)
-    reg = np.full(len(tris), int(Region.AIR_FIXED), dtype=np.int8)
+    reg = mesh.region
     reg[rc < rr["rotor"]] = Region.FERRO_FIXED
     in_mag = (rc > rr["rotor"]) & (rc < rr["magnet"])
     a0, a1 = MINI_MOTOR_MAGNET_ARC
@@ -347,10 +363,4 @@ def generate_mini_motor(resolution: int = 96) -> TriMesh:
     reg[in_des] = Region.FERRO_FIXED
     reg[des] = Region.DESIGN
     reg[(rc > rr["design_outer"]) & (rc < rr["stator_outer"])] = Region.FERRO_FIXED
-
-    i_gam = int(np.argmin(np.abs(radii - MINI_MOTOR_PROBE_RADIUS)))
-    bedges = np.vstack([_ring_edges(ring[-1]), _ring_edges(ring[i_gam])])
-    btags = np.concatenate([
-        np.full(resolution, Boundary.DIRICHLET_OUTER, dtype=np.int8),
-        np.full(resolution, Boundary.GAP_PROBE, dtype=np.int8)])
-    return TriMesh(nodes, tris, reg, bedges, btags)
+    return mesh

@@ -151,12 +151,22 @@ class TestValidateMaterial:
         assert m < -1e4 and 2.9 < s <= 3.0
         report = (tmp_path / "out" / "material_report.txt").read_text()
         assert f"monotonicity m = min eigenvalue    : {m:.6g} at s = {s:.6g} T (VIOLATED)" in report
+        # the law also fails the delta quotient, a warning: the report flags
+        # it without saying that a refused run proceeds
+        assert "delta-quotient admissibility       : violated (warning)\n" in report
+        assert "run proceeds" not in report
 
-    def test_marrocco_warns_but_passes(self, tmp_path):
+    def test_marrocco_warns_but_passes(self, tmp_path, caplog):
+        # the Marrocco law overshoots the slope bound in its saturation band:
+        # the report flags it, and only the log says that the run proceeds
         cfg = write_config(tmp_path, curve="marrocco")
         rc = cli.main(["validate-material", "--config", str(cfg),
                        "--out", str(tmp_path / "out")])
         assert rc == 0
+        assert "soft assumption violations reported; run proceeds" in caplog.text
+        report = (tmp_path / "out" / "material_report.txt").read_text()
+        assert "slope bounds on (nu s)'            : violated (warning)\n" in report
+        assert "run proceeds" not in report
 
     def test_malformed_spline_fails(self, tmp_path):
         bad = tmp_path / "bad.csv"

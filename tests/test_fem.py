@@ -594,6 +594,33 @@ class TestFreeBlock:
         digest = hashlib.sha256(free.astype(np.int64).tobytes()).hexdigest()
         assert digest == self.ORDER_SHA256[request.node.callspec.params["mesh"]]
 
+    #: sha256 of the bytes of the block's indptr, indices, mirror and of S's
+    #: data, indices and indptr, taken from the pattern and map built by
+    #: key searches: a change of their build that moves one entry, one bit
+    #: of a value or one dtype shows
+    BLOCK_SHA256 = {
+        "square16": (
+            "0ab7f12038b7b7e586874cc02f3ef016fabb71a051663e08501311fed28ba4fb",
+            "b7a42e0d4cc4f6c7386b4b549dd18d5374e9c1fa8644e2fecf3e3c838fe396ac",
+            "d1f1e31a25d588ac2378c81bb9a662d9adaff2b295bda2111a1f85ef26984797",
+            "4e4c55eb2a1ea21ea532a82287eca31c4f55ea89ea8c063c76dcc07596358193",
+            "c3db1aab31266ef779e538eec1b44c3fc3718bd97a762b38e164b448246cfac6",
+            "26862d817ca142dc06f83aae3ff131e763adc3c730eb0df4379406bbac1e99e5"),
+        "disc_coarse": (
+            "bbe6ac2456917cd2223efe8c017d394a5a4e7395695a34dfc58af5930af01191",
+            "15bc6c392a324d79d5d01892baca31035dfa571e6887707e210a4b78ccd335ed",
+            "3c2352f3f1536e018578f49a4de3f2cb3309c028627cb758d1a79cbfb4d8fa20",
+            "8b3d662003ef86446dc2b83a823a9430d8a0ad4f14832174058cccbfce58bbfd",
+            "83058681aeaea087142f58ccb719596dbc7b069b72737110dee1be9f0c6f4626",
+            "faa9fd404abe10d51b4a91cce905880e9ff4b050ff7c09fe5ef465a4eb779658"),
+    }
+
+    def test_block_pinned(self, mesh, request):
+        _, (indptr, indices, mirror, S) = fem._free_block(mesh)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                        for a in (indptr, indices, mirror, S.data, S.indices, S.indptr))
+        assert digests == self.BLOCK_SHA256[request.node.callspec.params["mesh"]]
+
     def test_jacobian_block_exactly_symmetric(self, mesh, marrocco):
         gu = RNG.normal(size=(mesh.n_tris, 2))
         block = fem.assemble_jacobian(mesh, marrocco, mesh.region != Region.AIR_FIXED, gu)

@@ -113,6 +113,22 @@ class TestDiscMesh:
         incl = mesh.region == Region.DESIGN
         assert abs(mesh.areas[incl].sum() - np.pi) <= 0.01 * np.pi
 
+    @pytest.mark.parametrize("radius, h0, growth, n_theta", [
+        (1000.0, 0.05, 1.15, 128), (1000.0, 0.1, 1.15, 64), (200.0, 0.2, 1.15, 32),
+        (50.0, 0.1, 1.15, 64), (10.0, 0.2, 1.2, 64), (10.0, 0.25, 1.3, 32),
+        # a tag by centroid radius also takes in air triangles of the band
+        # outside |x| = 1 on these, 8 to 104 of them
+        (10.0, 0.5, 1.0, 4), (10.0, 0.01, 1.5, 8), (10.0, 0.001, 1.5, 4)])
+    def test_inclusion_is_the_inscribed_polygon(self, radius, h0, growth, n_theta):
+        mesh = generate_disc_mesh(DiscSpec(disc_radius=radius, h0=h0, growth=growth,
+                                           n_theta=n_theta))
+        design = mesh.region == Region.DESIGN
+        polygon = 0.5 * n_theta * np.sin(2.0 * np.pi / n_theta)
+        assert abs(mesh.areas[design].sum() / polygon - 1.0) <= 1e-12
+        r = np.hypot(*mesh.nodes[mesh.tris[design]].T)
+        assert r.max() <= 1.0 + 1e-12
+        assert np.all(mesh.region[~design] == Region.AIR_FIXED)
+
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
             DiscSpec(disc_radius=1.0, h0=0.05, growth=1.15, n_theta=128)
@@ -221,10 +237,11 @@ def _digest(a):
 
 
 class TestLayoutPinned:
-    """Index arrays of the shipped meshes, and square/8's node coordinates,
-    pinned byte for byte: a change of vertex order moves every result by
-    round-off. Polar node coordinates are not pinned, since SIMD sin/cos may
-    differ in the last bit across CPUs."""
+    """Index arrays of the shipped meshes and the benchmark's and tests'
+    node coordinates, pinned byte for byte: a change of vertex order or of a
+    coordinate's last bit moves every result by round-off. The polar
+    meshes' coordinates come from numpy's sin and cos, so a build whose
+    sin/cos rounds differently in the last bit fails test_nodes alone."""
 
     LAYOUTS = {  # tris, region, bedges, btags
         "square/8": ("d0053571e5c55855", "32d7423f0b7068ec",
@@ -237,6 +254,14 @@ class TestLayoutPinned:
                           "158bd1aefbc7caba", "46cc0803caf20371"),
         "disc/default": ("733ed74cda2c7e5e", "25031a6753938b93",
                          "6aa239500afa5dd9", "58375a5d0690baf9"),
+        "disc/coarse": ("326f66bcb69c7905", "95eefc97decf99b1",
+                        "6bdae98c1217e79c", "6190cb74b1cb45f5"),
+    }
+    NODES = {
+        "square/64": "8b36182eeb1fb302",
+        "mini_motor/96": "7052a62ec996c39d",
+        "disc/default": "d88eee89bd3e6a64",
+        "disc/coarse": "284cd6c783314543",
     }
     BUILD = {
         "square/8": lambda: generate_square_benchmark(8),
@@ -244,6 +269,8 @@ class TestLayoutPinned:
         "mini_motor/24": lambda: generate_mini_motor(24),
         "mini_motor/96": lambda: generate_mini_motor(96),
         "disc/default": lambda: disc_mesh(disc_spec(DEFAULTS)),
+        "disc/coarse": lambda: disc_mesh(dataclasses.replace(
+            disc_spec(DEFAULTS), h0=0.1, n_theta=64)),
     }
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
@@ -252,6 +279,10 @@ class TestLayoutPinned:
         got = tuple(_digest(getattr(mesh, a))
                     for a in ("tris", "region", "bedges", "btags"))
         assert got == self.LAYOUTS[name]
+
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_nodes(self, name):
+        assert _digest(self.BUILD[name]().nodes) == self.NODES[name]
 
     def test_square_nodes(self):
         # square/8 coordinates are exact binary fractions
