@@ -87,33 +87,42 @@ class TriMesh:
     @property
     def centroids(self) -> np.ndarray:
         """(m, 2): the three-corner sum over 3, bit for bit
-        nodes[tris].mean(axis=1) without its (m, 3, 2) gather."""
+        nodes[tris].mean(axis=1); a transposed view of a (2, m) buffer, so
+        that each axis's column is contiguous."""
         def build():
-            p = self.nodes
-            return (p[self.tris[:, 0]] + p[self.tris[:, 1]] + p[self.tris[:, 2]]) / 3.0
+            return np.stack([(c0 + c1 + c2) / 3.0 for c0, c1, c2 in self._corners()]).T
         return self.cached("centroids", build)
 
+    def _corners(self):
+        """The x and the y of the corners, two (3, m) gathers: [k, e] is
+        corner k of triangle e (no (m, 3, 2) gather)."""
+        return tuple(c[self.tris.T] for c in self.nodes.T)
+
     def _geometry(self):
-        p = self.nodes[self.tris]
-        v1 = p[:, 1] - p[:, 0]
-        v2 = p[:, 2] - p[:, 0]
-        det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+        (x0, x1, x2), (y0, y1, y2) = self._corners()
+        det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         if np.any(det <= 0):
             raise ValueError("triangle with non-positive signed area")
         # b[e, i, k] = d(phi_k)/dx_i, the row layout of grad_op
         b = np.empty((len(self.tris), 2, 3))
-        b[:, 0, 0] = p[:, 1, 1] - p[:, 2, 1]
-        b[:, 1, 0] = p[:, 2, 0] - p[:, 1, 0]
-        b[:, 0, 1] = p[:, 2, 1] - p[:, 0, 1]
-        b[:, 1, 1] = p[:, 0, 0] - p[:, 2, 0]
-        b[:, 0, 2] = p[:, 0, 1] - p[:, 1, 1]
-        b[:, 1, 2] = p[:, 1, 0] - p[:, 0, 0]
-        b /= det[:, None, None]
+        np.divide(y1 - y2, det, out=b[:, 0, 0])
+        np.divide(x2 - x1, det, out=b[:, 1, 0])
+        np.divide(y2 - y0, det, out=b[:, 0, 1])
+        np.divide(x0 - x2, det, out=b[:, 1, 1])
+        np.divide(y0 - y1, det, out=b[:, 0, 2])
+        np.divide(x1 - x0, det, out=b[:, 1, 2])
         return 0.5 * det, b.transpose(0, 2, 1)
 
     def element_gradients(self, u: np.ndarray) -> np.ndarray:
         """Gradient of the P1 field u (n,), constant per element: (m, 2)."""
         return (self.grad_op @ u).reshape(-1, 2)
+
+    def design_nodes(self) -> np.ndarray:
+        """Sorted ids of the nodes of the DESIGN triangles, by a mark over
+        the nodes rather than a sort."""
+        mark = np.zeros(self.n_nodes, dtype=bool)
+        mark[self.tris[self.region == Region.DESIGN]] = True
+        return np.flatnonzero(mark)
 
     def dirichlet_nodes(self) -> np.ndarray:
         sel = self.btags == Boundary.DIRICHLET_OUTER
@@ -131,12 +140,14 @@ def _grid_tris(ids: np.ndarray, odd_second: tuple) -> np.ndarray:
     order. Cell (i, j) has the corners (a, b, c, d) = ids at (i, j), (i+1, j),
     (i+1, j+1), (i, j+1); an even cell (i + j even) is split into (a, b, c)
     and (a, c, d), an odd one into (a, b, d) and the corners `odd_second`."""
-    corners = np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]],
-                       axis=-1)
-    i, j = np.indices(corners.shape[:2])
-    odd = ((i + j) % 2 == 1)[..., None, None]
-    tris = np.where(odd, corners[..., [(0, 1, 3), odd_second]],
-                    corners[..., [(0, 1, 2), (0, 2, 3)]])
+    corners = (ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:])
+    tris = np.empty(corners[0].shape + (6,), dtype=ids.dtype)
+    for k, c in enumerate((0, 1, 2, 0, 2, 3)):     # every cell split as even
+        tris[..., k] = corners[c]
+    # then the odd cells, which lie on two strided halves of the grid
+    for odd in (np.s_[0::2, 1::2], np.s_[1::2, 0::2]):
+        for k, c in enumerate((3, *odd_second), start=2):
+            tris[odd + (k,)] = corners[c][odd]
     return tris.reshape(-1, 3)
 
 
@@ -191,28 +202,27 @@ def generate_square_benchmark(n: int) -> TriMesh:
         raise ValueError(f"resolution = {n} must be at least 8")
     mesh = unit_square_mesh(n)
     h = 1.0 / n
-    cen = mesh.centroids
-    cx, cy = cen[:, 0], cen[:, 1]
+    cx, cy = mesh.centroids.T     # contiguous rows, which compare faster than columns
 
     j_gap = int(round(0.75 * n))
     i_lo = int(round(0.25 * n))
     i_hi = int(round(0.75 * n))
     y_gap = j_gap * h
-    x_lo, x_hi = i_lo * h, i_hi * h
 
     reg = np.full(mesh.n_tris, int(Region.AIR_FIXED), dtype=np.int8)
     in_x = (cx > 0.03125) & (cx < 0.96875)
     ferro = np.zeros(mesh.n_tris, dtype=bool)
     ferro |= in_x & (cy < 0.125)                                    # yoke
-    legs = ((cx > 0.03125) & (cx < 0.125)) | ((cx > 0.875) & (cx < 0.96875))
+    legs = in_x & ((cx < 0.125) | (cx > 0.875))
     ferro |= legs & (cy < y_gap - h)                                # return legs
-    ferro |= (cx > 0.375) & (cx < 0.625) & (cy > 0.25) & (cy < 0.3)  # guide
+    mid = (cx > 0.375) & (cx < 0.625)                               # guide, magnet
+    ferro |= mid & (cy > 0.25) & (cy < 0.3)                         # guide
     ferro |= in_x & (cy > y_gap + h) & (cy < y_gap + h + 0.125)     # stator bar
     reg[ferro] = Region.FERRO_FIXED
     reg[(cx > 0.3) & (cx < 0.7) & (cy > 0.3) & (cy < 0.7)] = Region.DESIGN
     coil = ((cx > 0.25) & (cx < 0.375)) | ((cx > 0.625) & (cx < 0.75))
     reg[coil & (cy > 0.125) & (cy < 0.375)] = Region.COIL
-    reg[(cx > 0.375) & (cx < 0.625) & (cy > 0.125) & (cy < 0.25)] = Region.MAGNET
+    reg[mid & (cy > 0.125) & (cy < 0.25)] = Region.MAGNET
     reg[in_x & (cy > y_gap - h) & (cy < y_gap + h)] = Region.AIRGAP
 
     # probe-curve edges on the line y = y_gap, ordered right-to-left

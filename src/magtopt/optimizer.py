@@ -39,7 +39,7 @@ class DesignSpace:
         self.elements = np.flatnonzero(mesh.region == Region.DESIGN)
         if self.elements.size == 0:
             raise ValueError("mesh has no DESIGN region")
-        self.nodes = np.unique(mesh.tris[self.elements].ravel())
+        self.nodes = mesh.design_nodes()
         self.area = float(mesh.areas[self.elements].sum())
         glob2loc = -np.ones(mesh.n_nodes, dtype=np.int64)
         glob2loc[self.nodes] = np.arange(self.nodes.size)

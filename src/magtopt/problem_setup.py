@@ -33,12 +33,21 @@ def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
     Refuses the first edge that is not in the mesh or has a DESIGN or
     non-air neighbour, naming its first such neighbour in index order."""
     n = mesh.n_nodes
-    keys = (mesh.tris * n + np.roll(mesh.tris, -1, axis=1)).ravel()
+    # only a triangle with two corners on the edges' nodes can hold an edge
+    on = np.zeros(n, dtype=np.int8)
+    on[edges] = 1
+    c0, c1, c2 = on[mesh.tris.T]
+    cand = np.flatnonzero(c0 + c1 + c2 >= 2)
+    tris = mesh.tris[cand]
+    keys = (tris * n + np.roll(tris, -1, axis=1)).ravel()
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    # the key n * n, above every edge's, ends the list, so each search lands
+    # on a key even when no triangle is a candidate
+    keys = np.append(keys[order], n * n)
+    holder = np.append(cand[order // 3], -1)
     query = edges * n + edges[:, ::-1]   # a -> b, then b -> a
-    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-    held = np.where(keys[pos] == query, order[pos] // 3, -1)   # holder, or -1
+    pos = np.searchsorted(keys, query)
+    held = np.where(keys[pos] == query, holder[pos], -1)   # holder, or -1
     air = [Region.AIR_FIXED, Region.AIRGAP, Region.COIL, Region.MAGNET]
     bad = (held >= 0) & ~np.isin(mesh.region[held], air)
     fails = np.flatnonzero((held < 0).all(axis=1) | bad.any(axis=1))
@@ -175,7 +184,7 @@ def default_levelset(mesh: TriMesh) -> np.ndarray:
     """Smooth all-ferro seed: cosine bump over the design bounding box,
     positive strictly inside, zero on the box edge. Full-length nodal vector
     (zeros off the design region); not normalized."""
-    design_nodes = np.unique(mesh.tris[mesh.region == Region.DESIGN].ravel())
+    design_nodes = mesh.design_nodes()
     if design_nodes.size == 0:
         raise ValueError("mesh has no DESIGN region")
     pts = mesh.nodes[design_nodes]

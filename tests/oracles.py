@@ -3,8 +3,9 @@ polarization derivation (the disk and ellipse closed forms, and the
 reduction of an anisotropic background to them), the full 2x2 case matrices
 whose eigenvalue d1 along grad u the library returns, closed forms for its
 numerical solves, pointwise twins of its batched sensitivity assembly, an
-edge-use count for mesh conformity and a per-edge loop for its gap-edge
-element choice. No library code needs them.
+edge-use count for mesh conformity, a per-edge loop for its gap-edge
+element choice and the digest that pinned arrays are compared by. No
+library code needs them.
 
 The case matrices do not all come from polarization_general: their d2
 agrees with its eigenvalue across grad u, but their d1 has the contrast
@@ -13,6 +14,7 @@ polarization_general has lam2 (lam1 = nu(t), lam2 = (nu(s) s)' at
 t = |grad u|). So d1 is polarization_general's eigenvalue along grad u
 times (nu0 - lam1)/(nu0 - lam2) in case I and (lam1 - nu0)/(lam2 - nu0) in
 case II; criterion 12's expansion checks the library's factor."""
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,3 +235,11 @@ def loop_edge_elements(mesh, edges):
         left = np.flatnonzero(tau[0] * d[:, 1] - tau[1] * d[:, 0] > 0)
         out.append(elems[left[0] if left.size else 0])
     return np.array(out, dtype=np.int64)
+
+
+def digest(a) -> str:
+    """sha256 prefix of an array's dtype, shape and bytes."""
+    a = np.asarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]

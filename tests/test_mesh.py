@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from magtopt.mesh import (Boundary, DiscSpec, Region, TriMesh,
                           generate_disc_mesh, generate_mini_motor,
                           generate_square_benchmark, unit_square_mesh,
                           MINI_MOTOR_RADII, MINI_MOTOR_PROBE_RADIUS)
-from oracles import edge_use_counts
+from oracles import digest, edge_use_counts
 
 
 def euler_characteristic(mesh):
@@ -229,13 +228,6 @@ class TestDegenerateGeometry:
             m.areas
 
 
-def _digest(a):
-    """sha256 prefix of an array's dtype, shape and bytes."""
-    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
-    h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()[:16]
-
-
 class TestLayoutPinned:
     """Index arrays of the shipped meshes and the benchmark's and tests'
     node coordinates, pinned byte for byte: a change of vertex order or of a
@@ -263,6 +255,17 @@ class TestLayoutPinned:
         "disc/default": "d88eee89bd3e6a64",
         "disc/coarse": "284cd6c783314543",
     }
+    #: areas, grads and centroids, digests taken at commit 905d1d3, when the
+    #: geometry gathered the (m, 3, 2) corner array nodes[tris]: a rewrite of
+    #: the kernels that moves one bit or the sign of a zero shows
+    GEOMETRY = {
+        "square/8": ("69e35dd588c4177c", "6536781ff57510c1", "c6902784ea14d501"),
+        "square/64": ("8074a2c6a76cb269", "36719c95f252f4ec", "d377004ae73d34f5"),
+        "mini_motor/24": ("ac2500c81d4e7152", "48085a943d49ecb8", "a5291714aa515d3c"),
+        "mini_motor/96": ("305880010ea0bfd9", "7231fe9de1f9e65d", "b043d220abaae695"),
+        "disc/default": ("d810dfccd7d3a591", "b5f82e944a23f3a9", "3a30b9249a73a03f"),
+        "disc/coarse": ("a81514d3270a03dc", "ab931e5303c91617", "3b1195d6eb0f9ac4"),
+    }
     BUILD = {
         "square/8": lambda: generate_square_benchmark(8),
         "square/64": lambda: generate_square_benchmark(64),
@@ -276,14 +279,20 @@ class TestLayoutPinned:
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
     def test_index_arrays(self, name):
         mesh = self.BUILD[name]()
-        got = tuple(_digest(getattr(mesh, a))
+        got = tuple(digest(getattr(mesh, a))
                     for a in ("tris", "region", "bedges", "btags"))
         assert got == self.LAYOUTS[name]
 
+    @pytest.mark.parametrize("name", sorted(GEOMETRY))
+    def test_geometry(self, name):
+        mesh = self.BUILD[name]()
+        got = tuple(digest(getattr(mesh, a)) for a in ("areas", "grads", "centroids"))
+        assert got == self.GEOMETRY[name]
+
     @pytest.mark.parametrize("name", sorted(NODES))
     def test_nodes(self, name):
-        assert _digest(self.BUILD[name]().nodes) == self.NODES[name]
+        assert digest(self.BUILD[name]().nodes) == self.NODES[name]
 
     def test_square_nodes(self):
         # square/8 coordinates are exact binary fractions
-        assert _digest(generate_square_benchmark(8).nodes) == "8ce1f3b8739d5a76"
+        assert digest(generate_square_benchmark(8).nodes) == "8ce1f3b8739d5a76"

@@ -6,10 +6,11 @@ import pytest
 from magtopt.fem import assemble_rhs, solve_state
 from magtopt.mesh import (Boundary, Region, TriMesh, generate_square_benchmark,
                           MINI_MOTOR_RADII, MINI_MOTOR_PROBE_RADIUS)
+from magtopt.optimizer import DesignSpace
 from magtopt.problem_setup import (_edge_elements, assemble_adjoint_rhs,
                                    build_benchmark_problem, default_levelset,
                                    eval_objective, load_target_csv, make_objective)
-from oracles import loop_edge_elements
+from oracles import digest, loop_edge_elements
 
 RNG = np.random.default_rng(17)
 
@@ -245,6 +246,15 @@ class TestEdgeElements:
                            match=rf"^gap edge \({i},{j}\) adjacent to a DESIGN element$"):
             _edge_elements(tampered, edges)
 
+    def test_refusal_without_candidate_elements(self):
+        # no triangle holds two of the probe nodes, so no triangle is a
+        # candidate holder: the first edge is refused, not an empty search
+        mesh = generate_square_benchmark(16)
+        edges = np.array([[0, 40], [120, 288]])
+        assert not np.any(np.isin(mesh.tris, edges).sum(axis=1) >= 2)
+        with pytest.raises(ValueError, match=r"^gap edge \(0,40\) not in the mesh$"):
+            _edge_elements(mesh, edges)
+
     @pytest.mark.parametrize("case, k, reason", [
         ("no_shared_triangle", 4, "not in the mesh"),
         ("ferro_neighbour", 3, "adjacent to non-air element"),
@@ -274,6 +284,47 @@ class TestEdgeElements:
         with pytest.raises(ValueError,
                            match=rf"^gap edge \({i},{j}\) {reason}$"):
             _edge_elements(tampered, edges)
+
+
+class TestSetupPinned:
+    """Objective, sources and design space of the benchmark problems,
+    pinned byte for byte by oracles.digest. The digests were taken at commit
+    905d1d3, before the per-axis geometry kernels, the candidate-only edge
+    key sort and the node mark of the design nodes."""
+
+    PINNED = {
+        "square/64": {
+            "trace": ("f8bff47a3b153446", "f6024f43d15e66d2", "5220860921940a56"),
+            "lengths": "f347ae73a6027361", "b_target": "f67691f407ff3c3b",
+            "magnetization": "4afa7ce934d3ca5e", "nodes": "571c8af54e14e317",
+            "mass": ("4e5712b6df98071a", "2a4518367e331264", "31c1a4c6a0c37c18"),
+            "area_sums": "44aeb81aebc3439f",
+        },
+        "mini_motor/96": {
+            "trace": ("6622aa09ff080a95", "ae391b81545f97c6", "abe4b17ef97faa5b"),
+            "lengths": "b2da428cba28ede6", "b_target": "63b57127647437fe",
+            "magnetization": "4743f5b372c52fba", "nodes": "5f79a5a3b56e2b8c",
+            "mass": ("acb047abdb9fcacb", "218fc9ae50db0ad8", "6319a5127095905a"),
+            "area_sums": "2f1bcee3c33f6464",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_outputs(self, name):
+        kind, resolution = name.split("/")
+        prob = build_benchmark_problem(kind, int(resolution))
+        obj, space = prob.objective, DesignSpace(prob.mesh)
+        got = {
+            "trace": tuple(digest(a) for a in (obj.trace.data, obj.trace.indices,
+                                               obj.trace.indptr)),
+            "lengths": digest(obj.lengths), "b_target": digest(obj.b_target),
+            "magnetization": digest(prob.sources.magnetization),
+            "nodes": digest(space.nodes),
+            "mass": tuple(digest(a) for a in (space.mass.data, space.mass.indices,
+                                              space.mass.indptr)),
+            "area_sums": digest(space._area_sums),
+        }
+        assert got == self.PINNED[name]
 
 
 class TestDefaultLevelset:
