@@ -117,11 +117,16 @@ class TriMesh:
         """Gradient of the P1 field u (n,), constant per element: (m, 2)."""
         return (self.grad_op @ u).reshape(-1, 2)
 
+    def design_elements(self) -> np.ndarray:
+        """Ids of the DESIGN triangles in index order: the design elements
+        and the order of every array with one value per design element."""
+        return np.flatnonzero(self.region == Region.DESIGN)
+
     def design_nodes(self) -> np.ndarray:
         """Sorted ids of the nodes of the DESIGN triangles, by a mark over
         the nodes rather than a sort."""
         mark = np.zeros(self.n_nodes, dtype=bool)
-        mark[self.tris[self.region == Region.DESIGN]] = True
+        mark[self.tris[self.design_elements()]] = True
         return np.flatnonzero(mark)
 
     def dirichlet_nodes(self) -> np.ndarray:

@@ -13,11 +13,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, problem_setup, topo_derivative
 from .cell_problems import CorrectionTable
-from .mesh import Region, TriMesh
+from .mesh import TriMesh
 from .problem_setup import Problem
 
 log = logging.getLogger("magtopt.optimizer")
@@ -27,41 +26,37 @@ KAPPA_MIN = 2.0 ** -20
 
 
 class DesignSpace:
-    """Design-region function space: node set, P1 mass matrix and the
-    area-weighted node average of element values.
-
-    The mass matrix integrates products of P1 functions over the DESIGN
-    elements exactly (consistent element mass A/12 [[2,1,1],[1,2,1],[1,1,2]]).
-    """
+    """Design-region function space over one element table: for each design
+    element (mesh.design_elements()), its three corners as indices into the
+    design nodes, and its area. The table gives the exact L2 inner product
+    (l2_inner) and the area-weighted node average of element values."""
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        self.elements = np.flatnonzero(mesh.region == Region.DESIGN)
+        self.elements = mesh.design_elements()
         if self.elements.size == 0:
             raise ValueError("mesh has no DESIGN region")
         self.nodes = mesh.design_nodes()
-        self.area = float(mesh.areas[self.elements].sum())
+        self.areas = mesh.areas[self.elements]
+        self.area = float(self.areas.sum())
         glob2loc = -np.ones(mesh.n_nodes, dtype=np.int64)
         glob2loc[self.nodes] = np.arange(self.nodes.size)
-        tr = glob2loc[mesh.tris[self.elements]]
-        a = mesh.areas[self.elements]
-        base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        data = a[:, None, None] * base
-        rows = np.repeat(tr, 3, axis=1).ravel()
-        cols = np.tile(tr, (1, 3)).ravel()
-        m = self.nodes.size
-        self.mass = sp.csr_matrix((data.ravel(), (rows, cols)), shape=(m, m))
-        self._corners = tr.ravel()
-        self._corner_areas = np.repeat(a, 3)
-        self._area_sums = np.bincount(self._corners, weights=self._corner_areas,
-                                      minlength=m)
+        # contiguous (3, k): row j is corner j of every element, gathered by rows
+        self._corners = glob2loc[mesh.tris[self.elements]].T.copy()
+        self._area_sums = self._scatter(self.areas)
+
+    def _scatter(self, element_values: np.ndarray) -> np.ndarray:
+        """Per design node, the sum of the values of its elements, in
+        element-major order."""
+        return np.bincount(self._corners.T.ravel(),
+                           weights=np.repeat(element_values, 3),
+                           minlength=self.nodes.size)
 
     def average(self, element_values: np.ndarray) -> "LevelSetField":
         """P1 field whose value at each design node is the area-weighted mean
         of element_values (one per DESIGN element) over its design
         elements."""
-        w = self._corner_areas * np.repeat(element_values, 3)
-        sums = np.bincount(self._corners, weights=w, minlength=self.nodes.size)
+        sums = self._scatter(self.areas * element_values)
         return LevelSetField(self, sums / self._area_sums)
 
 
@@ -72,8 +67,7 @@ class LevelSetField:
     values: np.ndarray
 
     def norm(self) -> float:
-        v = self.values
-        return float(np.sqrt(v @ (self.space.mass @ v)))
+        return float(np.sqrt(l2_inner(self, self)))
 
     def normalized(self) -> "LevelSetField":
         n = self.norm()
@@ -89,13 +83,16 @@ class LevelSetField:
 
 
 def l2_inner(a: LevelSetField, b: LevelSetField) -> float:
-    """L2 inner product over the design region; symmetric under swap exactly
-    (evaluated in symmetrized form)."""
+    """Exact L2 inner product of two P1 fields over the design region,
+    sum_e A_e/12 (sum_k a_k b_k + sum_k a_k sum_k b_k) over the corners k of
+    each element e; the formula is symmetric, so a swap gives the same bits."""
     if a.space is not b.space:
         raise ValueError("fields must share the same design space")
-    m = a.space.mass
-    return 0.5 * (float(a.values @ (m @ b.values))
-                  + float(b.values @ (m @ a.values)))
+    space = a.space
+    a0, a1, a2 = a.values[space._corners]
+    b0, b1, b2 = b.values[space._corners]
+    per_element = a0 * b0 + a1 * b1 + a2 * b2 + (a0 + a1 + a2) * (b0 + b1 + b2)
+    return float(space.areas @ per_element) / 12.0
 
 
 def slerp(psi: LevelSetField, g: LevelSetField, theta: float,
@@ -111,9 +108,7 @@ def slerp(psi: LevelSetField, g: LevelSetField, theta: float,
 def ferro_fraction(space: DesignSpace, ferro_mask: np.ndarray) -> float:
     """Area fraction of the design region that a per-element ferro mask
     (StateResult.ferro_mask) marks ferromagnetic."""
-    ferro = ferro_mask[space.elements]
-    a = space.mesh.areas[space.elements]
-    return float(a[ferro].sum() / space.area)
+    return float(space.areas[ferro_mask[space.elements]].sum() / space.area)
 
 
 @dataclass
@@ -273,7 +268,7 @@ def _log_stall(state: OptState, driver: Driver, element_values: np.ndarray,
     elements = driver.space.elements
     ferro = state.solution.ferro_mask[elements]
     predicted = np.where(ferro, element_values, -element_values) < 0.0
-    area = driver.problem.mesh.areas[elements][predicted].sum()
+    area = driver.space.areas[predicted].sum()
     log.info("stalled at iteration %d: %d of %d design elements (area %.6g) "
              "have a flip predicted to lower J; smallest kappa that changed "
              "the mask: %s; of %d trials, %d raised J or failed and %d "

@@ -30,8 +30,9 @@ def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
     """Fixed-side element per directed edge (a, b): the triangle that holds
     a -> b in its counter-clockwise order, which lies left of the edge, else
     the one that holds b -> a (the first in index order, if several do).
-    Refuses the first edge that is not in the mesh or has a DESIGN or
-    non-air neighbour, naming its first such neighbour in index order."""
+    Refuses the first edge that is not in the mesh or has a neighbour that
+    can carry the nonlinear law (fem.ferro_element_mask), naming its first
+    such neighbour in index order."""
     n = mesh.n_nodes
     # only a triangle with two corners on the edges' nodes can hold an edge
     on = np.zeros(n, dtype=np.int8)
@@ -48,8 +49,7 @@ def _edge_elements(mesh: TriMesh, edges: np.ndarray) -> np.ndarray:
     query = edges * n + edges[:, ::-1]   # a -> b, then b -> a
     pos = np.searchsorted(keys, query)
     held = np.where(keys[pos] == query, holder[pos], -1)   # holder, or -1
-    air = [Region.AIR_FIXED, Region.AIRGAP, Region.COIL, Region.MAGNET]
-    bad = (held >= 0) & ~np.isin(mesh.region[held], air)
+    bad = (held >= 0) & fem.ferro_element_mask(mesh)[held]
     fails = np.flatnonzero((held < 0).all(axis=1) | bad.any(axis=1))
     if fails.size:
         k = fails[0]

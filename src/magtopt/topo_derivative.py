@@ -17,15 +17,14 @@ from . import polarization
 # eval_correction is unused here; perfbench's tracer test reads it by this name
 from .cell_problems import CorrectionTable, eval_correction
 from .fem import StateResult
-from .mesh import Region
 
 
 @dataclass
 class TopoDerivField:
     """Generalized topological derivative over the design region.
 
-    element_values holds one scalar per DESIGN element, in element order;
-    n_clamped counts the table lookups that clamped.
+    element_values holds one scalar per DESIGN element, in the order of
+    mesh.design_elements(); n_clamped counts the table lookups that clamped.
     """
     element_values: np.ndarray
     n_clamped: int
@@ -42,7 +41,7 @@ def assemble_generalized_td(state: StateResult, p: np.ndarray,
     gradients of the state u (state.field) and the nodal adjoint p (n,).
     """
     mesh, curve = state.mesh, state.curve
-    design = np.flatnonzero(mesh.region == Region.DESIGN)
+    design = mesh.design_elements()
     gu = mesh.element_gradients(state.field)[design]
     gp = mesh.element_gradients(p)[design]
     ferro = state.ferro_mask[design]

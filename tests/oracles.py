@@ -4,8 +4,8 @@ reduction of an anisotropic background to them), the full 2x2 case matrices
 whose eigenvalue d1 along grad u the library returns, closed forms for its
 numerical solves, pointwise twins of its batched sensitivity assembly, an
 edge-use count for mesh conformity, a per-edge loop for its gap-edge
-element choice and the digest that pinned arrays are compared by. No
-library code needs them.
+element choice, the assembled mass matrix of the design region and the
+digest that pinned arrays are compared by. No library code needs them.
 
 The case matrices do not all come from polarization_general: their d2
 agrees with its eigenvalue across grad u, but their d1 has the contrast
@@ -18,8 +18,10 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from magtopt import material
+from magtopt.mesh import Region
 
 
 class ContrastError(ValueError):
@@ -235,6 +237,21 @@ def loop_edge_elements(mesh, edges):
         left = np.flatnonzero(tau[0] * d[:, 1] - tau[1] * d[:, 0] > 0)
         out.append(elems[left[0] if left.size else 0])
     return np.array(out, dtype=np.int64)
+
+
+def consistent_mass(mesh):
+    """Sorted ids of the DESIGN nodes and the P1 mass matrix M over the
+    DESIGN elements in that node order, assembled as a CSR from the
+    consistent element mass A/12 [[2,1,1],[1,2,1],[1,1,2]]: u . (M v) is
+    the exact L2 inner product of the P1 fields u and v."""
+    elements = np.flatnonzero(mesh.region == Region.DESIGN)
+    nodes, local = np.unique(mesh.tris[elements], return_inverse=True)
+    tr = local.reshape(-1, 3)
+    data = mesh.areas[elements, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+    rows = np.repeat(tr, 3, axis=1).ravel()
+    cols = np.tile(tr, (1, 3)).ravel()
+    m = nodes.size
+    return nodes, sp.csr_matrix((data.ravel(), (rows, cols)), shape=(m, m))
 
 
 def digest(a) -> str:

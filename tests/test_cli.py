@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             cli.load_config(p)
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("# comment\nresolution 24\n")
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(p))}:2: expected 'key = value'$"):
+            cli.load_config(p)
+
     def test_repeated_key_rejected(self, tmp_path, caplog):
         p = write_config(tmp_path)
         p.write_text(p.read_text() + "resolution = 24\n")
@@ -167,6 +174,22 @@ class TestValidateMaterial:
         report = (tmp_path / "out" / "material_report.txt").read_text()
         assert "slope bounds on (nu s)'            : violated (warning)\n" in report
         assert "run proceeds" not in report
+
+    @pytest.mark.parametrize("overrides, violated", [
+        ({"nu_linear": "1e7"}, "value bounds [nu_min, nu_air]      : VIOLATED\n"),
+        ({"curve": "marrocco", "alpha": "1.2"},
+         "C3 smoothness / nu'(0)=0           : VIOLATED\n")],
+        ids=["nu_above_nu_air", "alpha_1.2"])
+    def test_hard_violation_refused(self, tmp_path, caplog, overrides, violated):
+        # both laws are strongly monotone, so the hard checks refuse them
+        cfg = write_config(tmp_path, **overrides)
+        rc = cli.main(["validate-material", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "material law violates hard assumptions" in caplog.text
+        assert "not strongly monotone" not in caplog.text
+        report = (tmp_path / "out" / "material_report.txt").read_text()
+        assert violated in report
 
     def test_malformed_spline_fails(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -374,8 +397,11 @@ class TestOptimize:
          "resolution = 16 must be at least 24"),
         ({"curve": "marrocco", "alpha": "0.4"}, "alpha = 0.4 must be at least 1"),
         ({"curve": "marrocco", "c": "1.5"}, "c = 1.5 must be in (0, 1)"),
-        ({"curve": "marrocco", "tau": "-1"}, "tau = -1 must be positive")],
-        ids=["growth", "resolution", "motor_resolution", "alpha", "c", "tau"])
+        ({"curve": "marrocco", "tau": "-1"}, "tau = -1 must be positive"),
+        ({"curve": "spline"}, "curve = spline requires spline_csv"),
+        ({"curve": "bogus"}, "unknown curve kind 'bogus'")],
+        ids=["growth", "resolution", "motor_resolution", "alpha", "c", "tau",
+             "spline_without_csv", "unknown_curve"])
     def test_out_of_range_key_named(self, tmp_path, caplog, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"

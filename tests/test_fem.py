@@ -130,6 +130,10 @@ class TestStateSolve:
                                rf"be bool of shape \({bench.n_tris},\)$"):
                 solve_state(bench, marrocco, rhs=rhs, ferro_mask=bad)
 
+    def test_load_required(self, bench, marrocco):
+        with pytest.raises(ValueError, match="^need sources or rhs$"):
+            solve_state(bench, marrocco)
+
     def test_ferro_coefficient_within_law_bounds(self, bench, marrocco):
         res = solve_state(bench, marrocco,
                           sources=SourceSpec(magnetization=np.array([0.0, 3e6])))
@@ -631,6 +635,11 @@ class TestFreeBlock:
         coeff[-1, 1, 0] += 1e-12
         with pytest.raises(SolverError, match="not symmetric"):
             fem.assemble_stiffness(mesh, coeff)
+
+    def test_singular_block_refused(self):
+        with pytest.raises(SolverError, match=r"^sparse factorization failed: "
+                           "Factor is exactly singular$"):
+            fem.factorize(sp.csc_matrix(np.ones((2, 2))))
 
     def test_free_nodes_permute_sorted_free_set(self, mesh):
         block = fem._free_block(mesh)

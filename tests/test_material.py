@@ -290,6 +290,16 @@ class TestSplineCurve:
                            match=f"{re.escape(str(p))}: spline samples must be finite"):
             SplineCurve.from_csv(p)
 
+    @pytest.mark.parametrize("rows", [["0,1000", "1,0", "2,3000", "3,4000"],
+                                      ["0,1000", "1,-5", "2,3000", "3,4000"],
+                                      ["-1,1000", "1,2000", "2,3000", "3,4000"]],
+                             ids=["zero_nu", "negative_nu", "negative_s"])
+    def test_out_of_range_sample_rejected(self, tmp_path, rows):
+        p = self.make_csv(tmp_path, rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "
+                           "spline samples must have s >= 0, nu > 0$"):
+            SplineCurve.from_csv(p)
+
     def test_tail_continuation_has_vacuum_slope(self):
         s = np.linspace(0.0, 2.0, 10)
         curve = SplineCurve(s, 4000.0 + 1000.0 * s)

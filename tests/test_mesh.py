@@ -41,6 +41,10 @@ class TestSquareBenchmark:
         with pytest.raises(ValueError):
             generate_square_benchmark(7)
 
+    def test_unit_square_without_cells_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            unit_square_mesh(0)
+
     def test_all_regions_assigned(self):
         mesh = generate_square_benchmark(32)
         present = {Region(int(r)) for r in np.unique(mesh.region)}

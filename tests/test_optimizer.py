@@ -9,6 +9,7 @@ from magtopt import optimizer as op
 from magtopt.cell_problems import CorrectionTable, PerturbationCase
 from magtopt.mesh import Region
 from magtopt.problem_setup import build_benchmark_problem, default_levelset
+from oracles import consistent_mass
 
 Z1 = CorrectionTable.zeros(PerturbationCase.AIR_IN_FERRO)
 Z2 = CorrectionTable.zeros(PerturbationCase.FERRO_IN_AIR)
@@ -34,6 +35,22 @@ class TestInnerProduct:
     def test_constant_field_gives_design_area(self, square16, space):
         ones = op.LevelSetField(space, np.ones(space.nodes.size))
         assert op.l2_inner(ones, ones) == pytest.approx(space.area, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, resolution", [("square", 16), ("mini_motor", 48)])
+    def test_matches_assembled_mass(self, kind, resolution):
+        mesh = build_benchmark_problem(kind, resolution).mesh
+        space = op.DesignSpace(mesh)
+        nodes, mass = consistent_mass(mesh)
+        assert np.array_equal(space.nodes, nodes)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            # positive fields, so that no cancellation blurs the relative error
+            u, v = rng.uniform(0.5, 1.5, size=(2, nodes.size))
+            a, b = op.LevelSetField(space, u), op.LevelSetField(space, v)
+            ref = u @ (mass @ v)
+            assert abs(op.l2_inner(a, b) - ref) <= 1e-14 * ref
+            ref = np.sqrt(u @ (mass @ u))
+            assert abs(a.norm() - ref) <= 1e-14 * ref
 
     def test_symmetry_exact(self, square16, space):
         a = random_unit_field(space, RNG)

@@ -5,7 +5,8 @@ import pytest
 
 from magtopt.fem import assemble_rhs, solve_state
 from magtopt.mesh import (Boundary, Region, TriMesh, generate_square_benchmark,
-                          MINI_MOTOR_RADII, MINI_MOTOR_PROBE_RADIUS)
+                          unit_square_mesh, MINI_MOTOR_RADII,
+                          MINI_MOTOR_PROBE_RADIUS)
 from magtopt.optimizer import DesignSpace
 from magtopt.problem_setup import (_edge_elements, assemble_adjoint_rhs,
                                    build_benchmark_problem, default_levelset,
@@ -125,6 +126,11 @@ class TestBenchmarks:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="^unknown benchmark kind 'hexagon'$"):
             build_benchmark_problem("hexagon", 16)
+
+    def test_mesh_without_gap_edges_refused(self):
+        # the unit square tags only its outer boundary
+        with pytest.raises(ValueError, match="^mesh has no GAP_PROBE edges$"):
+            make_objective(unit_square_mesh(4), lambda mid: np.zeros(len(mid)))
 
     def test_design_adjacent_gap_rejected(self):
         mesh = generate_square_benchmark(16)
@@ -297,14 +303,12 @@ class TestSetupPinned:
             "trace": ("f8bff47a3b153446", "f6024f43d15e66d2", "5220860921940a56"),
             "lengths": "f347ae73a6027361", "b_target": "f67691f407ff3c3b",
             "magnetization": "4afa7ce934d3ca5e", "nodes": "571c8af54e14e317",
-            "mass": ("4e5712b6df98071a", "2a4518367e331264", "31c1a4c6a0c37c18"),
             "area_sums": "44aeb81aebc3439f",
         },
         "mini_motor/96": {
             "trace": ("6622aa09ff080a95", "ae391b81545f97c6", "abe4b17ef97faa5b"),
             "lengths": "b2da428cba28ede6", "b_target": "63b57127647437fe",
             "magnetization": "4743f5b372c52fba", "nodes": "5f79a5a3b56e2b8c",
-            "mass": ("acb047abdb9fcacb", "218fc9ae50db0ad8", "6319a5127095905a"),
             "area_sums": "2f1bcee3c33f6464",
         },
     }
@@ -320,8 +324,6 @@ class TestSetupPinned:
             "lengths": digest(obj.lengths), "b_target": digest(obj.b_target),
             "magnetization": digest(prob.sources.magnetization),
             "nodes": digest(space.nodes),
-            "mass": tuple(digest(a) for a in (space.mass.data, space.mass.indices,
-                                              space.mass.indptr)),
             "area_sums": digest(space._area_sums),
         }
         assert got == self.PINNED[name]
@@ -334,6 +336,11 @@ class TestDefaultLevelset:
         design = mesh.region == Region.DESIGN
         psi_c = psi[mesh.tris[design]].mean(axis=1)
         assert np.all(psi_c > 0.0)
+
+    def test_mesh_without_design_refused(self):
+        # the unit square is all AIR_FIXED
+        with pytest.raises(ValueError, match="^mesh has no DESIGN region$"):
+            default_levelset(unit_square_mesh(4))
 
     def test_zero_outside_design_nodes(self, square):
         mesh = square.mesh
