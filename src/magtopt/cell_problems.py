@@ -176,20 +176,17 @@ class CorrectionTable:
         its grid reaches infinity, so no lookup counts as clamped."""
         return cls(case, np.array([0.0, np.inf]), np.zeros(2), 0.0, 0.0, "disabled")
 
-    def lookup(self, grad_u, grad_p):
-        """Correction term at gradient pairs of one shape (..., 2):
+    def lookup(self, t, dot):
+        """Correction term at t = |grad u| and dot = grad u . grad p, arrays
+        of one shape (...):
 
-            (grad_u . grad_p) j2_e1(t) / t,    t = |grad_u|,
+            dot j2_e1(t) / t,
 
         j2_e1 piecewise-linear in t and held at the last grid value beyond
         it, zero at t = 0. Returns the values (...) and the number of
         points with t beyond the grid (clamped).
         """
-        grad_u = np.asarray(grad_u, dtype=float)
-        grad_p = np.asarray(grad_p, dtype=float)
-        t = np.hypot(grad_u[..., 0], grad_u[..., 1])
-        num = (np.einsum("...i,...i->...", grad_u, grad_p)
-               * np.interp(t, self.t, self.j2_e1))
+        num = dot * np.interp(t, self.t, self.j2_e1)
         values = np.divide(num, t, out=np.zeros(np.shape(num)), where=t > 0.0)
         return values, int(np.count_nonzero(t > self.t[-1]))
 
@@ -287,7 +284,8 @@ def build_correction_table(curve, case: PerturbationCase, t_grid,
 
 def eval_correction(table: CorrectionTable, grad_u, grad_p) -> float:
     """CorrectionTable.lookup at one pair of 2-vectors."""
-    return float(table.lookup(grad_u, grad_p)[0])
+    return float(table.lookup(np.hypot(*grad_u),
+                              np.einsum("i,i->", grad_u, grad_p))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +311,8 @@ def load_table(path) -> CorrectionTable:
     nonzero = np.flatnonzero(data[:, 2])
     if nonzero.size:
         t, b = data[nonzero[0], [0, 2]]
-        raise ValueError(f"{path}: " + (
-            "table j2 values must be finite" if not np.isfinite(b) else
-            f"j2_e2 = {b:.17g} at t = {t:.17g} is not zero: the lookup has no "
-            "e2 term, so rebuild the table"))
+        raise ValueError(f"{path}: j2_e2 = {b:.17g} at t = {t:.17g} is not "
+                         "zero: the lookup has no e2 term, so rebuild the table")
     missing = [k for k in ("case", "radius", "h0", "curve") if k not in meta]
     if missing:
         raise ValueError(f"{path}: table header lacks {', '.join(missing)}")

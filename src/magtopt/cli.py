@@ -118,6 +118,13 @@ def disc_spec(cfg: dict) -> DiscSpec:
                     growth=_parse(cfg, "growth"), n_theta=_parse(cfg, "n_theta", int))
 
 
+def _check_monotone(report) -> None:
+    """ValueError unless the law's flux map is strongly monotone (m > 0)."""
+    if report.m <= 0:
+        raise ValueError(f"flux map is not strongly monotone: m = {report.m:.6g} "
+                         f"at s = {report.m_at:.6g} T")
+
+
 def _prepare_out(out: str, force: bool) -> Path:
     path = Path(out)
     if path.exists() and any(path.iterdir()) and not force:
@@ -137,10 +144,7 @@ def cmd_validate_material(cfg, args) -> int:
             + report.summary() + "\n")
     (out / "material_report.txt").write_text(text)
     print(report.summary())
-    if report.m <= 0:
-        log.error("flux map is not strongly monotone: m = %.6g at s = %.6g T",
-                  report.m, report.m_at)
-        return EXIT_CONFIG
+    _check_monotone(report)
     if not (report.bounds_ok and report.c3_smoothness_ok):
         log.error("material law violates hard assumptions")
         return EXIT_CONFIG
@@ -184,6 +188,7 @@ def _build_tables(cfg, curve, out: Path):
 
 def cmd_build_tables(cfg, args) -> int:
     curve = build_curve(cfg)
+    _check_monotone(material.validate_assumptions(curve))
     _build_tables(cfg, curve, _prepare_out(args.out, args.force))
     if isinstance(curve, material.LinearCurve):
         log.info("linear stub: both tables are identically zero")
@@ -233,6 +238,7 @@ def _build_problem(cfg):
 
 def cmd_solve(cfg, args) -> int:
     curve = build_curve(cfg)
+    _check_monotone(material.validate_assumptions(curve))
     out = _prepare_out(args.out, args.force)
     prob = _build_problem(cfg)
     res = fem.solve_state(prob.mesh, curve, sources=prob.sources)
@@ -251,6 +257,7 @@ def cmd_solve(cfg, args) -> int:
 
 def cmd_optimize(cfg, args) -> int:
     curve = build_curve(cfg)
+    _check_monotone(material.validate_assumptions(curve))
     prob = _build_problem(cfg)
     opts = optimizer.OptimizerOptions(
         kappa_start=_parse(cfg, "kappa_start"),

@@ -3,9 +3,11 @@ correction tables). Text from `#` to the end of a line is a comment, blank
 lines are skipped and line numbers count every line. The `key=value` tokens
 of whole-line comments before the header are the file's metadata, each key
 given once. The first other line is the header, exactly the expected names
-ignoring case and spaces; every later line holds that many numbers. Files
-are UTF-8, and a leading byte-order mark is dropped."""
+ignoring case and spaces; every later line holds that many finite numbers.
+Files are UTF-8, and a leading byte-order mark is dropped."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,9 +35,10 @@ def read_csv(path, header: tuple) -> tuple:
                 width = len(header)
             else:
                 try:
-                    if len(cells) != width:
+                    row = list(map(float, cells))   # float() strips spaces
+                    if len(row) != width or not all(map(math.isfinite, row)):
                         raise ValueError
-                    rows.append(list(map(float, cells)))   # float() strips spaces
+                    rows.append(row)
                 except ValueError:
                     cells = [c.strip() for c in cells]
                     raise ValueError(f"{path}: line {n}: bad row {cells!r}") from None

@@ -341,7 +341,7 @@ def validate_assumptions(curve) -> AssumptionReport:
     The checks are infima over all s > 0 in the continuum; sampling on the
     log grid ASSUMPTION_GRID is the generic test. Admissibility violations
     (delta_nu at or below the thresholds) produce a warning and a False flag
-    only; m <= 0 is reported, not flagged, and `validate-material` refuses it.
+    only; m <= 0 is reported, not flagged, and every CLI command refuses it.
     """
     grid = ASSUMPTION_GRID
     tol = 1e-9 * curve.nu_air

@@ -163,14 +163,12 @@ def build_benchmark_problem(kind: str, resolution: int,
 
 def load_target_csv(path):
     """Target override from CSV `theta,b_d` (radians, tesla) in
-    csvio.read_csv's dialect: one or more rows of finite values (one row
-    gives a constant target). Returns a callable that interpolates
+    csvio.read_csv's dialect: one or more rows (one row gives a constant
+    target). Returns a callable that interpolates
     periodically in the midpoint angle."""
     _, data = read_csv(path, ("theta", "b_d"))
     if data.shape[0] == 0:
         raise ValueError(f"{path}: need one or more rows of theta,b_d")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: theta,b_d values must be finite")
     th, bd = data[:, 0], data[:, 1]
 
     def target(mid):

@@ -2,10 +2,10 @@
 value per DESIGN element.
 
 Each sensitivity is a bilinear form in the local state and adjoint
-gradients: the closed-form polarization factor d1(|grad u|) times the one
-dot product grad u . grad p, plus the tabulated nonlinear correction. The
-objective itself lives in the air gap, outside the design region, so the
-direct functional variation is zero.
+gradients, F(t) (grad u . grad p) with F(t) = d1(t) + j2(t)/t at
+t = |grad u|: the closed-form polarization factor plus the tabulated
+nonlinear correction. The objective itself lives in the air gap, outside
+the design region, so the direct functional variation is zero.
 """
 from __future__ import annotations
 
@@ -45,6 +45,7 @@ def assemble_generalized_td(state: StateResult, p: np.ndarray,
     gu = mesh.element_gradients(state.field)[design]
     gp = mesh.element_gradients(p)[design]
     ferro = state.ferro_mask[design]
+    t = np.hypot(gu[:, 0], gu[:, 1])
     dot = np.einsum("ei,ei->e", gu, gp)
 
     vals = np.empty(design.size)
@@ -53,7 +54,8 @@ def assemble_generalized_td(state: StateResult, p: np.ndarray,
     for mask, sign, matrix, table in (
             (ferro, 1.0, polarization.matrix_air_in_ferro, table_air_in_ferro),
             (~ferro, -1.0, polarization.matrix_ferro_in_air, table_ferro_in_air)):
-        corr, clamped = table.lookup(gu[mask], gp[mask])
-        vals[mask] = sign * (matrix(curve, gu[mask]) * dot[mask] + corr)
+        tm, dm = t[mask], dot[mask]
+        corr, clamped = table.lookup(tm, dm)
+        vals[mask] = sign * (matrix(curve, tm) * dm + corr)
         n_clamped += clamped
     return TopoDerivField(vals, n_clamped)

@@ -204,7 +204,8 @@ def g_ferro_to_air(curve, grad_u, grad_p, table) -> float:
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
     M = full_matrix_air_in_ferro(curve, grad_u)
-    return float(grad_u @ M @ grad_p) + float(table.lookup(grad_u, grad_p)[0])
+    return float(grad_u @ M @ grad_p) + float(table.lookup(
+        np.hypot(grad_u[0], grad_u[1]), grad_u @ grad_p)[0])
 
 
 def g_air_to_ferro(curve, grad_u, grad_p, table) -> float:
@@ -212,7 +213,8 @@ def g_air_to_ferro(curve, grad_u, grad_p, table) -> float:
     grad_u = np.asarray(grad_u, dtype=float)
     grad_p = np.asarray(grad_p, dtype=float)
     M = full_matrix_ferro_in_air(curve, grad_u)
-    return float(grad_u @ M @ grad_p) + float(table.lookup(grad_u, grad_p)[0])
+    return float(grad_u @ M @ grad_p) + float(table.lookup(
+        np.hypot(grad_u[0], grad_u[1]), grad_u @ grad_p)[0])
 
 
 def edge_use_counts(mesh) -> dict:

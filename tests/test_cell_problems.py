@@ -218,11 +218,11 @@ class TestTables:
          r": line 4: bad row \['1', '0.5'\]$"),
         ("# case=III radius=100 h0=0.3 curve=x\n", "0,0,0\n", "'III'"),
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\nnan,0.5,0\n2,0.1,0\n",
-         ": table grid must be strictly increasing, without NaN"),
+         r": line 4: bad row \['nan', '0.5', '0'\]$"),
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,nan,0\n",
-         ": table j2 values must be finite"),
+         r": line 4: bad row \['1', 'nan', '0'\]$"),
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,0.5,inf\n",
-         ": table j2 values must be finite"),
+         r": line 4: bad row \['1', '0.5', 'inf'\]$"),
         ("# case=I radius=100 h0=0.3 curve=x\n", "0,0,0\n1,0.5,1e-3\n",
          ": j2_e2 = 0.001 at t = 1 is not zero: the lookup has no e2 term, "
          "so rebuild the table"),
@@ -241,6 +241,13 @@ class TestTables:
                             1000.0, 0.05, "x")
         with pytest.raises(ValueError):
             CorrectionTable(CASE_I, np.array([]), np.array([]), 1000.0, 0.05, "x")
+        # arrays built in memory, which no file reader has checked
+        with pytest.raises(ValueError, match="strictly increasing, without NaN"):
+            CorrectionTable(CASE_I, [0.0, np.nan, 2.0], [0.0, 0.5, 0.1],
+                            1000.0, 0.05, "x")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="table j2 values must be finite"):
+                CorrectionTable(CASE_I, [0.0, 1.0], [0.0, bad], 1000.0, 0.05, "x")
 
     @pytest.mark.parametrize("t, j2_e1, shapes", [
         ([0.0, 1.0, 2.0], [0.0, 1.0], "t has shape (3,) and j2_e1 (2,)"),
@@ -283,11 +290,11 @@ class TestEvalJ2:
 
     def test_lookup_counts_clamped(self, tables_coarse):
         t1, _ = tables_coarse
-        gu = np.array([[t1.t[-1] + 1.0, 0.0], [0.0, t1.t[-1]], [0.5, 0.0]])
-        gp = np.ones_like(gu)
+        t = np.array([t1.t[-1] + 1.0, t1.t[-1], 0.5])
+        dot = np.ones_like(t)
         # the last grid point itself is inside the grid
-        assert t1.lookup(gu, gp)[1] == 1
-        assert CorrectionTable.zeros(CASE_I).lookup(gu, gp)[1] == 0
+        assert t1.lookup(t, dot)[1] == 1
+        assert CorrectionTable.zeros(CASE_I).lookup(t, dot)[1] == 0
 
     def test_stack_matches_pointwise(self, tables_coarse):
         t1, _ = tables_coarse
@@ -297,11 +304,12 @@ class TestEvalJ2:
         gu[0] = 0.0
         gp[1] = 0.0
         gu[2] = [t1.t[-1] + 0.7, -0.4]
-        vals, n_clamped = t1.lookup(gu, gp)
+        t = np.hypot(gu[:, 0], gu[:, 1])
+        vals, n_clamped = t1.lookup(t, np.einsum("ei,ei->e", gu, gp))
         assert vals.shape == (12,)
         expected = [eval_correction(t1, a, b) for a, b in zip(gu, gp)]
         np.testing.assert_allclose(vals, expected, rtol=1e-14, atol=0.0)
-        beyond = np.hypot(gu[:, 0], gu[:, 1]) > t1.t[-1]
+        beyond = t > t1.t[-1]
         assert n_clamped == beyond.sum() >= 1
 
     def test_angle_decomposition_against_direct(self, marrocco, tables_coarse,
@@ -669,5 +677,5 @@ class TestMatrixTermCrossValidation:
                 M_closed = closed_fn(marrocco, gu)
                 rel = np.abs(M_fem - M_closed).max() / np.abs(M_closed).max()
                 assert rel <= 0.02
-                d1 = d1_fn(marrocco, gu)
+                d1 = d1_fn(marrocco, t)
                 assert abs(e @ M_fem @ e - d1) <= 0.02 * abs(d1)

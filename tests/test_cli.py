@@ -163,6 +163,22 @@ class TestValidateMaterial:
         assert "delta-quotient admissibility       : violated (warning)\n" in report
         assert "run proceeds" not in report
 
+    @pytest.mark.parametrize("command", ["build-tables", "solve", "optimize"])
+    def test_other_commands_refuse_a_non_monotone_law(self, tmp_path, caplog,
+                                                      command):
+        # refused before any solve or output file
+        spline = write_spline(tmp_path, FALLING_SPLINE)
+        cfg = write_config(tmp_path, curve="spline", spline_csv=str(spline))
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert re.fullmatch(r"flux map is not strongly monotone: m = \S+ at "
+                            r"s = \S+ T", record.getMessage())
+        for name in ("j2_case*.csv", "state.vtk", "iterations.csv"):
+            assert not list(tmp_path.rglob(name))
+        assert not out.exists()
+
     def test_marrocco_warns_but_passes(self, tmp_path, caplog):
         # the Marrocco law overshoots the slope bound in its saturation band:
         # the report flags it, and only the log says that the run proceeds
@@ -348,7 +364,7 @@ class TestOptimize:
         out = tmp_path / "out"
         rc = cli.main(["optimize", "--config", str(cfg), "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
-        assert f"{target}: theta,b_d values must be finite" in caplog.text
+        assert f"{target}: line 3: bad row {row.split(',')!r}" in caplog.text
         assert not (out / "iterations.csv").exists()
         assert not (out / "j2_case1.csv").exists()
 
@@ -607,7 +623,8 @@ class TestTableGuards:
         out = tmp_path / "out"
         rc = cli.main(["optimize", "--config", str(bad), "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
-        assert f"{nan_row}: table j2 values must be finite" in caplog.text
+        assert (f"{nan_row}: line {len(lines)}: bad row "
+                f"{[t_last, 'nan', '0']!r}") in caplog.text
         assert not (out / "iterations.csv").exists()
 
     def test_one_missing_table_keeps_the_other(self, tmp_path, caplog):

@@ -97,7 +97,8 @@ def test_read_csv_metadata_header_and_rows(tmp_path):
     ("", "line 1: expected header 'a,b'"),
     ("# only a comment\n\n", "line 3: expected header 'a,b'"),
     ("a,b\n1,2,\n", r"line 2: bad row \['1', '2', ''\]"),
-], ids=["empty", "comments_only", "trailing_comma"])
+    ("a,b\n1,2\n\n3, inf\n", r"line 4: bad row \['3', 'inf'\]"),
+], ids=["empty", "comments_only", "trailing_comma", "non_finite"])
 def test_read_csv_errors_name_file_and_line(tmp_path, text, message):
     p = write(tmp_path, text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}$"):

@@ -281,14 +281,20 @@ class TestSplineCurve:
                            "spline s-column must be strictly increasing$"):
             SplineCurve.from_csv(p)
 
-    @pytest.mark.parametrize("rows", [["0,1000", "1,nan", "2,3000", "3,4000"],
-                                      ["0,1000", "1,2000", "inf,3000", "3,4000"]],
-                             ids=["nan_nu", "inf_s"])
-    def test_non_finite_sample_rejected(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows, line", [
+        (["0,1000", "1,nan", "2,3000", "3,4000"], 3),
+        (["0,1000", "1,2000", "inf,3000", "3,4000"], 4)], ids=["nan_nu", "inf_s"])
+    def test_non_finite_sample_rejected(self, tmp_path, rows, line):
+        # the file is refused by its reader, naming the line; the same
+        # samples built in memory by the constructor's own check
         p = self.make_csv(tmp_path, rows)
-        with pytest.raises(ValueError,
-                           match=f"{re.escape(str(p))}: spline samples must be finite"):
+        cells = rows[line - 2].split(",")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: line {line}: bad row {cells!r}") + "$"):
             SplineCurve.from_csv(p)
+        s, nu = np.array([r.split(",") for r in rows], dtype=float).T
+        with pytest.raises(ValueError, match="^spline samples must be finite$"):
+            SplineCurve(s, nu)
 
     @pytest.mark.parametrize("rows", [["0,1000", "1,0", "2,3000", "3,4000"],
                                       ["0,1000", "1,-5", "2,3000", "3,4000"],

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from magtopt.cell_problems import CorrectionTable, PerturbationCase
-from magtopt.fem import SourceSpec, ferro_element_mask, solve_state
+from magtopt.fem import SourceSpec, StateResult, ferro_element_mask, solve_state
 from magtopt.material import NU0
-from magtopt.mesh import Region, generate_square_benchmark
+from magtopt.mesh import Region, generate_mini_motor, generate_square_benchmark
 from magtopt.problem_setup import default_levelset
 from magtopt.topo_derivative import assemble_generalized_td
-from oracles import g_air_to_ferro, g_ferro_to_air
+from oracles import digest, g_air_to_ferro, g_ferro_to_air
 
 CASE_I = PerturbationCase.AIR_IN_FERRO
 CASE_II = PerturbationCase.FERRO_IN_AIR
@@ -170,6 +170,42 @@ class TestAssembly:
         gu = mesh.element_gradients(state.field)[design]
         active = (gu * gu).sum(1) > 1e-16
         assert np.all(td.element_values[active] < 0.0)
+
+
+class TestPinnedBits:
+    """element_values byte for byte, on seeded nodal u and p (no solve), a
+    random ferro mask and synthetic 11-point tables built by arithmetic
+    alone (no table build), so the digests depend on neither SuperLU nor
+    BLAS. Taken at commit 2bab6f0, when the lookup and d1 took the gradient
+    vectors and computed |grad u| and grad u . grad p again: a rewrite of
+    the kernel that moves one bit shows."""
+    #: (mesh, scale of u) -> (digest, n_clamped); the scale puts the median
+    #: |grad u| near 1.5 on a table grid to 2.5, so both branches clamp
+    PINNED = {
+        "square/16": (lambda: generate_square_benchmark(16), 0.06,
+                      "5d23530ba09c2a98", 15),
+        "mini_motor/48": (lambda: generate_mini_motor(48), 0.003,
+                          "a721ba9d3ea2d7fb", 15),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_element_values(self, marrocco, name):
+        build, scale, want, clamps = self.PINNED[name]
+        mesh = build()
+        rng = np.random.default_rng(0)
+        u = scale * rng.normal(size=mesh.n_nodes)
+        p = rng.normal(size=mesh.n_nodes)
+        ferro = rng.random(mesh.tris.shape[0]) < 0.5
+        # j2 / t of the order of the coarse tables' against d1, so that the
+        # correction's last bits reach the sum
+        grid = np.linspace(0.0, 2.5, 11)
+        quartic = grid * grid * grid * grid / (1.0 + grid)
+        t1 = CorrectionTable(CASE_I, grid, 6e3 * quartic, 0.0, 0.0, "synthetic")
+        t2 = CorrectionTable(CASE_II, grid, 1e5 * quartic, 0.0, 0.0, "synthetic")
+        state = StateResult(mesh, u, 0, 0.0, ferro, marrocco)
+        td = assemble_generalized_td(state, p, t1, t2)
+        assert 0 < ferro[mesh.design_elements()].sum() < td.element_values.size
+        assert (digest(td.element_values), td.n_clamped) == (want, clamps)
 
 
 class TestElementFlipOracle:
